@@ -22,15 +22,18 @@ import math
 import numpy as np
 from scipy.special import spence
 
-from .errors import ConvergenceError, GeometryError, RegimeError, SingularWindowError
+from .correlators import SeriesControl, _grouped_image_sum
+from .errors import GeometryError, RegimeError
 from .kernels import (
     SINGULAR_WINDOW,
+    checked_report,
+    horizon,
+    offset_kernel,
     position_kernel_normal,
     position_kernel_parallel,
+    singularity_report,
     velocity_kernel_normal,
     velocity_kernel_parallel,
-    _vel_parallel_scaled,
-    singularity_report,
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -215,12 +218,7 @@ def approx_large_t(kind, point, *, margin=REGIME_MARGIN, window=SINGULAR_WINDOW)
     a, theta, tau = geom.a, geom.z / geom.a, point.gamma
     if tau < margin:
         raise RegimeError(f"late-time form needs t/(2a) >= {margin}, got {tau}")
-    report = singularity_report(geom.z, a, t, threshold=window)
-    if report.is_near:
-        raise SingularWindowError(
-            f"t={t} within {window} (relative) of image cone at t={report.nearest_time}",
-            report=report,
-        )
+    checked_report(singularity_report(geom.z, a, t, threshold=window), t)
     if kind.axis == "normal":
         plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + math.sin(math.pi * theta) ** -2)
         value = plateau if kind.observable == "velocity" else plateau * t * t / 2.0
@@ -313,27 +311,18 @@ def h_function(z, a, t, *, rel_tol=1e-10, n_max=2_000_000):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
     if t <= 0.0:
         return ReducedValue(0.0)
-    horizon = int(math.ceil((0.5 * t + z) / a)) + 1
-    total = 0.0
-    n_next, size = 1, 64
-    while n_next <= n_max:
-        n = np.arange(n_next, n_next + size, dtype=float)
-        base = n * a
-        u0, up = t / (2.0 * base), t / (2.0 * (base + z))
-        vals = 2.0 * _vel_parallel_scaled(u0) / base**2
-        vals -= _vel_parallel_scaled(up) / (base + z) ** 2
-        minus = base[n >= 2.0] - z
-        um = t / (2.0 * minus)
-        vals[n >= 2.0] -= _vel_parallel_scaled(um) / minus**2
-        total += float(np.sum(vals))
-        n_used = n_next + size - 1
-        last = abs(float(vals[-1]))
-        tail = last * n_used / 3.0
-        if n_used >= horizon and tail <= rel_tol * max(abs(total), last, 1e-300):
-            return ReducedValue(total, tail, n_used)
-        n_next += size
-        size *= 2
-    raise ConvergenceError(f"h sum not converged by n_max={n_max}")
+    f = offset_kernel(DispersionKind("parallel", "velocity"), t)
+
+    def unpeeled(x):
+        # The grouped dv2-parallel sum without its shifted terms at z (n = 0)
+        # and a - z (n = 1). Adding them back after the sum instead would
+        # cancel digits, and fail outright, next to their cones.
+        return np.where((x == z) | (x == a - z), 0.0, f(x))
+
+    value, tail, n_used = _grouped_image_sum(
+        unpeeled, -1.0, a, z, SeriesControl(rel_tol=rel_tol, n_max=n_max), horizon(a, z, t)
+    )
+    return ReducedValue(value, tail, n_used)
 
 
 def recommend_regime(point):

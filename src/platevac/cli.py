@@ -27,7 +27,7 @@ from .errors import (
     RegimeError,
     SingularWindowError,
 )
-from .kernels import SINGULAR_WINDOW
+from .kernels import SINGULAR_WINDOW, horizon
 from .oracle import (
     N_IMAGES_NORMAL,
     N_IMAGES_PARALLEL,
@@ -124,19 +124,15 @@ def _particle(args):
         ) from None
 
 
+def _empty_row(variable, value, regime, status):
+    row = dict.fromkeys(CSV_HEADER)
+    row.update(variable=variable, value=value, regime=regime, status=status)
+    return row
+
+
 def _eval_row(kind, point, ctrl, particle, window):
     """One CSV row worth of results; never raises for singular points."""
-    row = {
-        "variable": "t",
-        "value": point.t,
-        "reduced": None,
-        "physical": None,
-        "tail": None,
-        "n_used": None,
-        "sing_dist": None,
-        "regime": recommend_regime(point),
-        "status": "ok",
-    }
+    row = _empty_row("t", point.t, recommend_regime(point), "ok")
     try:
         result = dispersion_exact(kind, point, ctrl, window=window)
     except SingularWindowError as exc:
@@ -248,19 +244,7 @@ def cmd_sweep(args):
         try:
             point = EvalPoint(Geometry(params["a"], params["z"]), t)
         except GeometryError:
-            rows.append(
-                {
-                    "variable": args.var,
-                    "value": float(value),
-                    "reduced": None,
-                    "physical": None,
-                    "tail": None,
-                    "n_used": None,
-                    "sing_dist": None,
-                    "regime": None,
-                    "status": "domain",
-                }
-            )
+            rows.append(_empty_row(args.var, float(value), None, "domain"))
             continue
         row = _eval_row(kind, point, ctrl, particle, args.window)
         row["variable"] = args.var
@@ -297,8 +281,7 @@ def cmd_compare(args):
             # Default image counts cannot reach past a late-time horizon;
             # raise them instead of failing the comparison.
             default_n = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
-            horizon = int(math.ceil((0.5 * point.t + point.geometry.z) / point.geometry.a)) + 1
-            n_images = max(default_n, horizon)
+            n_images = max(default_n, horizon(point.geometry.a, point.geometry.z, point.t))
         oracle_val = dispersion_via_quadrature(
             kind, point, n_images=n_images, spec=spec, window=args.window
         )

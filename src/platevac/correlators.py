@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError
-from .kernels import SINGULAR_WINDOW, singularity_report
+from .kernels import SINGULAR_WINDOW, check_cone, checked_report, horizon, singularity_report
 from .quantities import ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -78,16 +78,20 @@ def _k_normal_vec(x, dt):
     return 1.0 / (d * d)
 
 
+def _correlator_term(kvec, x, dt):
+    if x == 0.0:
+        raise GeometryError("image distance x must be nonzero")
+    if dt != 0.0:
+        check_cone(x, abs(dt), SINGULAR_WINDOW)
+    return float(kvec(np.float64(abs(x)), abs(dt)))
+
+
 def correlator_term_parallel(x, dt):
     """Single-image raw integrand for the tangential E-field correlator.
 
     Even in ``dt``; defined at dt = 0 where it equals -1/(16 x**4).
     """
-    if x == 0.0:
-        raise GeometryError("image distance x must be nonzero")
-    if dt != 0.0 and abs(abs(dt) - 2.0 * abs(x)) / abs(dt) < SINGULAR_WINDOW:
-        raise SingularWindowError(f"dt={dt} on the image light cone at 2|x|={2 * abs(x)}")
-    return float(_k_parallel_vec(np.float64(abs(x)), abs(dt)))
+    return _correlator_term(_k_parallel_vec, x, dt)
 
 
 def correlator_term_normal(x, dt):
@@ -95,11 +99,7 @@ def correlator_term_normal(x, dt):
 
     Even in ``dt``; defined at dt = 0 where it equals +1/(16 x**4).
     """
-    if x == 0.0:
-        raise GeometryError("image distance x must be nonzero")
-    if dt != 0.0 and abs(abs(dt) - 2.0 * abs(x)) / abs(dt) < SINGULAR_WINDOW:
-        raise SingularWindowError(f"dt={dt} on the image light cone at 2|x|={2 * abs(x)}")
-    return float(_k_normal_vec(np.float64(abs(x)), abs(dt)))
+    return _correlator_term(_k_normal_vec, x, dt)
 
 
 def _grouped_image_sum(fvec, sign, a, z, ctrl, horizon_n):
@@ -138,14 +138,16 @@ def _grouped_image_sum(fvec, sign, a, z, ctrl, horizon_n):
     )
 
 
-def _checked_report(z, a, dt, window):
-    report = singularity_report(z, a, dt, threshold=window)
-    if report.is_near:
-        raise SingularWindowError(
-            f"dt={dt} within {window} (relative) of image cone at {report.nearest_time}",
-            report=report,
-        )
-    return report
+def _efield(kvec, sign, z, a, dt, ctrl, window):
+    if not (0.0 < z < a):
+        raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
+    dt = abs(dt)
+    report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
+    value, tail, n_used = _grouped_image_sum(
+        lambda x: kvec(x, dt), sign, a, z, ctrl or DEFAULT_CONTROL, horizon(a, z, dt)
+    )
+    pi2 = math.pi * math.pi
+    return ReducedValue(value / pi2, tail / pi2, n_used, report)
 
 
 def efield_correlator_parallel(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
@@ -155,16 +157,7 @@ def efield_correlator_parallel(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
     twice, the shifted offsets n a +/- z enter with a minus sign, all
     divided by pi**2. ``dt = 0`` is allowed (coincidence limit).
     """
-    if not (0.0 < z < a):
-        raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    dt = abs(dt)
-    report = _checked_report(z, a, dt, window)
-    horizon = int(math.ceil((0.5 * dt + z) / a)) + 1
-    value, tail, n_used = _grouped_image_sum(
-        lambda x: _k_parallel_vec(x, dt), -1.0, a, z, ctrl or DEFAULT_CONTROL, horizon
-    )
-    pi2 = math.pi * math.pi
-    return ReducedValue(value / pi2, tail / pi2, n_used, report)
+    return _efield(_k_parallel_vec, -1.0, z, a, dt, ctrl, window)
 
 
 def efield_correlator_normal(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
@@ -173,16 +166,7 @@ def efield_correlator_normal(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
     Same structure as :func:`efield_correlator_parallel` but with the
     normal raw kernel and the shifted offsets entering with a plus sign.
     """
-    if not (0.0 < z < a):
-        raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    dt = abs(dt)
-    report = _checked_report(z, a, dt, window)
-    horizon = int(math.ceil((0.5 * dt + z) / a)) + 1
-    value, tail, n_used = _grouped_image_sum(
-        lambda x: _k_normal_vec(x, dt), 1.0, a, z, ctrl or DEFAULT_CONTROL, horizon
-    )
-    pi2 = math.pi * math.pi
-    return ReducedValue(value / pi2, tail / pi2, n_used, report)
+    return _efield(_k_normal_vec, 1.0, z, a, dt, ctrl, window)
 
 
 def empty_space_efield(dt):

@@ -9,41 +9,20 @@ Values are reduced: multiply by the universal charge/mass prefactor via
 :func:`platevac.physics.physicalize` to get physical dispersions.
 """
 
-import math
-
 import numpy as np
 
 from .correlators import DEFAULT_CONTROL, _grouped_image_sum
-from .errors import GeometryError, SingularWindowError
-from .kernels import (
+from .errors import GeometryError
+from .kernels import (  # noqa: F401  _SCALED stays reachable here for bench/tracing.py
     SINGULAR_WINDOW,
-    _pos_normal_scaled,
-    _pos_parallel_scaled,
-    _vel_normal_scaled,
-    _vel_parallel_scaled,
+    _SCALED,
+    check_cone,
+    checked_report,
+    horizon,
+    offset_kernel,
     singularity_report,
 )
 from .quantities import DispersionKind, EvalPoint, ReducedValue
-
-# (scaled kernel of u, carries 1/x**2) per (axis, observable).
-_SCALED = {
-    ("parallel", "velocity"): (_vel_parallel_scaled, True),
-    ("normal", "velocity"): (_vel_normal_scaled, True),
-    ("parallel", "position"): (_pos_parallel_scaled, False),
-    ("normal", "position"): (_pos_normal_scaled, False),
-}
-
-
-def _offset_kernel(kind, t):
-    """Vectorized per-image value as a function of the offset array."""
-    scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
-
-    def fvec(x):
-        u = t / (2.0 * x)
-        v = scaled(u)
-        return v / (x * x) if per_x2 else v
-
-    return fvec
 
 
 def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
@@ -79,22 +58,14 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     geom, t = point.geometry, point.t
     if t == 0.0:
         return ReducedValue(0.0)
-    report = singularity_report(geom.z, geom.a, t, threshold=window)
-    if report.is_near:
-        raise SingularWindowError(
-            f"t={t} within {window} (relative) of image cone at t={report.nearest_time}",
-            report=report,
-        )
-    # Terms decay like offset**-4 only beyond the horizon t/2; never stop
-    # the sum before every offset family has crossed it.
-    horizon = int(math.ceil((0.5 * t + geom.z) / geom.a)) + 1
+    report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)
     value, tail, n_used = _grouped_image_sum(
-        _offset_kernel(kind, t),
+        offset_kernel(kind, t),
         kind.image_sign,
         geom.a,
         geom.z,
         ctrl or DEFAULT_CONTROL,
-        horizon,
+        horizon(geom.a, geom.z, t),
     )
     return ReducedValue(value, tail, n_used, report)
 
@@ -112,8 +83,5 @@ def single_plate_reference(kind, z, t, *, window=SINGULAR_WINDOW):
         raise GeometryError(f"elapsed time must be nonnegative, got t={t}")
     if t == 0.0:
         return 0.0
-    dist = abs(t - 2.0 * z) / t
-    if dist < window:
-        raise SingularWindowError(f"t={t} on the single-plate cone at 2z={2 * z}")
-    fvec = _offset_kernel(kind, t)
-    return kind.image_sign * float(fvec(np.array([z]))[0])
+    check_cone(z, t, window)
+    return kind.image_sign * float(offset_kernel(kind, t)(np.array([z]))[0])

@@ -22,6 +22,10 @@ with |t - 2|x|| < window * t.
 
 The kernels are reduced: the universal charge/mass prefactor is applied
 once, downstream, by :func:`platevac.physics.physicalize`.
+
+This module also owns the image lattice every two-plate sum runs over:
+the offset families n a and n a +/- z, the horizon past which a sum may
+stop, the light-cone window rule and the nearest light cone.
 """
 
 import math
@@ -147,12 +151,27 @@ def _check_t(t):
         raise GeometryError(f"elapsed time must be finite and nonnegative, got t={t}")
 
 
-def _check_single_window(x, t, window):
-    dist = abs(t - 2.0 * abs(x)) / t
-    if dist < window:
+def _cone_distance(x, t):
+    """Relative distance |t - 2|x|| / t from time t to the light cone of offset x."""
+    return abs(t - 2.0 * abs(x)) / t
+
+
+def check_cone(x, t, window):
+    """Reject a time t > 0 within ``window * t`` of the light cone t = 2|x|."""
+    if _cone_distance(x, t) < window:
         raise SingularWindowError(
             f"t={t} lies within {window} (relative) of the light cone at 2|x|={2 * abs(x)}"
         )
+
+
+def _kernel_at(scaled, per_x2, x, t, window):
+    _check_x(x)
+    _check_t(t)
+    if t == 0.0:
+        return 0.0
+    check_cone(x, t, window)
+    value = float(scaled(np.float64(t / (2.0 * abs(x)))))
+    return value / (x * x) if per_x2 else value
 
 
 def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -179,13 +198,7 @@ def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
     SingularWindowError
         If ``t`` is within ``window * t`` of the light cone.
     """
-    _check_x(x)
-    _check_t(t)
-    if t == 0.0:
-        return 0.0
-    _check_single_window(x, t, window)
-    u = t / (2.0 * abs(x))
-    return float(_vel_parallel_scaled(np.float64(u))) / (x * x)
+    return _kernel_at(_vel_parallel_scaled, True, x, t, window)
 
 
 def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -194,13 +207,7 @@ def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns
     F_norm(t / 2|x|) / x**2, which is strictly positive for t > 0.
     """
-    _check_x(x)
-    _check_t(t)
-    if t == 0.0:
-        return 0.0
-    _check_single_window(x, t, window)
-    u = t / (2.0 * abs(x))
-    return float(_vel_normal_scaled(np.float64(u))) / (x * x)
+    return _kernel_at(_vel_normal_scaled, True, x, t, window)
 
 
 def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -209,13 +216,7 @@ def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_par(t / 2|x|).
     """
-    _check_x(x)
-    _check_t(t)
-    if t == 0.0:
-        return 0.0
-    _check_single_window(x, t, window)
-    u = t / (2.0 * abs(x))
-    return float(_pos_parallel_scaled(np.float64(u)))
+    return _kernel_at(_pos_parallel_scaled, False, x, t, window)
 
 
 def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -224,13 +225,39 @@ def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_norm(t / 2|x|).
     """
-    _check_x(x)
-    _check_t(t)
-    if t == 0.0:
-        return 0.0
-    _check_single_window(x, t, window)
-    u = t / (2.0 * abs(x))
-    return float(_pos_normal_scaled(np.float64(u)))
+    return _kernel_at(_pos_normal_scaled, False, x, t, window)
+
+
+# (scaled kernel of u, carries 1/x**2) per (axis, observable). Every image
+# sum looks its kernel up here at call time, so replacing an entry reaches
+# all of them.
+_SCALED = {
+    ("parallel", "velocity"): (_vel_parallel_scaled, True),
+    ("normal", "velocity"): (_vel_normal_scaled, True),
+    ("parallel", "position"): (_pos_parallel_scaled, False),
+    ("normal", "position"): (_pos_normal_scaled, False),
+}
+
+
+def offset_kernel(kind, t):
+    """Vectorized per-image value of ``kind`` at time t, as a function of the offset array."""
+    scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
+
+    def fvec(x):
+        u = t / (2.0 * x)
+        v = scaled(u)
+        return v / (x * x) if per_x2 else v
+
+    return fvec
+
+
+def horizon(a, z, t):
+    """Image index beyond which every offset family lies past the light front t/2.
+
+    Image terms decay like offset**-4 only beyond it, so no image sum may
+    stop before it.
+    """
+    return int(math.ceil((0.5 * t + z) / a)) + 1
 
 
 class SingularityReport:
@@ -281,12 +308,13 @@ class SingularityReport:
         )
 
 
-def singularity_report(z, a, t, n_max=None, threshold=SINGULAR_WINDOW):
+def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     """Locate the image light cone nearest to time ``t``.
 
     The image offsets of the two-plate geometry are n a (n >= 1) and
     |n a +/- z| (n >= 0); each contributes a singular time 2 X. The
-    report carries the minimum relative distance |t - 2 X| / t.
+    report carries the minimum relative distance |t - 2 X| / t over every
+    offset up to one beyond the horizon t / 2.
 
     Parameters
     ----------
@@ -294,9 +322,6 @@ def singularity_report(z, a, t, n_max=None, threshold=SINGULAR_WINDOW):
         Particle position and plate separation, 0 < z < a.
     t : float
         Elapsed time.
-    n_max : int, optional
-        Highest image index scanned. Default covers every cone up to and
-        one beyond the horizon t / 2.
     threshold : float, optional
         Window used to set the report's ``is_near`` flag.
     """
@@ -305,21 +330,27 @@ def singularity_report(z, a, t, n_max=None, threshold=SINGULAR_WINDOW):
     _check_t(t)
     if t == 0.0:
         return SingularityReport(math.inf, None, None, None, None, threshold)
-    if n_max is None:
-        n_max = int(math.ceil((0.5 * t + z) / a)) + 1
+    n_top = horizon(a, z, t)
+    best = (math.inf, None, None, None)
+    # The offset of family (shift, n) is |n a + shift|, so the nearest cone
+    # of each family has n next to (t/2 - shift) / a. Ties go to the first
+    # family listed, then to the lowest n.
+    for family, shift, n_low in (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1)):
+        centre = round((0.5 * t - shift) / a)
+        for n in range(max(n_low, centre - 1), min(n_top, centre + 1) + 1):
+            offset = abs(n * a + shift)
+            dist = _cone_distance(offset, t)
+            if dist < best[0]:
+                best = (dist, offset, family, n)
+    dist, offset, family, n = best
+    return SingularityReport(float(dist), float(offset), float(2.0 * offset), family, n, threshold)
 
-    n = np.arange(0, n_max + 1, dtype=float)
-    offsets = np.concatenate([n[1:] * a, n * a + z, np.abs(n[1:] * a - z)])
-    families = ["plain"] * (n_max) + ["shifted"] * (n_max + 1) + ["shifted"] * (n_max)
-    indices = np.concatenate([n[1:], n, n[1:]]).astype(int)
 
-    dist = np.abs(t - 2.0 * offsets) / t
-    k = int(np.argmin(dist))
-    return SingularityReport(
-        float(dist[k]),
-        float(offsets[k]),
-        float(2.0 * offsets[k]),
-        families[k],
-        int(indices[k]),
-        threshold,
-    )
+def checked_report(report, t):
+    """Return ``report``, or raise SingularWindowError carrying it when t is near a cone."""
+    if report.is_near:
+        raise SingularWindowError(
+            f"t={t} within {report.threshold} (relative) of image cone at t={report.nearest_time}",
+            report=report,
+        )
+    return report

@@ -29,9 +29,13 @@ from dataclasses import asdict, dataclass
 import scipy.integrate
 
 from .correlators import DEFAULT_CONTROL, _grouped_image_sum
-from .errors import ConvergenceError, GeometryError, SingularWindowError
+from .errors import ConvergenceError, GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
+    check_cone,
+    checked_report,
+    horizon,
+    offset_kernel,
     position_kernel_normal,
     position_kernel_parallel,
     singularity_report,
@@ -208,8 +212,7 @@ def _image_integral(axis, observable, x, t, spec, *, window=SINGULAR_WINDOW):
         raise GeometryError("image distance x must be nonzero")
     if t == 0.0:
         return 0.0
-    if abs(t - tau0) / t < window:
-        raise SingularWindowError(f"t={t} on the image cone at 2|x|={tau0}")
+    check_cone(x, t, window)
     w, _ = _weight(observable, t)
     kraw = _raw_kernel(axis, abs(x))
     if t < tau0:
@@ -273,18 +276,13 @@ def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=S
     a, z = geom.a, geom.z
     if t == 0.0:
         return ReducedValue(0.0)
-    report = singularity_report(z, a, t, threshold=window)
-    if report.is_near:
-        raise SingularWindowError(
-            f"t={t} within {window} (relative) of image cone at t={report.nearest_time}",
-            report=report,
-        )
+    report = checked_report(singularity_report(z, a, t, threshold=window), t)
     if n_images is None:
         n_images = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
-    horizon = int(math.ceil((0.5 * t + z) / a)) + 1
-    if n_images < horizon:
+    n_horizon = horizon(a, z, t)
+    if n_images < n_horizon:
         raise GeometryError(
-            f"n_images={n_images} does not reach past the horizon (need >= {horizon})"
+            f"n_images={n_images} does not reach past the horizon (need >= {n_horizon})"
         )
 
     sign = kind.image_sign
@@ -430,12 +428,9 @@ def certification_report(spec=None):
 
 def _flipped_normal_sum(kind, point):
     """Closed-form image sum with the (wrong) minus shifted-family sign."""
-    from .dispersions import _offset_kernel
-
     geom, t = point.geometry, point.t
-    horizon = int(math.ceil((0.5 * t + geom.z) / geom.a)) + 1
     value, _, _ = _grouped_image_sum(
-        _offset_kernel(kind, t), -1.0, geom.a, geom.z, DEFAULT_CONTROL, horizon
+        offset_kernel(kind, t), -1.0, geom.a, geom.z, DEFAULT_CONTROL, horizon(geom.a, geom.z, t)
     )
     return value
 

@@ -3,7 +3,10 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from platevac import (
     GeometryError,
@@ -132,3 +135,62 @@ def test_singularity_report_flags_pinned_times():
     rep = singularity_report(0.5, 1.0, 0.3)
     assert not rep.is_near
     assert rep.distance > 0.5
+
+
+def _scan_nearest_cone(z, a, t):
+    """Every offset of the three families up to the horizon, first minimum kept.
+
+    The order of the scan breaks ties: n a, then n a + z, then n a - z,
+    lowest n first.
+    """
+    n_top = math.ceil((0.5 * t + z) / a) + 1
+    n = np.arange(0, n_top + 1, dtype=float)
+    offsets = np.concatenate([n[1:] * a, n * a + z, np.abs(n[1:] * a - z)])
+    families = ["plain"] * n_top + ["shifted"] * (2 * n_top + 1)
+    indices = np.concatenate([n[1:], n, n[1:]]).astype(int)
+    # At t = 2z with z near the smallest floats the far distances overflow
+    # to inf, as they do in the code under test.
+    with np.errstate(over="ignore"):
+        dist = np.abs(t - 2.0 * offsets) / t
+    k = int(np.argmin(dist))
+    return float(dist[k]), float(2.0 * offsets[k]), float(offsets[k]), families[k], int(indices[k])
+
+
+def _report_fields(z, a, t):
+    rep = singularity_report(z, a, t)
+    return rep.distance, rep.nearest_time, rep.nearest_offset, rep.family, rep.n
+
+
+_A = st.floats(1e-3, 1e3)
+_Z_FRAC = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_A, z_frac=_Z_FRAC, t_over_a=st.floats(1e-6, 1e6))
+# z = a/2: n a + z and (n + 1) a - z coincide, here on a cone
+@example(a=1.0, z_frac=0.5, t_over_a=1.0)
+@example(a=1.0, z_frac=0.5, t_over_a=1000.5)
+@example(a=2.5, z_frac=0.5, t_over_a=7.3)
+@example(a=1.0, z_frac=0.3, t_over_a=1e6)
+# z below the rounding of n a: the three families coincide, and t/2 lies
+# halfway between two cones, where round() picks the higher n
+@example(a=1.0, z_frac=1e-13, t_over_a=200003.0)
+def test_singularity_report_matches_full_scan(a, z_frac, t_over_a):
+    z, t = z_frac * a, t_over_a * a
+    assume(0.0 < z < a and t > 0.0)
+    assert _report_fields(z, a, t) == _scan_nearest_cone(z, a, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_A, z_frac=_Z_FRAC, n=st.integers(0, 10**5), shift=st.sampled_from((0, 1, -1)))
+@example(a=1.0, z_frac=0.5, n=0, shift=1)
+@example(a=1.0, z_frac=0.5, n=1, shift=-1)
+@example(a=1.0, z_frac=0.5, n=500, shift=0)
+@example(a=3.0, z_frac=0.5, n=7, shift=-1)
+def test_singularity_report_on_a_cone_matches_full_scan(a, z_frac, n, shift):
+    z = z_frac * a
+    assume(0.0 < z < a and (n >= 1 or shift == 1))
+    t = 2.0 * abs(n * a + shift * z)
+    fields = _report_fields(z, a, t)
+    assert fields == _scan_nearest_cone(z, a, t)
+    assert fields[0] == 0.0
