@@ -311,7 +311,7 @@ def h_function(z, a, t, *, rel_tol=1e-10, n_max=2_000_000):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
     if t <= 0.0:
         return ReducedValue(0.0)
-    f = offset_kernel(DispersionKind("parallel", "velocity"), t)
+    f, series = offset_kernel(DispersionKind("parallel", "velocity"), t)
 
     def unpeeled(x):
         # The grouped dv2-parallel sum without its shifted terms at z (n = 0)
@@ -320,7 +320,7 @@ def h_function(z, a, t, *, rel_tol=1e-10, n_max=2_000_000):
         return np.where((x == z) | (x == a - z), 0.0, f(x))
 
     value, tail, n_used = _grouped_image_sum(
-        unpeeled, -1.0, a, z, SeriesControl(rel_tol=rel_tol, n_max=n_max), horizon(a, z, t)
+        unpeeled, -1.0, a, z, SeriesControl(rel_tol=rel_tol, n_max=n_max), horizon(a, z, t), series
     )
     return ReducedValue(value, tail, n_used)
 

@@ -13,26 +13,23 @@ kernels
 
 over the same offset families n a and n a +/- z used everywhere else.
 
-Image terms decay like 1/n**4 (raw kernels) or 1/n**2 (photon two-point),
-so the slow 1/n**2 sums get an analytic midpoint-rule tail while the fast
-ones are truncated with an integral-comparison bound.
+Every image sum is explicit up to a range fixed by the geometry, past
+which each offset family's remainder is a series of Hurwitz zeta values.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError
-from .kernels import SINGULAR_WINDOW, check_cone, checked_report, horizon, singularity_report
+from .kernels import _K, SINGULAR_WINDOW, check_cone, checked_report, horizon, singularity_report
 from .quantities import ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
 _ETA_DIAG = (1.0, -1.0, -1.0, -1.0)
 _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
-
-# Cap on one vectorized block of image indices (memory bound, not physics).
-_BLOCK_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -42,23 +39,21 @@ class SeriesControl:
     Attributes
     ----------
     rel_tol : float
-        Target bound on tail_estimate / |value|.
+        Target bound on tail_estimate / |value|; it picks the bound
+        reported, not the terms summed.
     n_min : int
-        Minimum number of image pairs before the stopping test applies;
-        also the size of the first summation block.
+        Least number of explicitly summed image pairs.
     n_max : int
-        Hard cap on image pairs; exceeding it raises ConvergenceError.
-    block : int
-        Geometric growth factor for successive block sizes.
+        Most explicitly summed image pairs; a sum whose geometry needs
+        more raises ConvergenceError before summing.
     """
 
     rel_tol: float = 1e-10
     n_min: int = 8
     n_max: int = 2_000_000
-    block: int = 2
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.n_min < 1 or self.block < 2:
+        if self.rel_tol <= 0.0 or self.n_min < 1:
             raise GeometryError(f"invalid series control {self}")
         if self.n_max < self.n_min:
             raise GeometryError("n_max must be at least n_min")
@@ -76,6 +71,12 @@ def _k_parallel_vec(x, dt):
 def _k_normal_vec(x, dt):
     d = dt * dt - 4.0 * x * x
     return 1.0 / (d * d)
+
+
+# Large-offset series (c_k, p) of the raw kernels: for x > dt/2,
+# K = sum_k c_k (dt/2)**(2k) x**-(2k+4) and |c_{k+1} / c_k| = ((k+2)/(k+1))**p.
+_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 2)
+_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 1)
 
 
 def _correlator_term(kvec, x, dt):
@@ -102,49 +103,60 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal_vec, x, dt)
 
 
-def _grouped_image_sum(fvec, sign, a, z, ctrl, horizon_n):
+def _hurwitz_tail(total, series, step, q, weights, rel_tol, s0=4):
+    """Add to ``total`` the images x = (q[f] + n) step, n >= 0, of each family f.
+
+    Each is weights[f] sum_k b_k h**(2k) x**-(2k+s0) with (b, p, h) = ``series``,
+    so the family's k-th term is weights[f] b_k (h/step)**(2k) zeta(2k+s0, q[f])
+    / step**s0 (DLMF 25.11). With every x above 2h and |b_{k+1}/b_k| <=
+    ((k+2)/(k+1))**p, each term is at most rho_k = ((k+2)/(k+1))**p (h/(q[f] step))**2
+    < 1 times the one before, so what follows term k is at most |term k|
+    rho_k/(1 - rho_k). The value carries every term; the tail estimate is that
+    bound at the first k where it is at most rel_tol |value|.
+    """
+    b, p, h = series
+    k = _K[:, None]
+    u = h / (step * q)
+    zq = zeta(2.0 * k + s0, q)
+    # zeta underflows to 0 for large k and q, where q**k may overflow.
+    qk = q ** np.where(zq > 0.0, k, 0.0)
+    terms = (b[:, None] * weights / step**s0) * u ** (2.0 * k) * (qk * zq * qk)
+    rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
+    bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1)
+    value = total + float(np.sum(terms))
+    met = np.flatnonzero(bounds <= rel_tol * abs(value))
+    return value, float(bounds[met[0] if met.size else -1])
+
+
+def _grouped_image_sum(fvec, sign, a, z, ctrl, horizon_n, series):
     """Sum sign*f(z) + sum_{n>=1} [2 f(n a) + sign (f(n a + z) + f(n a - z))].
 
-    ``fvec`` maps an ndarray of positive offsets to per-image values that
-    decay at least like offset**-4 beyond ``horizon_n`` plate spacings.
+    ``fvec`` maps positive offsets to image values and ``series`` is its
+    large-offset series (see :func:`_hurwitz_tail`). Pairs up to max(n_min,
+    2 horizon_n) are explicit, so every later offset exceeds t.
     Returns (value, tail_estimate, n_used).
     """
-    total = sign * float(fvec(np.array([z]))[0])
-    n_next = 1
-    size = ctrl.n_min
-    last_mag = math.inf
-    while n_next <= ctrl.n_max:
-        size = min(size, _BLOCK_CAP, ctrl.n_max - n_next + 1)
-        n = np.arange(n_next, n_next + size, dtype=float)
-        base = n * a
-        vals = 2.0 * fvec(base) + sign * (fvec(base + z) + fvec(base - z))
-        total += float(np.sum(vals))
-        n_used = n_next + size - 1
-        # Integral comparison on the grouped terms: beyond the horizon they
-        # are monotone power laws decaying at least like n**-4, so
-        # sum_{n>N} |group| <= |group(N)| N / 3. Two trailing terms guard
-        # the region where the asymptote has not settled yet.
-        last_mag = float(np.max(np.abs(vals[-2:])))
-        tail = last_mag * n_used / 3.0
-        scale = max(abs(total), last_mag, 1e-300)
-        if n_used >= max(ctrl.n_min, horizon_n) and tail <= ctrl.rel_tol * scale:
-            return total, tail, n_used
-        n_next += size
-        size *= ctrl.block
-    raise ConvergenceError(
-        f"image sum not converged after {ctrl.n_max} pairs",
-        value=total,
-        error_estimate=last_mag * ctrl.n_max / 3.0,
-    )
+    N = max(ctrl.n_min, 2 * horizon_n)
+    if N > ctrl.n_max:
+        raise ConvergenceError(f"image sum needs {N} explicit pairs, above n_max={ctrl.n_max}")
+    base = np.arange(1, N + 1, dtype=float) * a
+    vals = 2.0 * fvec(base) + sign * (fvec(base + z) + fvec(base - z))
+    total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
+    if not math.isfinite(total):
+        raise SingularWindowError(f"image sum is {total}: an image lies on its light cone")
+    q = N + 1.0 + np.array([0.0, z, -z]) / a
+    value, tail = _hurwitz_tail(total, series, a, q, np.array([2.0, sign, sign]), ctrl.rel_tol)
+    return value, tail, N
 
 
-def _efield(kvec, sign, z, a, dt, ctrl, window):
+def _efield(kvec, series, sign, z, a, dt, ctrl, window):
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
     dt = abs(dt)
     report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
     value, tail, n_used = _grouped_image_sum(
-        lambda x: kvec(x, dt), sign, a, z, ctrl or DEFAULT_CONTROL, horizon(a, z, dt)
+        lambda x: kvec(x, dt), sign, a, z, ctrl or DEFAULT_CONTROL, horizon(a, z, dt),
+        (*series, 0.5 * dt),
     )
     pi2 = math.pi * math.pi
     return ReducedValue(value / pi2, tail / pi2, n_used, report)
@@ -157,7 +169,7 @@ def efield_correlator_parallel(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
     twice, the shifted offsets n a +/- z enter with a minus sign, all
     divided by pi**2. ``dt = 0`` is allowed (coincidence limit).
     """
-    return _efield(_k_parallel_vec, -1.0, z, a, dt, ctrl, window)
+    return _efield(_k_parallel_vec, _K_PARALLEL_SERIES, -1.0, z, a, dt, ctrl, window)
 
 
 def efield_correlator_normal(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
@@ -166,7 +178,7 @@ def efield_correlator_normal(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
     Same structure as :func:`efield_correlator_parallel` but with the
     normal raw kernel and the shifted offsets entering with a plus sign.
     """
-    return _efield(_k_normal_vec, 1.0, z, a, dt, ctrl, window)
+    return _efield(_k_normal_vec, _K_NORMAL_SERIES, 1.0, z, a, dt, ctrl, window)
 
 
 def empty_space_efield(dt):
@@ -202,52 +214,29 @@ def _check_indices(mu, nu):
         raise GeometryError(f"tensor indices must be 0..3, got ({mu}, {nu})")
 
 
-def _tail_integral(y0, A, a):
-    """integral_{y0}^{inf} dy / (A - y**2) / (2a) for y0 > sqrt(max(A, 0))."""
-    if A > 0.0:
-        r = math.sqrt(A)
-        return -math.atanh(r / y0) / (2.0 * a * r)
-    if A < 0.0:
-        r = math.sqrt(-A)
-        return -math.atan(r / y0) / (2.0 * a * r)
-    return -1.0 / (2.0 * a * y0)
-
-
 def _lattice_scalar(A, s, a, include_zero, ctrl):
     """sum_n 1/(A - (s + 2 n a)**2), integer n (optionally excluding 0).
 
-    Explicit terms to |n| <= N plus midpoint-rule tail integrals in both
-    directions; the leftover midpoint error, bounded by |f'|/24 at the
-    split points, is the returned tail estimate.
+    Explicit terms to |n| <= N, where every later |y| is at least
+    2 sqrt|A|, plus the tail in both directions as Hurwitz zeta series of
+    1/(A - y**2) = -sum_k A**k y**-(2k+2). Returns (value, tail, N).
     """
-    # First N must put both split points well past any cone and the offset.
-    n0 = int(math.ceil((abs(s) + math.sqrt(max(A, 0.0))) / (2.0 * a))) + 5
-    N = max(ctrl.n_min, n0, 64)
-    while True:
-        if N > ctrl.n_max:
-            raise ConvergenceError(f"lattice sum not converged by n_max={ctrl.n_max}")
-        n = np.arange(-N, N + 1, dtype=float)
-        if not include_zero:
-            n = n[n != 0.0]
-        y = s + 2.0 * a * n
-        denom = A - y * y
-        scale = np.abs(A) + y * y + a * a
-        if np.any(np.abs(denom) <= 1e-10 * scale):
-            raise SingularWindowError("an image offset is light-like separated")
-        total = float(np.sum(1.0 / denom))
-
-        yr = s + 2.0 * a * (N + 0.5)
-        yl = -(s - 2.0 * a * (N + 0.5))
-        total_tail = _tail_integral(yr, A, a) + _tail_integral(yl, A, a)
-        # Midpoint rule error bound: |f'(split)| / 24 per side, f in the
-        # image-index variable.
-        fp = 0.0
-        for yy in (yr, yl):
-            fp += abs(4.0 * a * yy / (A - yy * yy) ** 2) / 24.0
-        value = total + total_tail
-        if fp <= ctrl.rel_tol * max(abs(value), 1e-300):
-            return value, fp, N
-        N *= 4
+    h = math.sqrt(abs(A))
+    N = max(ctrl.n_min, math.ceil((abs(s) + 2.0 * h) / (2.0 * a)))
+    if N > ctrl.n_max:
+        raise ConvergenceError(f"lattice sum needs {N} terms each way, above n_max={ctrl.n_max}")
+    n = np.arange(-N, N + 1, dtype=float)
+    if not include_zero:
+        n = n[n != 0.0]
+    y = s + 2.0 * a * n
+    denom = A - y * y
+    scale = np.abs(A) + y * y + a * a
+    if np.any(np.abs(denom) <= 1e-10 * scale):
+        raise SingularWindowError("an image offset is light-like separated")
+    q = N + 1.0 + np.array([s, -s]) / (2.0 * a)
+    series = (-(np.sign(A) ** _K), 0, h)
+    value, tail = _hurwitz_tail(float(np.sum(1.0 / denom)), series, 2 * a, q, 1.0, ctrl.rel_tol, 2)
+    return value, tail, N
 
 
 def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a, ctrl=None):
@@ -259,7 +248,7 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a, ctrl=None):
     components vanish identically.
 
     Returns a :class:`ReducedValue`; its tail estimate bounds the
-    midpoint-rule truncation of the slowly converging 1/n**2 lattice.
+    truncation of the Hurwitz-zeta tails of both lattices.
     """
     _check_indices(mu, nu)
     if not (0.0 < z < a) or not (0.0 < zp < a):

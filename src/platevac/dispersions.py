@@ -9,14 +9,12 @@ Values are reduced: multiply by the universal charge/mass prefactor via
 :func:`platevac.physics.physicalize` to get physical dispersions.
 """
 
-import numpy as np
-
 from .correlators import DEFAULT_CONTROL, _grouped_image_sum
 from .errors import GeometryError
-from .kernels import (  # noqa: F401  _SCALED stays reachable here for bench/tracing.py
+from .kernels import (
     SINGULAR_WINDOW,
     _SCALED,
-    check_cone,
+    _kernel_at,
     checked_report,
     horizon,
     offset_kernel,
@@ -35,7 +33,7 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     point : EvalPoint
         Geometry and elapsed time.
     ctrl : SeriesControl, optional
-        Truncation policy; the default targets 1e-10 relative tails.
+        Explicit-range limits and tail-bound target (default 1e-10 relative).
     window : float, optional
         Relative singular-window half-width passed to the cone scan.
 
@@ -48,9 +46,9 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     Raises
     ------
     SingularWindowError
-        If ``t`` is within ``window`` (relative) of any image cone.
+        If ``t`` is within ``window`` (relative) of any image cone, or on one.
     ConvergenceError
-        If the sum does not meet ``ctrl.rel_tol`` by ``ctrl.n_max``.
+        Before summing, if twice the horizon exceeds ``ctrl.n_max`` pairs.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -59,13 +57,15 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     if t == 0.0:
         return ReducedValue(0.0)
     report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)
+    fvec, series = offset_kernel(kind, t)
     value, tail, n_used = _grouped_image_sum(
-        offset_kernel(kind, t),
+        fvec,
         kind.image_sign,
         geom.a,
         geom.z,
         ctrl or DEFAULT_CONTROL,
         horizon(geom.a, geom.z, t),
+        series,
     )
     return ReducedValue(value, tail, n_used, report)
 
@@ -79,9 +79,4 @@ def single_plate_reference(kind, z, t, *, window=SINGULAR_WINDOW):
     kind = DispersionKind.coerce(kind)
     if not (z > 0.0):
         raise GeometryError(f"plate distance must be positive, got z={z}")
-    if t < 0.0:
-        raise GeometryError(f"elapsed time must be nonnegative, got t={t}")
-    if t == 0.0:
-        return 0.0
-    check_cone(z, t, window)
-    return kind.image_sign * float(offset_kernel(kind, t)(np.array([z]))[0])
+    return kind.image_sign * _kernel_at(*_SCALED[(kind.axis, kind.observable)], z, t, window)

@@ -31,7 +31,7 @@ class SingularWindowError(PlatevacError):
 
 
 class ConvergenceError(PlatevacError):
-    """A truncated sum or quadrature failed to reach its tolerance."""
+    """An image sum needs more explicit terms than n_max, or a quadrature missed its tolerance."""
 
     exit_code = 4
 

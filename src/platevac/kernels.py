@@ -40,12 +40,24 @@ SINGULAR_WINDOW = 1e-6
 # Branch switch points. Below _G_SERIES_CUT the closed position forms lose
 # ~u**-2 digits to cancellation, so a power series takes over; above
 # _U_LARGE the parallel forms cancel from the other side and an inverse
-# power series takes over.
+# power series, within 2 eps from u = 4, takes over.
 _G_SERIES_CUT = 0.35
-_U_LARGE = 20.0
+_U_LARGE = 4.0
 
 _G_SERIES_TERMS = 24
 _INV_SERIES_TERMS = 16
+
+# Large-offset series of each scaled kernel, keyed like _SCALED: at u = t/2x < 1
+# an image is sum_k c_k (t/2)**(2k+m) x**-(2k+4), stored as (c_k, m); for the
+# position kernels that is G(u) = sum_k c_k u**(2k+4), which their small-u
+# branches sum. 40 terms reach below double precision at u = 1/2.
+_K = np.arange(40.0)
+_SERIES = {
+    ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2),
+    ("normal", "velocity"): (1.0 / (4.0 * (2.0 * _K + 1.0)), 2),
+    ("parallel", "position"): (-(_K + 1.0) / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
+    ("normal", "position"): (1.0 / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
+}
 
 
 def _lam(u):
@@ -59,6 +71,12 @@ def _lam(u):
 def _log_abs_one_minus_u2(u):
     # (1-u)(1+u) keeps precision near the cone, where 1-u**2 would not.
     return np.log(np.abs((1.0 - u) * (1.0 + u)))
+
+
+def _small_u_series(coef, u):
+    """sum_k coef[k] u**(2k+4) to k < _G_SERIES_TERMS, by Horner in u**2."""
+    w = u * u
+    return np.polyval(coef[_G_SERIES_TERMS - 1 :: -1], w) * w * w
 
 
 def _vel_parallel_scaled(u):
@@ -98,13 +116,7 @@ def _pos_parallel_scaled(u):
     big = u >= _U_LARGE
     mid = ~(small | big)
 
-    us = u[small]
-    w = us * us
-    # G_par = -(1/2) sum_{k>=0} (k+1) u**(2k+4) / ((2k+1)(k+2))
-    acc = np.zeros_like(us)
-    for k in range(_G_SERIES_TERMS - 1, -1, -1):
-        acc = acc * w + (k + 1.0) / ((2.0 * k + 1.0) * (k + 2.0))
-    out[small] = -0.5 * acc * w * w
+    out[small] = _small_u_series(_SERIES[("parallel", "position")][0], u[small])
 
     um = u[mid]
     out[mid] = (um * um - um**3 * _lam(um) + _log_abs_one_minus_u2(um)) / 6.0
@@ -126,13 +138,7 @@ def _pos_normal_scaled(u):
     out = np.empty_like(u)
     small = u < _G_SERIES_CUT
 
-    us = u[small]
-    w = us * us
-    # G_norm = (1/2) sum_{k>=0} u**(2k+4) / ((2k+1)(k+2))
-    acc = np.zeros_like(us)
-    for k in range(_G_SERIES_TERMS - 1, -1, -1):
-        acc = acc * w + 1.0 / ((2.0 * k + 1.0) * (k + 2.0))
-    out[small] = 0.5 * acc * w * w
+    out[small] = _small_u_series(_SERIES[("normal", "position")][0], u[small])
 
     ub = u[~small]
     out[~small] = (ub * ub + 2.0 * ub**3 * _lam(ub) + _log_abs_one_minus_u2(ub)) / 6.0
@@ -240,15 +246,21 @@ _SCALED = {
 
 
 def offset_kernel(kind, t):
-    """Vectorized per-image value of ``kind`` at time t, as a function of the offset array."""
+    """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
+
+    Returns (fvec, (b, p, h)): fvec maps an offset array to image values;
+    with h = t/2 an image past the light front is sum_k b_k h**(2k) x**-(2k+4),
+    and |b_{k+1} / b_k| is below ((k+2)/(k+1))**p = 1.
+    """
     scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
+    coef, m = _SERIES[(kind.axis, kind.observable)]
 
     def fvec(x):
         u = t / (2.0 * x)
         v = scaled(u)
         return v / (x * x) if per_x2 else v
 
-    return fvec
+    return fvec, (coef * (0.5 * t) ** m, 0, 0.5 * t)
 
 
 def horizon(a, z, t):

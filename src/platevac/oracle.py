@@ -429,8 +429,9 @@ def certification_report(spec=None):
 def _flipped_normal_sum(kind, point):
     """Closed-form image sum with the (wrong) minus shifted-family sign."""
     geom, t = point.geometry, point.t
+    fvec, series = offset_kernel(kind, t)
     value, _, _ = _grouped_image_sum(
-        offset_kernel(kind, t), -1.0, geom.a, geom.z, DEFAULT_CONTROL, horizon(geom.a, geom.z, t)
+        fvec, -1.0, geom.a, geom.z, DEFAULT_CONTROL, horizon(geom.a, geom.z, t), series
     )
     return value
 

@@ -461,3 +461,12 @@ def test_adjudicate_then_reference(capsys, tmp_path):
     assert rc == 0
     rec = json.loads(out)
     assert rec["adjudication"]["sha256"] == digest
+
+
+def test_eval_late_normal_velocity_exits_0(capsys):
+    rc, out = run_cli(
+        capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.3", "--t", "250000.3",
+        "--format", "csv",
+    )
+    assert rc == 0
+    assert parse_csv(out)[0]["status"] == "ok"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from platevac import (
@@ -10,12 +11,16 @@ from platevac import (
     SeriesControl,
     SingularWindowError,
     dispersion_exact,
+    efield_correlator_normal,
+    efield_correlator_parallel,
+    h_function,
     single_plate_reference,
     position_kernel_normal,
     position_kernel_parallel,
     velocity_kernel_normal,
     velocity_kernel_parallel,
 )
+from platevac.kernels import horizon
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
 
 TIGHT = SeriesControl(rel_tol=1e-13)
@@ -127,3 +132,44 @@ def test_convergence_cap_raises():
     pt = EvalPoint(Geometry(1.0, 0.5), 1000.5)  # horizon needs ~502 images
     with pytest.raises(ConvergenceError):
         dispersion_exact(VX, pt, ctrl)
+
+
+def test_sum_through_a_light_cone_raises_instead_of_returning():
+    # t = 1000 lies on the cone of the plain image at n a = 500; with no
+    # window the explicit sum meets that image and is not finite.
+    z, a, t = 0.5, 1.0, 1000.0
+    calls = [
+        lambda kind=kind: dispersion_exact(kind, EvalPoint(Geometry(a, z), t), window=0.0)
+        for kind in ALL_KINDS
+    ]
+    calls += [
+        lambda: efield_correlator_parallel(z, a, t, window=0.0),
+        lambda: efield_correlator_normal(z, a, t, window=0.0),
+        lambda: h_function(z, a, t),
+    ]
+    for call in calls:
+        with pytest.raises(SingularWindowError), np.errstate(divide="ignore", invalid="ignore"):
+            call()
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-14])
+def test_explicit_range_is_twice_the_horizon(rel_tol):
+    ctrl = SeriesControl(rel_tol=rel_tol)
+    z, a, t = 0.3, 1.0, 30.3
+    expect = 2 * horizon(a, z, t)
+    for kind in ALL_KINDS:
+        assert dispersion_exact(kind, EvalPoint(Geometry(a, z), t), ctrl).n_used == expect
+    assert efield_correlator_parallel(z, a, t, ctrl).n_used == expect
+    assert efield_correlator_normal(z, a, t, ctrl).n_used == expect
+    assert h_function(z, a, t, rel_tol=rel_tol).n_used == expect
+    # Early times still sum n_min pairs.
+    assert dispersion_exact(VZ, EvalPoint(Geometry(a, z), 0.3), ctrl).n_used == ctrl.n_min
+
+
+@pytest.mark.parametrize("t, window", [(250000.3, 1e-6), (1e6 + 0.37, 1e-9)])
+def test_normal_velocity_sums_to_a_million_plate_spacings(t, window):
+    a, z = 1.0, 0.3
+    got = dispersion_exact(VZ, EvalPoint(Geometry(a, z), t), window=window)
+    plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + 1.0 / math.sin(math.pi * z / a) ** 2)
+    assert abs(got.value - plateau) <= 20.0 * (a / t) ** 2 * plateau
+    assert got.n_used == 2 * horizon(a, z, t)

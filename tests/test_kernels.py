@@ -194,3 +194,16 @@ def test_singularity_report_on_a_cone_matches_full_scan(a, z_frac, n, shift):
     fields = _report_fields(z, a, t)
     assert fields == _scan_nearest_cone(z, a, t)
     assert fields[0] == 0.0
+
+
+def test_parallel_kernels_past_the_inverse_series_switch():
+    # From u = 4 up the parallel closed forms cancel to O(u**-2) and lose
+    # up to hundreds of eps; the inverse series holds them to a few eps.
+    mpmath.mp.dps = 40
+    eps = np.finfo(float).eps
+    for u in np.linspace(4.0, 20.0, 321):
+        f_par, _, g_par, _ = _mp_reference(u)
+        f = velocity_kernel_parallel(1.0, 2.0 * u)
+        g = position_kernel_parallel(1.0, 2.0 * u)
+        assert abs(f - float(f_par)) <= 8.0 * eps * abs(float(f_par)), u
+        assert abs(g - float(g_par)) <= 8.0 * eps * abs(float(g_par)), u
