@@ -9,11 +9,9 @@ from .asymptotics import (
     approx_large_a,
     approx_large_a_far,
     approx_large_t,
-    h_function,
     image_sum_quartic,
     midpoint_extremal,
     recommend_regime,
-    w_function,
 )
 from .correlators import (
     SeriesControl,
@@ -108,7 +106,6 @@ __all__ = [
     "effective_temperature",
     "empty_space_efield",
     "falling_time",
-    "h_function",
     "image_position_integral",
     "image_sum_quartic",
     "image_velocity_integral",
@@ -130,5 +127,4 @@ __all__ = [
     "velocity_integral",
     "velocity_kernel_normal",
     "velocity_kernel_parallel",
-    "w_function",
 ]

@@ -9,8 +9,7 @@ Two regimes have closed expansions:
 * late times (many cavity crossings): each image family is a lattice sum
   with spacing 2a/t of one scaled kernel, expanded by Euler-Maclaurin
   with the singular terms at the origin and at the light cone; the
-  light-cone terms give the oscillation in t mod 2a. The w/h functions
-  keep the older integral bookkeeping for the parallel velocity.
+  light-cone terms give the oscillation in t mod 2a.
 
 Every function returns the same reduced normalization as
 :func:`platevac.dispersions.dispersion_exact`. A point outside a
@@ -22,13 +21,10 @@ import math
 import numpy as np
 from scipy.special import spence
 
-from .correlators import SeriesControl, _grouped_image_sum
 from .errors import GeometryError, RegimeError
 from .kernels import (
     SINGULAR_WINDOW,
     checked_report,
-    horizon,
-    offset_kernel,
     position_kernel_normal,
     position_kernel_parallel,
     singularity_report,
@@ -269,60 +265,6 @@ def midpoint_extremal(kind, a, t, *, margin=REGIME_MARGIN):
     """
     point = EvalPoint(Geometry(a, 0.5 * a), t)
     return approx_large_t(kind, point, margin=margin)
-
-
-def w_function(u):
-    """Tail profile w(u) of the image-to-integral replacement.
-
-    Principal-value combination of the two integrals from u to infinity
-    of 1/(x**2 (1 - x**2)) and ln|(1+x)/(1-x)| / (2 x**3); in closed form
-
-        w(u) = 1/(2u) - (1 + u**2) artanh*(u) / (2 u**2)
-
-    with artanh*(u) = artanh(min(u, 1/u)). Odd expansion
-    -(2/3)u - (4/15)u**3 - ... near zero.
-    """
-    if u < 0.0 or not math.isfinite(u):
-        raise GeometryError(f"w requires finite u >= 0, got u={u}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        raise GeometryError("w diverges logarithmically at u = 1")
-    if u < 1e-3:
-        u2 = u * u
-        return -u * (2.0 / 3.0 + u2 * (4.0 / 15.0 + u2 * (6.0 / 35.0)))
-    lam = math.atanh(min(u, 1.0 / u))
-    return 0.5 / u - (1.0 + u * u) * lam / (2.0 * u * u)
-
-
-def h_function(z, a, t, *, rel_tol=1e-10, n_max=2_000_000):
-    """Residual image sum left after peeling off both single-plate terms.
-
-    h = sum_{n>=1} [2 f_par(n a, t) - f_par(n a + z, t)]
-        - sum_{n>=2} f_par(n a - z, t)
-
-    so the exact parallel velocity dispersion is
-    -f_par(z, t) - f_par(a - z, t) + h. At late times h approaches
-    gamma / t**2 times the w-combination
-    w(1/gamma) - w(2(a+z)/t)/2 - w(2(2a-z)/t)/2 up to a light-cone
-    sampling oscillation of order 1/(a t).
-    """
-    if not (0.0 < z < a):
-        raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    if t <= 0.0:
-        return ReducedValue(0.0)
-    f, series = offset_kernel(DispersionKind("parallel", "velocity"), t)
-
-    def unpeeled(x):
-        # The grouped dv2-parallel sum without its shifted terms at z (n = 0)
-        # and a - z (n = 1). Adding them back after the sum instead would
-        # cancel digits, and fail outright, next to their cones.
-        return np.where((x == z) | (x == a - z), 0.0, f(x))
-
-    value, tail, n_used = _grouped_image_sum(
-        unpeeled, -1.0, a, z, SeriesControl(rel_tol=rel_tol, n_max=n_max), horizon(a, z, t), series
-    )
-    return ReducedValue(value, tail, n_used)
 
 
 def recommend_regime(point):

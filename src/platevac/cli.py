@@ -278,10 +278,12 @@ def cmd_compare(args):
         )
         n_images = args.n_images
         if n_images is None:
-            # Default image counts cannot reach past a late-time horizon;
-            # raise them instead of failing the comparison.
+            # Default image counts cannot reach past a late-time horizon.
+            # Raise them to twice it, the exact route's explicit reach:
+            # up to there the images still have t/2x above 1/2 and decay
+            # slowly, so a sum stopped at the horizon is off by its tail.
             default_n = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
-            n_images = max(default_n, horizon(point.geometry.a, point.geometry.z, point.t))
+            n_images = max(default_n, 2 * horizon(point.geometry.a, point.geometry.z, point.t))
         oracle_val = dispersion_via_quadrature(
             kind, point, n_images=n_images, spec=spec, window=args.window
         )

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from platevac import (
-    ConvergenceError,
     GeometryError,
     RegimeError,
     SeriesControl,
@@ -15,12 +14,9 @@ from platevac import (
     approx_large_a_far,
     approx_large_t,
     dispersion_exact,
-    h_function,
     image_sum_quartic,
     midpoint_extremal,
     recommend_regime,
-    velocity_kernel_parallel,
-    w_function,
 )
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
 
@@ -163,56 +159,6 @@ def test_parallel_velocity_light_cone_oscillation(t):
     vx = dispersion_exact(VX, EvalPoint(Geometry(a, z), t)).value
     osc = math.pi / (2.0 * a * t * math.sin(math.pi * t / a))
     assert abs(vx - osc) < 10.0 / t**2
-
-
-def test_h_peels_off_single_plate_terms():
-    from platevac import SeriesControl
-
-    z, a, t = 0.37, 1.0, 7.3
-    vx = dispersion_exact(VX, EvalPoint(Geometry(a, z), t), SeriesControl(rel_tol=1e-13)).value
-    rebuilt = (
-        -velocity_kernel_parallel(z, t)
-        - velocity_kernel_parallel(a - z, t)
-        + h_function(z, a, t, rel_tol=1e-13).value
-    )
-    assert vx == pytest.approx(rebuilt, rel=1e-11)
-
-
-def test_h_late_time_w_combination():
-    z, a, t = 0.5, 1.0, 1000.5
-    gamma = t / (2.0 * a)
-    h = h_function(z, a, t).value
-    combo = (
-        gamma
-        / t**2
-        * (
-            w_function(1.0 / gamma)
-            - w_function(2.0 * (a + z) / t) / 2.0
-            - w_function(2.0 * (2.0 * a - z) / t) / 2.0
-        )
-    )
-    # agreement up to the light-cone sampling oscillation, O(1/(a t))
-    assert abs(h - combo) <= 2.0 / (a * t)
-
-
-def test_h_convergence_guard():
-    with pytest.raises(ConvergenceError):
-        h_function(0.5, 1.0, 200.5, rel_tol=1e-10, n_max=64)
-
-
-def test_w_function_values():
-    assert w_function(0.0) == 0.0
-    with pytest.raises(GeometryError):
-        w_function(1.0)
-    with pytest.raises(GeometryError):
-        w_function(-0.5)
-    # odd leading behavior -(2/3) u and the far tail -2/(3 u**3)
-    assert w_function(1e-5) == pytest.approx(-2.0 / 3.0 * 1e-5, rel=1e-9)
-    assert w_function(100.0) == pytest.approx(-2.0 / (3.0 * 100.0**3), rel=1e-3)
-    # series and closed form agree across the switchover
-    lo = w_function(1e-3 * (1.0 - 1e-6))
-    hi = w_function(1e-3 * (1.0 + 1e-6))
-    assert abs(hi - lo) < 1e-8
 
 
 def test_recommend_regime():

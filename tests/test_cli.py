@@ -373,6 +373,32 @@ def test_compare_wide_gap_and_oracle(capsys):
     assert routes["large_a"]["rel_diff_vs_exact"] < 1e-4
 
 
+@pytest.mark.parametrize(
+    "quantity, t, rel",
+    [("dv2-parallel", "2000.3", 1e-7), ("dx2-parallel", "200.3", 1e-4)],
+)
+def test_compare_oracle_late_default_images_reach_twice_the_horizon(capsys, quantity, t, rel):
+    # Stopped at the horizon, these sums were off by 8.8e-4 and 4.5e-3.
+    rc, out = run_cli(
+        capsys,
+        "compare",
+        "--quantity",
+        quantity,
+        "--a",
+        "1",
+        "--z",
+        "0.3",
+        "--t",
+        t,
+        "--oracle",
+        "--format",
+        "json",
+    )
+    assert rc == 0
+    routes = {r["route"]: r for r in json.loads(out)["routes"]}
+    assert routes["quadrature"]["rel_diff_vs_exact"] < rel
+
+
 def test_compare_late_time_reports_deviation(capsys):
     rc, out = run_cli(
         capsys,

@@ -13,7 +13,6 @@ from platevac import (
     dispersion_exact,
     efield_correlator_normal,
     efield_correlator_parallel,
-    h_function,
     single_plate_reference,
     position_kernel_normal,
     position_kernel_parallel,
@@ -145,7 +144,6 @@ def test_sum_through_a_light_cone_raises_instead_of_returning():
     calls += [
         lambda: efield_correlator_parallel(z, a, t, window=0.0),
         lambda: efield_correlator_normal(z, a, t, window=0.0),
-        lambda: h_function(z, a, t),
     ]
     for call in calls:
         with pytest.raises(SingularWindowError), np.errstate(divide="ignore", invalid="ignore"):
@@ -161,7 +159,6 @@ def test_explicit_range_is_twice_the_horizon(rel_tol):
         assert dispersion_exact(kind, EvalPoint(Geometry(a, z), t), ctrl).n_used == expect
     assert efield_correlator_parallel(z, a, t, ctrl).n_used == expect
     assert efield_correlator_normal(z, a, t, ctrl).n_used == expect
-    assert h_function(z, a, t, rel_tol=rel_tol).n_used == expect
     # Early times still sum n_min pairs.
     assert dispersion_exact(VZ, EvalPoint(Geometry(a, z), 0.3), ctrl).n_used == ctrl.n_min
 

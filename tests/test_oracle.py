@@ -4,7 +4,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from platevac import (
     ConvergenceError,
@@ -20,11 +24,14 @@ from platevac import (
     position_integral,
     position_kernel_normal,
     position_kernel_parallel,
+    singularity_report,
     velocity_integral,
     velocity_kernel_normal,
     velocity_kernel_parallel,
     write_adjudication,
 )
+from platevac.kernels import offset_kernel
+from platevac.oracle import DEFAULT_QUADRATURE
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
 
 CLOSED = {
@@ -88,6 +95,16 @@ def test_image_integrals_past_the_cone():
     )
 
 
+@pytest.mark.parametrize("u", [0.98, 0.995, 1.005, 1.02])
+@pytest.mark.parametrize("x", [0.05, 0.7, 3.0])
+def test_image_integrals_on_both_sides_of_the_cone(x, u):
+    # the Laurent split at the pole 2x covers t < 2x < 2t, not only t > 2x
+    t = 2.0 * x * u
+    for (axis, obs), closed in CLOSED.items():
+        integral = image_velocity_integral if obs == "velocity" else image_position_integral
+        assert integral(axis, x, t) == pytest.approx(closed(x, t), rel=1e-10)
+
+
 def test_finite_part_window_invariance():
     x, t = 1.0, 3.0
     wide = QuadratureSpec(pv_excision=2e-3)
@@ -113,6 +130,52 @@ def test_dispersion_via_quadrature_matches_exact():
         exact = dispersion_exact(kind, pt, tight).value
         oracle = dispersion_via_quadrature(kind, pt).value
         assert oracle == pytest.approx(exact, rel=5e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    z_over_a=st.floats(0.1, 0.9),
+    t_over_a=st.floats(0.05, 10.0),
+    kind=st.sampled_from(ALL_KINDS),
+)
+def test_summed_quadrature_agrees_with_the_exact_sum(a, z_over_a, t_over_a, kind):
+    z, t = z_over_a * a, t_over_a * a
+    assume(singularity_report(z, a, t).distance * t >= 0.05 * a)
+    point = EvalPoint(Geometry(a, z), t)
+    oracle = dispersion_via_quadrature(kind, point)
+    exact = dispersion_exact(kind, point)
+    n = oracle.n_used
+    na = np.arange(1.0, n + 1) * a
+    fvec, _ = offset_kernel(kind, t)
+    # every image term, the plain family's twice
+    terms = np.sum(abs(fvec(np.concatenate(([z], na, na, na + z, na - z)))))
+    spec = DEFAULT_QUADRATURE
+    bound = (
+        oracle.tail_estimate
+        + exact.tail_estimate
+        + (3 * n + 1) * spec.abs_tol
+        + spec.rel_tol * terms
+    )
+    assert abs(oracle.value - exact.value) <= bound
+
+
+@pytest.mark.parametrize("n_images", [50, 300])
+def test_dispersion_via_quadrature_makes_at_most_four_quadratures(monkeypatch, n_images):
+    # one for the summed lattice, one per image of the last group
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    for t in (0.3, 3.1):
+        for kind in ALL_KINDS:
+            calls.clear()
+            dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t), n_images=n_images)
+            assert 0 < len(calls) <= 4
 
 
 def test_dispersion_via_quadrature_horizon_guard():
