@@ -33,8 +33,8 @@ from .kernels import (
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
-# Default regime margins: large-a wants t at most 1/margin of the nearest
-# image round trip, large-t wants at least margin cavity crossings.
+# Regime margin: large-a wants t at most 1/REGIME_MARGIN of the nearest
+# image round trip, large-t wants at least REGIME_MARGIN cavity crossings.
 REGIME_MARGIN = 5.0
 
 
@@ -54,18 +54,18 @@ def image_sum_quartic(z, a):
     return math.pi**4 * (2.0 + c) / (3.0 * a**4 * s**4)
 
 
-def approx_large_a(kind, point, *, margin=REGIME_MARGIN):
+def approx_large_a(kind, point):
     """Wide-gap expansion: exact nearest images plus lattice power laws.
 
     Valid while t is small compared with the round trips 2z and
-    2(a - z); enforced as t <= min(2z, 2(a-z)) / margin.
+    2(a - z); enforced as t <= min(2z, 2(a-z)) / REGIME_MARGIN.
     """
     kind = _as_kind(kind)
     geom, t = point.geometry, point.t
     a, z, zbar = geom.a, geom.z, geom.zbar
-    if t > min(2.0 * z, 2.0 * zbar) / margin:
+    if t > min(2.0 * z, 2.0 * zbar) / REGIME_MARGIN:
         raise RegimeError(
-            f"large-separation form needs t <= min(2z, 2(a-z))/{margin}, got t={t}"
+            f"large-separation form needs t <= min(2z, 2(a-z))/{REGIME_MARGIN}, got t={t}"
         )
     lattice = image_sum_quartic(z, a) - z**-4 - zbar**-4
     zeta4_sum = 2.0 * math.pi**4 / 90.0  # sum over n != 0 of n**-4
@@ -85,19 +85,21 @@ def approx_large_a(kind, point, *, margin=REGIME_MARGIN):
     return ReducedValue(near + coeff * lattice + plain)
 
 
-def approx_large_a_far(kind, point, *, margin=REGIME_MARGIN):
+def approx_large_a_far(kind, point):
     """Single-plate-dominated limit z << t << a (velocity: z, t << a).
 
     Keeps the nearest plate's contribution and the leading correction in
     t/a. Position components also replace the nearest-plate kernel by its
-    own late-time law, so they additionally require t >= 2z * margin.
+    own late-time law, so they additionally require t >= 2z * REGIME_MARGIN.
+    The far plate counts as far at a >= 20 * REGIME_MARGIN * z, and the
+    time as short at t <= 2a / REGIME_MARGIN.
     """
     kind = _as_kind(kind)
     geom, t = point.geometry, point.t
     a, z = geom.a, geom.z
-    if a < 20.0 * margin * z:
+    if a < 20.0 * REGIME_MARGIN * z:
         raise RegimeError(f"far-plate form needs a >> z, got a/z={a / z}")
-    if t > 2.0 * a / margin:
+    if t > 2.0 * a / REGIME_MARGIN:
         raise RegimeError(f"far-plate form needs t << 2a, got t={t}, a={a}")
     ta4 = (t / a) ** 4
 
@@ -108,7 +110,7 @@ def approx_large_a_far(kind, point, *, margin=REGIME_MARGIN):
             value = velocity_kernel_normal(z, t) + math.pi**4 * t * t / (360.0 * a**4)
         return ReducedValue(value)
 
-    if t < 2.0 * z * margin:
+    if t < 2.0 * z * REGIME_MARGIN:
         raise RegimeError(f"far-plate position form needs t >> 2z, got t={t}, z={z}")
     if kind.axis == "parallel":
         value = -math.log(t / (2.0 * z)) / 3.0 + ta4 * (z / a) ** 8 / 32.0
@@ -149,8 +151,8 @@ def _clausen2(x):
     return float(np.imag(spence(1.0 - np.exp(2j * x))))
 
 
-def approx_large_t(kind, point, *, margin=REGIME_MARGIN, window=SINGULAR_WINDOW):
-    """Late-time laws after many cavity crossings, t >= margin * 2a.
+def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
+    """Late-time laws after many cavity crossings, t >= REGIME_MARGIN * 2a.
 
     Each law is the leading term of the exact image sum at late times and
     every correction down to relative order a/t, so that the error left
@@ -205,15 +207,15 @@ def approx_large_t(kind, point, *, margin=REGIME_MARGIN, window=SINGULAR_WINDOW)
     Raises
     ------
     RegimeError
-        If t < margin * 2a.
+        If t < REGIME_MARGIN * 2a, that is, before five cavity crossings.
     SingularWindowError
         If ``t`` is within ``window`` (relative) of any image cone.
     """
     kind = _as_kind(kind)
     geom, t = point.geometry, point.t
     a, theta, tau = geom.a, geom.z / geom.a, point.gamma
-    if tau < margin:
-        raise RegimeError(f"late-time form needs t/(2a) >= {margin}, got {tau}")
+    if tau < REGIME_MARGIN:
+        raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")
     checked_report(singularity_report(geom.z, a, t, threshold=window), t)
     if kind.axis == "normal":
         plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + math.sin(math.pi * theta) ** -2)
@@ -234,11 +236,12 @@ def approx_large_t(kind, point, *, margin=REGIME_MARGIN, window=SINGULAR_WINDOW)
     return ReducedValue(value)
 
 
-def midpoint_extremal(kind, a, t, *, margin=REGIME_MARGIN):
+def midpoint_extremal(kind, a, t):
     """Late-time laws at the midplane z = a/2, where the normal motion is extremal.
 
     This is :func:`approx_large_t` at ``Geometry(a, a/2)``, with the same
-    error orders. There, with x = pi t/a, the laws are
+    regime, t >= REGIME_MARGIN * 2a, and error orders. There, with
+    x = pi t/a, the laws are
 
     * dv2-normal = pi**2/(3 a**2), remainder
       -(1/3 + ln|2 sin x|)/t**2 + O(a/t**3)
@@ -264,7 +267,7 @@ def midpoint_extremal(kind, a, t, *, margin=REGIME_MARGIN):
     errors shrink by at most x1.5 from t = 100.5.
     """
     point = EvalPoint(Geometry(a, 0.5 * a), t)
-    return approx_large_t(kind, point, margin=margin)
+    return approx_large_t(kind, point)
 
 
 def recommend_regime(point):

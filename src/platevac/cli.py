@@ -27,14 +27,8 @@ from .errors import (
     RegimeError,
     SingularWindowError,
 )
-from .kernels import SINGULAR_WINDOW, horizon
-from .oracle import (
-    N_IMAGES_NORMAL,
-    N_IMAGES_PARALLEL,
-    QuadratureSpec,
-    dispersion_via_quadrature,
-    write_adjudication,
-)
+from .kernels import SINGULAR_WINDOW
+from .oracle import dispersion_via_quadrature, write_adjudication
 from .physics import (
     PARTICLES,
     amplification_ratio,
@@ -257,11 +251,14 @@ def cmd_sweep(args):
     else:
         _emit_csv(rows, sys.stdout)
 
-    if any(r["status"] == "ok" for r in rows):
+    statuses = {r["status"] for r in rows}
+    if "ok" in statuses:
         return 0
-    if any(r["status"] == "singular" for r in rows):
+    if "singular" in statuses:
         return 3
-    return 4
+    if "convergence" in statuses:
+        return 4
+    return 2
 
 
 def cmd_compare(args):
@@ -271,21 +268,8 @@ def cmd_compare(args):
 
     routes = [("exact", exact.value)]
     if args.oracle:
-        spec = (
-            QuadratureSpec()
-            if args.pv_excision is None
-            else QuadratureSpec(pv_excision=args.pv_excision)
-        )
-        n_images = args.n_images
-        if n_images is None:
-            # Default image counts cannot reach past a late-time horizon.
-            # Raise them to twice it, the exact route's explicit reach:
-            # up to there the images still have t/2x above 1/2 and decay
-            # slowly, so a sum stopped at the horizon is off by its tail.
-            default_n = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
-            n_images = max(default_n, 2 * horizon(point.geometry.a, point.geometry.z, point.t))
         oracle_val = dispersion_via_quadrature(
-            kind, point, n_images=n_images, spec=spec, window=args.window
+            kind, point, n_images=args.n_images, window=args.window
         )
         routes.append(("quadrature", oracle_val.value))
     for name, func in (
@@ -380,8 +364,7 @@ def cmd_physics(args):
 
 
 def cmd_adjudicate(args):
-    spec = QuadratureSpec() if args.pv_excision is None else QuadratureSpec(pv_excision=args.pv_excision)
-    path, digest = write_adjudication(args.out, spec)
+    path, digest = write_adjudication(args.out)
     with open(path, "r", encoding="utf-8") as fh:
         certified = json.load(fh)["certified"]
     print(f"adjudication written to {path}")
@@ -396,10 +379,16 @@ def _add_point_args(p, required=True):
     p.add_argument("--t", required=required, default=None, help="elapsed time (natural or e.g. 2.5e-7s)")
 
 
-def _add_common(p):
+def _add_particle(p):
     p.add_argument("--particle", choices=sorted(PARTICLES), default=None)
+
+
+def _add_common(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--rel-tol", type=float, default=None, help="image-sum relative tolerance")
+
+
+def _add_window(p):
     p.add_argument("--window", type=float, default=SINGULAR_WINDOW, help="singular window (relative)")
 
 
@@ -413,7 +402,9 @@ def build_parser():
     p = sub.add_parser("eval", help="one dispersion at one point")
     p.add_argument("--quantity", required=True)
     _add_point_args(p)
+    _add_particle(p)
     _add_common(p)
+    _add_window(p)
     p.add_argument("--adjudication", default=DEFAULT_ADJUDICATION, help="adjudication JSON to reference")
     p.set_defaults(func=cmd_eval)
 
@@ -425,27 +416,29 @@ def build_parser():
     p.add_argument("--steps", type=int, default=25)
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     _add_point_args(p, required=False)
+    _add_particle(p)
     _add_common(p)
+    _add_window(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="exact vs asymptotics, optionally vs quadrature")
     p.add_argument("--quantity", required=True)
     _add_point_args(p)
     _add_common(p)
+    _add_window(p)
     p.add_argument("--oracle", action="store_true", help="include the quadrature route")
     p.add_argument("--n-images", type=int, default=None)
-    p.add_argument("--pv-excision", type=float, default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("physics", help="physical scales and validity flags")
     _add_point_args(p)
+    _add_particle(p)
     _add_common(p)
     p.add_argument("--safety", type=float, default=10.0)
     p.set_defaults(func=cmd_physics)
 
     p = sub.add_parser("adjudicate", help="run the oracle certification grid")
     p.add_argument("--out", default=DEFAULT_ADJUDICATION)
-    p.add_argument("--pv-excision", type=float, default=None)
     p.set_defaults(func=cmd_adjudicate)
 
     return parser

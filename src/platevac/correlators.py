@@ -120,7 +120,11 @@ def _hurwitz_tail(total, series, step, q, weights, rel_tol, s0=4):
     zq = zeta(2.0 * k + s0, q)
     # zeta underflows to 0 for large k and q, where q**k may overflow.
     qk = q ** np.where(zq > 0.0, k, 0.0)
-    terms = (b[:, None] * weights / step**s0) * u ** (2.0 * k) * (qk * zq * qk)
+    try:
+        scale = step**s0
+    except OverflowError:  # step beyond ~1e77: every term is 0
+        scale = math.inf
+    terms = (b[:, None] * weights / scale) * u ** (2.0 * k) * (qk * zq * qk)
     rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
     bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1)
     value = total + float(np.sum(terms))
@@ -219,7 +223,10 @@ def _lattice_scalar(A, s, a, include_zero, ctrl):
 
     Explicit terms to |n| <= N, where every later |y| is at least
     2 sqrt|A|, plus the tail in both directions as Hurwitz zeta series of
-    1/(A - y**2) = -sum_k A**k y**-(2k+2). Returns (value, tail, N).
+    1/(A - y**2) = -sum_k A**k y**-(2k+2). A term is on its light cone
+    when A > 0 and |y| is within 1e-10 sqrt(A) of sqrt(A), relative to
+    that term alone, so the window does not grow with a. Returns
+    (value, tail, N).
     """
     h = math.sqrt(abs(A))
     N = max(ctrl.n_min, math.ceil((abs(s) + 2.0 * h) / (2.0 * a)))
@@ -229,10 +236,9 @@ def _lattice_scalar(A, s, a, include_zero, ctrl):
     if not include_zero:
         n = n[n != 0.0]
     y = s + 2.0 * a * n
-    denom = A - y * y
-    scale = np.abs(A) + y * y + a * a
-    if np.any(np.abs(denom) <= 1e-10 * scale):
+    if A > 0.0 and np.any(np.abs(np.abs(y) - h) <= 1e-10 * h):
         raise SingularWindowError("an image offset is light-like separated")
+    denom = A - y * y
     q = N + 1.0 + np.array([s, -s]) / (2.0 * a)
     series = (-(np.sign(A) ** _K), 0, h)
     value, tail = _hurwitz_tail(float(np.sum(1.0 / denom)), series, 2 * a, q, 1.0, ctrl.rel_tol, 2)

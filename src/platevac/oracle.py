@@ -58,26 +58,17 @@ class QuadratureSpec:
         Tolerances handed to the adaptive integrator.
     max_subdivisions : int
         Subdivision cap per quadrature.
-    pv_excision : float
-        Relative half-width of an excision window around an interior
-        pole. It is validated but no longer moves any value: the Laurent
-        part is integrated in closed form over the whole of [0, t], so
-        the window-independence check of :func:`certification_report`
-        holds trivially.
     """
 
     abs_tol: float = 1e-13
     rel_tol: float = 1e-11
     max_subdivisions: int = 200
-    pv_excision: float = 1e-3
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise GeometryError("quadrature tolerances must be positive")
         if self.max_subdivisions < 10:
             raise GeometryError("max_subdivisions must be at least 10")
-        if not (0.0 < self.pv_excision < 0.4):
-            raise GeometryError("pv_excision must lie in (0, 0.4)")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -270,8 +261,13 @@ def image_position_integral(axis, x, t, spec=None, *, window=SINGULAR_WINDOW):
 def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=SINGULAR_WINDOW):
     """Reduced dispersion from a quadrature of the summed raw image integrands.
 
-    Independent of the closed-form kernels. The image count is fixed
-    (defaults pinned per axis). Every image group but the last is
+    Independent of the closed-form kernels. The default image count is
+    the per-axis pinned count or twice the horizon, whichever is larger:
+    up to twice the horizon the images still have t/2x above 1/2 and
+    decay slowly, so a sum stopped at the horizon is off by its tail,
+    and twice the horizon is where the exact route's explicit shells
+    stop too. An explicit ``n_images`` below the horizon raises
+    GeometryError. Every image group but the last is
     integrated as one sum (see the module docstring). The last group's
     three images are integrated one by one, because the returned tail
     estimate is scaled from their magnitudes: it bounds what the
@@ -288,9 +284,10 @@ def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=S
     if t == 0.0:
         return ReducedValue(0.0)
     report = checked_report(singularity_report(z, a, t, threshold=window), t)
-    if n_images is None:
-        n_images = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
     n_horizon = horizon(a, z, t)
+    if n_images is None:
+        pinned = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
+        n_images = max(pinned, 2 * n_horizon)
     if n_images < n_horizon:
         raise GeometryError(
             f"n_images={n_images} does not reach past the horizon (need >= {n_horizon})"
@@ -324,25 +321,18 @@ _GRID_T_OVER_X = (0.1, 0.5, 1.5, 3.0)
 _GRID_TOL = 1e-8
 
 
-def certification_report(spec=None):
+def certification_report():
     """Cross-check closed-form kernels against the quadrature route.
 
-    Runs the full x and t/|x| grid for all four kernels (the t/|x| = 3
-    column exercises the finite-part machinery), then records the
-    convention adjudications the two routes settle: the modulus-log
-    position forms past the cone, the sign with which the shifted image
-    family enters the normal components, and the independence of the
-    finite part from the excision window.
+    Runs the full x and t/|x| grid for all four kernels with the default
+    quadrature spec (the t/|x| = 3 column exercises the finite-part
+    machinery), then records the convention adjudications the two routes
+    settle: the modulus-log position forms past the cone, and the sign
+    with which the shifted image family enters the normal components.
 
     Returns a JSON-serializable dict with a top-level "certified" flag.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    half = QuadratureSpec(
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        pv_excision=spec.pv_excision / 2.0,
-    )
+    spec = DEFAULT_QUADRATURE
     grid = []
     worst = 0.0
     for (axis, obs), closed in _CLOSED.items():
@@ -366,22 +356,6 @@ def certification_report(spec=None):
                         "ok": diff <= _GRID_TOL,
                     }
                 )
-
-    # Excision-window independence at the finite-part grid corner.
-    fp_checks = []
-    for axis, obs in _CLOSED:
-        full_val = _image_integral(axis, obs, 1.0, 3.0, spec)
-        half_val = _image_integral(axis, obs, 1.0, 3.0, half)
-        fp_checks.append(
-            {
-                "axis": axis,
-                "observable": obs,
-                "value": full_val,
-                "halved_window": half_val,
-                "abs_diff": abs(full_val - half_val),
-                "ok": abs(full_val - half_val) <= 1e-9,
-            }
-        )
 
     # Sign adjudication for the shifted family in the normal components:
     # compare the quadrature image sum against both candidate signs of
@@ -407,11 +381,7 @@ def certification_report(spec=None):
             }
         )
 
-    certified = (
-        all(g["ok"] for g in grid)
-        and all(c["ok"] for c in fp_checks)
-        and all(s["ok"] for s in sign_checks)
-    )
+    certified = all(g["ok"] for g in grid) and all(s["ok"] for s in sign_checks)
     return {
         "quadrature_spec": asdict(spec),
         "grid_tolerance": _GRID_TOL,
@@ -428,11 +398,6 @@ def certification_report(spec=None):
                 "checks": sign_checks,
                 "ok": all(s["ok"] for s in sign_checks),
             },
-            "finite_part_window": {
-                "statement": "finite part independent of pv_excision",
-                "checks": fp_checks,
-                "ok": all(c["ok"] for c in fp_checks),
-            },
         },
         "certified": certified,
     }
@@ -448,13 +413,13 @@ def _flipped_normal_sum(kind, point):
     return value
 
 
-def write_adjudication(path, spec=None):
+def write_adjudication(path):
     """Write the certification report as JSON; returns (path, sha256).
 
     The digest covers the file bytes exactly, so rehashing the file
     later reproduces it.
     """
-    report = certification_report(spec)
+    report = certification_report()
     data = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

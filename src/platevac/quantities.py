@@ -6,6 +6,7 @@ mass prefactor, which is applied exactly once by
 :func:`platevac.physics.physicalize`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import GeometryError
@@ -30,7 +31,8 @@ class Geometry:
     Parameters
     ----------
     a : float
-        Plate separation, must be positive.
+        Plate separation, must be positive and finite; the a -> infinity
+        limit is :func:`platevac.dispersions.single_plate_reference`.
     z : float
         Distance from the lower plate, must satisfy 0 < z < a.
     """
@@ -39,8 +41,8 @@ class Geometry:
     z: float
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise GeometryError(f"plate separation must be positive, got a={self.a}")
+        if not (0.0 < self.a < math.inf):
+            raise GeometryError(f"plate separation must be positive and finite, got a={self.a}")
         if not (0.0 < self.z < self.a):
             raise GeometryError(
                 f"particle position must satisfy 0 < z < a, got z={self.z}, a={self.a}"

@@ -1,5 +1,6 @@
 """Command line front end: formats, exit codes, sweeps, adjudication."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import math
 import pytest
 
 from platevac import ConvergenceError, length_to_natural
-from platevac.cli import CSV_HEADER, main
+from platevac.cli import CSV_HEADER, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,9 @@ def test_eval_domain_error_exit_2(capsys):
     rc = main(["eval", "--quantity", "dv2-normal", "--a", "1", "--z", "1.5", "--t", "0.3"])
     assert rc == 2
     rc = main(["eval", "--quantity", "dv2-bogus", "--a", "1", "--z", "0.5", "--t", "0.3"])
+    assert rc == 2
+    # 1e400 parses to inf: not a plate separation
+    rc = main(["eval", "--quantity", "dv2-normal", "--a", "1e400", "--z", "0.5", "--t", "0.3"])
     assert rc == 2
 
 
@@ -302,6 +306,15 @@ def test_sweep_domain_rows(capsys):
     rows = parse_csv(out)
     assert rows[-1]["status"] == "domain"
     assert rows[-1]["reduced"] == ""
+
+
+def test_sweep_all_domain_exit_2(capsys):
+    rc, out = run_cli(
+        capsys, "sweep", "--quantity", "dv2-normal", "--var", "z", "--start", "2", "--stop", "3",
+        "--steps", "3", "--a", "1", "--t", "0.3",
+    )
+    assert rc == 2
+    assert [r["status"] for r in parse_csv(out)] == ["domain"] * 3
 
 
 def test_sweep_missing_fixed_param_exit_2(capsys):
@@ -496,3 +509,42 @@ def test_eval_late_normal_velocity_exits_0(capsys):
     )
     assert rc == 0
     assert parse_csv(out)[0]["status"] == "ok"
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Namespace that remembers which attributes a handler read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3", "--format", "json"],
+        ["sweep", "--quantity", "dv2-normal", "--start", "0.1", "--stop", "0.3", "--steps", "2",
+         "--a", "1", "--z", "0.5"],
+        ["compare", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3", "--oracle"],
+        ["physics", "--a", "1", "--z", "0.5", "--t", "0.3"],
+        ["adjudicate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_flag_is_read_by_its_handler(capsys, tmp_path, argv):
+    # A flag its handler never reads accepts a value and silently ignores it.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        action.dest
+        for action in sub.choices[argv[0]]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    if argv[0] == "adjudicate":
+        argv = [*argv, "--out", str(tmp_path / "cert.json")]
+    args = _ReadRecorder(_reads=set())
+    parser.parse_args(argv, namespace=args)
+    args._reads.clear()
+    assert args.func(args) == 0
+    assert dests <= args._reads, f"never read: {sorted(dests - args._reads)}"

@@ -111,6 +111,16 @@ def test_two_point_matches_brute_force():
     assert got.value == pytest.approx(_brute_two_point(1, 2.5, 0.0, 0.0, 0.25, 0.5, 1.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e5, 1e6, 1e100])
+def test_two_point_wide_gap_is_not_mistaken_for_a_light_cone(a):
+    # The n = 0 image at y = z + z' is far from its cone |y| = dt; the far
+    # images shift the value by O(a**-4), below rounding already at a = 5e4.
+    ref = renormalized_photon_two_point(0, 0, 0.3, 0.0, 0.0, 0.5, 0.4, 5e4)
+    got = renormalized_photon_two_point(0, 0, 0.3, 0.0, 0.0, 0.5, 0.4, a)
+    eps = np.finfo(float).eps
+    assert abs(got.value - ref.value) <= got.tail_estimate + ref.tail_estimate + 4 * eps * abs(ref.value)
+
+
 def test_two_point_midplane_coincident_value():
     # equal-point normal-normal component at the midplane: 1 / (12 a**2)
     for a in (1.0, 2.0):

@@ -65,6 +65,15 @@ def test_single_plate_is_the_nearest_image_term():
         single_plate_reference(VZ, -0.5, 1.0)
 
 
+@pytest.mark.parametrize("a", [1e100, 1e300])
+def test_wide_gap_limit_is_the_single_plate_value(a):
+    # a**4 overflows past a ~ 1e77; the far images must then vanish, not raise
+    z, t = 0.5, 0.3
+    for kind in ALL_KINDS:
+        got = dispersion_exact(kind, EvalPoint(Geometry(a, z), t))
+        assert got.value == pytest.approx(single_plate_reference(kind, z, t), rel=1e-15)
+
+
 @pytest.mark.parametrize("t", [0.3, 7.3])
 def test_reflection_symmetry(t):
     left = EvalPoint(Geometry(1.0, 0.37), t)

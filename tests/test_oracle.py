@@ -30,7 +30,7 @@ from platevac import (
     velocity_kernel_parallel,
     write_adjudication,
 )
-from platevac.kernels import offset_kernel
+from platevac.kernels import horizon, offset_kernel
 from platevac.oracle import DEFAULT_QUADRATURE
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
 
@@ -49,8 +49,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=-1e-9)
     with pytest.raises(GeometryError):
         QuadratureSpec(max_subdivisions=2)
-    with pytest.raises(GeometryError):
-        QuadratureSpec(pv_excision=0.5)
 
 
 def test_weight_polynomials_on_simple_kernels():
@@ -103,16 +101,6 @@ def test_image_integrals_on_both_sides_of_the_cone(x, u):
     for (axis, obs), closed in CLOSED.items():
         integral = image_velocity_integral if obs == "velocity" else image_position_integral
         assert integral(axis, x, t) == pytest.approx(closed(x, t), rel=1e-10)
-
-
-def test_finite_part_window_invariance():
-    x, t = 1.0, 3.0
-    wide = QuadratureSpec(pv_excision=2e-3)
-    narrow = QuadratureSpec(pv_excision=1e-3)
-    for axis in ("parallel", "normal"):
-        a = image_velocity_integral(axis, x, t, wide)
-        b = image_velocity_integral(axis, x, t, narrow)
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_image_integral_guards():
@@ -188,6 +176,15 @@ def test_dispersion_via_quadrature_horizon_guard():
         )
 
 
+def test_dispersion_via_quadrature_default_reaches_twice_the_horizon():
+    # the pinned 50 parallel images stop short of this point's horizon of 102
+    point = EvalPoint(Geometry(1.0, 0.3), 200.3)
+    oracle = dispersion_via_quadrature("dx2-parallel", point)
+    exact = dispersion_exact("dx2-parallel", point)
+    assert oracle.n_used == 2 * horizon(1.0, 0.3, 200.3)
+    assert oracle.value == pytest.approx(exact.value, rel=1e-4)
+
+
 def test_certification_report_is_clean():
     report = certification_report()
     assert report["certified"] is True
@@ -195,7 +192,6 @@ def test_certification_report_is_clean():
     conv = report["conventions"]
     assert conv["log_modulus"]["ok"]
     assert conv["normal_shifted_sign"]["ok"]
-    assert conv["finite_part_window"]["ok"]
     # the sign adjudication must actually separate the two candidates
     for check in conv["normal_shifted_sign"]["checks"]:
         assert check["minus_diff"] > 1e3 * check["plus_diff"]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from platevac import GeometryError
@@ -19,7 +21,10 @@ def test_geometry_basic():
     assert (r.a, r.z) == (2.0, 1.5)
 
 
-@pytest.mark.parametrize("a,z", [(1.0, 0.0), (1.0, 1.0), (1.0, -0.1), (1.0, 1.5), (0.0, 0.5), (-1.0, 0.5)])
+@pytest.mark.parametrize(
+    "a,z",
+    [(1.0, 0.0), (1.0, 1.0), (1.0, -0.1), (1.0, 1.5), (0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5)],
+)
 def test_geometry_rejects_bad_placement(a, z):
     with pytest.raises(GeometryError):
         Geometry(a, z)
