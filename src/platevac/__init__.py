@@ -14,7 +14,6 @@ from .asymptotics import (
     recommend_regime,
 )
 from .correlators import (
-    SeriesControl,
     correlator_term_normal,
     correlator_term_parallel,
     efield_correlator_normal,
@@ -88,7 +87,6 @@ __all__ = [
     "ReducedValue",
     "RegimeError",
     "SINGULAR_WINDOW",
-    "SeriesControl",
     "SingularWindowError",
     "SingularityReport",
     "amplification_ratio",

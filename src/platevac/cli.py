@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .asymptotics import approx_large_a, approx_large_t, recommend_regime
-from .correlators import SeriesControl
 from .dispersions import dispersion_exact
 from .errors import (
     ConvergenceError,
@@ -93,12 +92,6 @@ def _point(args):
     return EvalPoint(geom, _parse_value(args.t, allow_time=True))
 
 
-def _control(args):
-    if args.rel_tol is None:
-        return None
-    return SeriesControl(rel_tol=args.rel_tol)
-
-
 def _adjudication_block(path):
     if not os.path.exists(path):
         return None
@@ -124,11 +117,11 @@ def _empty_row(variable, value, regime, status):
     return row
 
 
-def _eval_row(kind, point, ctrl, particle, window):
+def _eval_row(kind, point, particle, window):
     """One CSV row worth of results; never raises for singular points."""
     row = _empty_row("t", point.t, recommend_regime(point), "ok")
     try:
-        result = dispersion_exact(kind, point, ctrl, window=window)
+        result = dispersion_exact(kind, point, window=window)
     except SingularWindowError as exc:
         row["status"] = "singular"
         if exc.report is not None:
@@ -158,7 +151,7 @@ def cmd_eval(args):
     kind = DispersionKind.from_token(args.quantity)
     point = _point(args)
     particle = _particle(args)
-    row = _eval_row(kind, point, _control(args), particle, args.window)
+    row = _eval_row(kind, point, particle, args.window)
 
     if args.format == "csv":
         _emit_csv([row], sys.stdout)
@@ -204,7 +197,6 @@ def cmd_eval(args):
 def cmd_sweep(args):
     kind = DispersionKind.from_token(args.quantity)
     particle = _particle(args)
-    ctrl = _control(args)
     start = _parse_value(args.start, allow_time=args.var == "t")
     stop = _parse_value(args.stop, allow_time=args.var == "t")
     if args.steps < 2:
@@ -240,7 +232,7 @@ def cmd_sweep(args):
         except GeometryError:
             rows.append(_empty_row(args.var, float(value), None, "domain"))
             continue
-        row = _eval_row(kind, point, ctrl, particle, args.window)
+        row = _eval_row(kind, point, particle, args.window)
         row["variable"] = args.var
         row["value"] = float(value)
         rows.append(row)
@@ -264,7 +256,7 @@ def cmd_sweep(args):
 def cmd_compare(args):
     kind = DispersionKind.from_token(args.quantity)
     point = _point(args)
-    exact = dispersion_exact(kind, point, _control(args), window=args.window)
+    exact = dispersion_exact(kind, point, window=args.window)
 
     routes = [("exact", exact.value)]
     if args.oracle:
@@ -336,7 +328,7 @@ def cmd_physics(args):
         "validity": validity_check(point, particle, safety=args.safety),
     }
     try:
-        report["amplification_ratio"] = amplification_ratio(point, _control(args))
+        report["amplification_ratio"] = amplification_ratio(point)
     except (SingularWindowError, ConvergenceError) as exc:
         report["amplification_ratio"] = None
         report["amplification_note"] = str(exc)
@@ -383,9 +375,8 @@ def _add_particle(p):
     p.add_argument("--particle", choices=sorted(PARTICLES), default=None)
 
 
-def _add_common(p):
+def _add_format(p):
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--rel-tol", type=float, default=None, help="image-sum relative tolerance")
 
 
 def _add_window(p):
@@ -403,7 +394,7 @@ def build_parser():
     p.add_argument("--quantity", required=True)
     _add_point_args(p)
     _add_particle(p)
-    _add_common(p)
+    _add_format(p)
     _add_window(p)
     p.add_argument("--adjudication", default=DEFAULT_ADJUDICATION, help="adjudication JSON to reference")
     p.set_defaults(func=cmd_eval)
@@ -417,14 +408,14 @@ def build_parser():
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     _add_point_args(p, required=False)
     _add_particle(p)
-    _add_common(p)
+    _add_format(p)
     _add_window(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="exact vs asymptotics, optionally vs quadrature")
     p.add_argument("--quantity", required=True)
     _add_point_args(p)
-    _add_common(p)
+    _add_format(p)
     _add_window(p)
     p.add_argument("--oracle", action="store_true", help="include the quadrature route")
     p.add_argument("--n-images", type=int, default=None)
@@ -433,7 +424,7 @@ def build_parser():
     p = sub.add_parser("physics", help="physical scales and validity flags")
     _add_point_args(p)
     _add_particle(p)
-    _add_common(p)
+    _add_format(p)
     p.add_argument("--safety", type=float, default=10.0)
     p.set_defaults(func=cmd_physics)
 

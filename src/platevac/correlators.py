@@ -18,48 +18,25 @@ which each offset family's remainder is a series of Hurwitz zeta values.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError
 from .kernels import _K, SINGULAR_WINDOW, check_cone, checked_report, horizon, singularity_report
-from .quantities import ReducedValue
+from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
 _ETA_DIAG = (1.0, -1.0, -1.0, -1.0)
 _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for image sums.
-
-    Attributes
-    ----------
-    rel_tol : float
-        Target bound on tail_estimate / |value|; it picks the bound
-        reported, not the terms summed.
-    n_min : int
-        Least number of explicitly summed image pairs.
-    n_max : int
-        Most explicitly summed image pairs; a sum whose geometry needs
-        more raises ConvergenceError before summing.
-    """
-
-    rel_tol: float = 1e-10
-    n_min: int = 8
-    n_max: int = 2_000_000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.n_min < 1:
-            raise GeometryError(f"invalid series control {self}")
-        if self.n_max < self.n_min:
-            raise GeometryError("n_max must be at least n_min")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Every image sum takes at least _N_MIN pairs explicitly; one whose geometry
+# needs more than _N_MAX raises ConvergenceError before summing. _TAIL_TARGET
+# is the bound on tail_estimate / |value| that picks the tail bound reported.
+_N_MIN = 8
+_N_MAX = 2_000_000
+_TAIL_TARGET = 1e-10
 
 
 def _k_parallel_vec(x, dt):
@@ -73,10 +50,11 @@ def _k_normal_vec(x, dt):
     return 1.0 / (d * d)
 
 
-# Large-offset series (c_k, p) of the raw kernels: for x > dt/2,
-# K = sum_k c_k (dt/2)**(2k) x**-(2k+4) and |c_{k+1} / c_k| = ((k+2)/(k+1))**p.
-_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 2)
-_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 1)
+# Large-offset series (c_k, m, p) of the raw kernels: for x > dt/2,
+# K = sum_k c_k (dt/2)**(2k+m) x**-(2k+4) with m = 0, and
+# |c_{k+1} / c_k| = ((k+2)/(k+1))**p.
+_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 0, 2)
+_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 1)
 
 
 def _correlator_term(kvec, x, dt):
@@ -103,86 +81,87 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal_vec, x, dt)
 
 
-def _hurwitz_tail(total, series, step, q, weights, rel_tol, s0=4):
+def _hurwitz_tail(total, series, step, q, weights, s0=4):
     """Add to ``total`` the images x = (q[f] + n) step, n >= 0, of each family f.
 
-    Each is weights[f] sum_k b_k h**(2k) x**-(2k+s0) with (b, p, h) = ``series``,
-    so the family's k-th term is weights[f] b_k (h/step)**(2k) zeta(2k+s0, q[f])
-    / step**s0 (DLMF 25.11). With every x above 2h and |b_{k+1}/b_k| <=
-    ((k+2)/(k+1))**p, each term is at most rho_k = ((k+2)/(k+1))**p (h/(q[f] step))**2
-    < 1 times the one before, so what follows term k is at most |term k|
-    rho_k/(1 - rho_k). The value carries every term; the tail estimate is that
-    bound at the first k where it is at most rel_tol |value|.
+    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, p, h) =
+    ``series``, so the family's k-th term is weights[f] c_k (h/step)**(2k+m)
+    zeta(2k+s0, q[f]) / step**(s0-m) (DLMF 25.11). Only the ratio h/step and
+    the power s0 - m of step, which is the dimension of the value, enter, so
+    a scale-free value stays in range at any a. With every x above 2h and
+    |c_{k+1}/c_k| <= ((k+2)/(k+1))**p, each term is at most rho_k =
+    ((k+2)/(k+1))**p (h/(q[f] step))**2 < 1 times the one before, so what
+    follows term k is at most |term k| rho_k/(1 - rho_k). The value carries
+    every term; the tail estimate is that bound at the first k where it is at
+    most _TAIL_TARGET |value|.
     """
-    b, p, h = series
+    c, m, p, h = series
     k = _K[:, None]
     u = h / (step * q)
     zq = zeta(2.0 * k + s0, q)
     # zeta underflows to 0 for large k and q, where q**k may overflow.
     qk = q ** np.where(zq > 0.0, k, 0.0)
     try:
-        scale = step**s0
-    except OverflowError:  # step beyond ~1e77: every term is 0
-        scale = math.inf
-    terms = (b[:, None] * weights / scale) * u ** (2.0 * k) * (qk * zq * qk)
+        scale = (h / step) ** m / step ** (s0 - m)
+    except OverflowError:  # step**(s0-m) beyond the float range: every term is 0
+        scale = 0.0
+    terms = (c[:, None] * weights * scale) * u ** (2.0 * k) * (qk * zq * qk)
     rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
     bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1)
     value = total + float(np.sum(terms))
-    met = np.flatnonzero(bounds <= rel_tol * abs(value))
+    met = np.flatnonzero(bounds <= _TAIL_TARGET * abs(value))
     return value, float(bounds[met[0] if met.size else -1])
 
 
-def _grouped_image_sum(fvec, sign, a, z, ctrl, horizon_n, series):
+def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
     """Sum sign*f(z) + sum_{n>=1} [2 f(n a) + sign (f(n a + z) + f(n a - z))].
 
     ``fvec`` maps positive offsets to image values and ``series`` is its
-    large-offset series (see :func:`_hurwitz_tail`). Pairs up to max(n_min,
+    large-offset series (see :func:`_hurwitz_tail`). Pairs up to max(_N_MIN,
     2 horizon_n) are explicit, so every later offset exceeds t.
     Returns (value, tail_estimate, n_used).
     """
-    N = max(ctrl.n_min, 2 * horizon_n)
-    if N > ctrl.n_max:
-        raise ConvergenceError(f"image sum needs {N} explicit pairs, above n_max={ctrl.n_max}")
+    N = max(_N_MIN, 2 * horizon_n)
+    if N > _N_MAX:
+        raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
     base = np.arange(1, N + 1, dtype=float) * a
     vals = 2.0 * fvec(base) + sign * (fvec(base + z) + fvec(base - z))
     total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
     if not math.isfinite(total):
         raise SingularWindowError(f"image sum is {total}: an image lies on its light cone")
     q = N + 1.0 + np.array([0.0, z, -z]) / a
-    value, tail = _hurwitz_tail(total, series, a, q, np.array([2.0, sign, sign]), ctrl.rel_tol)
+    value, tail = _hurwitz_tail(total, series, a, q, np.array([2.0, sign, sign]))
     return value, tail, N
 
 
-def _efield(kvec, series, sign, z, a, dt, ctrl, window):
-    if not (0.0 < z < a):
-        raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
+def _efield(kvec, series, sign, z, a, dt, window):
+    Geometry(a, z)  # rejects a placement the dispersions reject
     dt = abs(dt)
     report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
     value, tail, n_used = _grouped_image_sum(
-        lambda x: kvec(x, dt), sign, a, z, ctrl or DEFAULT_CONTROL, horizon(a, z, dt),
-        (*series, 0.5 * dt),
+        lambda x: kvec(x, dt), sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt)
     )
     pi2 = math.pi * math.pi
     return ReducedValue(value / pi2, tail / pi2, n_used, report)
 
 
-def efield_correlator_parallel(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
+def efield_correlator_parallel(z, a, dt, *, window=SINGULAR_WINDOW):
     """Renormalized tangential E-field correlator at fixed position.
 
     Image sum of the parallel raw kernel: the plain offsets n a enter
     twice, the shifted offsets n a +/- z enter with a minus sign, all
     divided by pi**2. ``dt = 0`` is allowed (coincidence limit).
     """
-    return _efield(_k_parallel_vec, _K_PARALLEL_SERIES, -1.0, z, a, dt, ctrl, window)
+    return _efield(_k_parallel_vec, _K_PARALLEL_SERIES, -1.0, z, a, dt, window)
 
 
-def efield_correlator_normal(z, a, dt, ctrl=None, *, window=SINGULAR_WINDOW):
+def efield_correlator_normal(z, a, dt, *, window=SINGULAR_WINDOW):
     """Renormalized normal E-field correlator at fixed position.
 
     Same structure as :func:`efield_correlator_parallel` but with the
     normal raw kernel and the shifted offsets entering with a plus sign.
     """
-    return _efield(_k_normal_vec, _K_NORMAL_SERIES, 1.0, z, a, dt, ctrl, window)
+    return _efield(_k_normal_vec, _K_NORMAL_SERIES, 1.0, z, a, dt, window)
 
 
 def empty_space_efield(dt):
@@ -218,7 +197,7 @@ def _check_indices(mu, nu):
         raise GeometryError(f"tensor indices must be 0..3, got ({mu}, {nu})")
 
 
-def _lattice_scalar(A, s, a, include_zero, ctrl):
+def _lattice_scalar(A, s, a, include_zero):
     """sum_n 1/(A - (s + 2 n a)**2), integer n (optionally excluding 0).
 
     Explicit terms to |n| <= N, where every later |y| is at least
@@ -229,9 +208,9 @@ def _lattice_scalar(A, s, a, include_zero, ctrl):
     (value, tail, N).
     """
     h = math.sqrt(abs(A))
-    N = max(ctrl.n_min, math.ceil((abs(s) + 2.0 * h) / (2.0 * a)))
-    if N > ctrl.n_max:
-        raise ConvergenceError(f"lattice sum needs {N} terms each way, above n_max={ctrl.n_max}")
+    N = max(_N_MIN, math.ceil((abs(s) + 2.0 * h) / (2.0 * a)))
+    if N > _N_MAX:
+        raise ConvergenceError(f"lattice sum needs {N} terms each way, above the cap of {_N_MAX}")
     n = np.arange(-N, N + 1, dtype=float)
     if not include_zero:
         n = n[n != 0.0]
@@ -240,12 +219,12 @@ def _lattice_scalar(A, s, a, include_zero, ctrl):
         raise SingularWindowError("an image offset is light-like separated")
     denom = A - y * y
     q = N + 1.0 + np.array([s, -s]) / (2.0 * a)
-    series = (-(np.sign(A) ** _K), 0, h)
-    value, tail = _hurwitz_tail(float(np.sum(1.0 / denom)), series, 2 * a, q, 1.0, ctrl.rel_tol, 2)
+    series = (-(np.sign(A) ** _K), 0, 0, h)
+    value, tail = _hurwitz_tail(float(np.sum(1.0 / denom)), series, 2 * a, q, 1.0, 2)
     return value, tail, N
 
 
-def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a, ctrl=None):
+def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
     """Plate-induced part of the photon two-point function, Feynman gauge.
 
     Diagonal tensor: the z + z' + 2na lattice carries minus the reflected
@@ -257,16 +236,15 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a, ctrl=None):
     truncation of the Hurwitz-zeta tails of both lattices.
     """
     _check_indices(mu, nu)
-    if not (0.0 < z < a) or not (0.0 < zp < a):
-        raise GeometryError(f"need 0 < z, z' < a, got z={z}, z'={zp}, a={a}")
+    Geometry(a, z)
+    Geometry(a, zp)
     if mu != nu:
         return ReducedValue(0.0)
-    ctrl = ctrl or DEFAULT_CONTROL
     A = dt * dt - dx * dx - dy * dy
     four_pi2 = 4.0 * math.pi * math.pi
 
-    s_plus, tail_plus, n_plus = _lattice_scalar(A, z + zp, a, True, ctrl)
-    s_minus, tail_minus, n_minus = _lattice_scalar(A, z - zp, a, False, ctrl)
+    s_plus, tail_plus, n_plus = _lattice_scalar(A, z + zp, a, True)
+    s_minus, tail_minus, n_minus = _lattice_scalar(A, z - zp, a, False)
 
     c_plus = -_REFLECTED_DIAG[mu] / four_pi2
     c_minus = _ETA_DIAG[mu] / four_pi2

@@ -9,7 +9,7 @@ Values are reduced: multiply by the universal charge/mass prefactor via
 :func:`platevac.physics.physicalize` to get physical dispersions.
 """
 
-from .correlators import DEFAULT_CONTROL, _grouped_image_sum
+from .correlators import _grouped_image_sum
 from .errors import GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
@@ -23,7 +23,7 @@ from .kernels import (
 from .quantities import DispersionKind, EvalPoint, ReducedValue
 
 
-def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
+def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     """Exact reduced dispersion by direct image summation.
 
     Parameters
@@ -32,8 +32,6 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
         Axis and observable to compute.
     point : EvalPoint
         Geometry and elapsed time.
-    ctrl : SeriesControl, optional
-        Explicit-range limits and tail-bound target (default 1e-10 relative).
     window : float, optional
         Relative singular-window half-width passed to the cone scan.
 
@@ -48,7 +46,7 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     SingularWindowError
         If ``t`` is within ``window`` (relative) of any image cone, or on one.
     ConvergenceError
-        Before summing, if twice the horizon exceeds ``ctrl.n_max`` pairs.
+        Before summing, if twice the horizon exceeds 2,000,000 image pairs.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -59,13 +57,7 @@ def dispersion_exact(kind, point, ctrl=None, *, window=SINGULAR_WINDOW):
     report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)
     fvec, series = offset_kernel(kind, t)
     value, tail, n_used = _grouped_image_sum(
-        fvec,
-        kind.image_sign,
-        geom.a,
-        geom.z,
-        ctrl or DEFAULT_CONTROL,
-        horizon(geom.a, geom.z, t),
-        series,
+        fvec, kind.image_sign, geom.a, geom.z, series, horizon(geom.a, geom.z, t)
     )
     return ReducedValue(value, tail, n_used, report)
 

@@ -31,7 +31,7 @@ class SingularWindowError(PlatevacError):
 
 
 class ConvergenceError(PlatevacError):
-    """An image sum needs more explicit terms than n_max, or a quadrature missed its tolerance."""
+    """An image sum needs over 2,000,000 explicit pairs, or a quadrature missed its tolerance."""
 
     exit_code = 4
 

@@ -248,9 +248,9 @@ _SCALED = {
 def offset_kernel(kind, t):
     """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
 
-    Returns (fvec, (b, p, h)): fvec maps an offset array to image values;
-    with h = t/2 an image past the light front is sum_k b_k h**(2k) x**-(2k+4),
-    and |b_{k+1} / b_k| is below ((k+2)/(k+1))**p = 1.
+    Returns (fvec, (c, m, p, h)): fvec maps an offset array to image values;
+    with h = t/2 an image past the light front is sum_k c_k h**(2k+m) x**-(2k+4),
+    and |c_{k+1} / c_k| is below ((k+2)/(k+1))**p = 1.
     """
     scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
     coef, m = _SERIES[(kind.axis, kind.observable)]
@@ -260,7 +260,7 @@ def offset_kernel(kind, t):
         v = scaled(u)
         return v / (x * x) if per_x2 else v
 
-    return fvec, (coef * (0.5 * t) ** m, 0, 0.5 * t)
+    return fvec, (coef, m, 0, 0.5 * t)
 
 
 def horizon(a, z, t):

@@ -26,12 +26,11 @@ integrand, they take a single adaptive quadrature.
 import hashlib
 import json
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.integrate
 
-from .correlators import DEFAULT_CONTROL, _grouped_image_sum
+from .correlators import _grouped_image_sum
 from .errors import ConvergenceError, GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
@@ -48,9 +47,8 @@ from .kernels import (
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
 
-@dataclass(frozen=True)
 class QuadratureSpec:
-    """Adaptive quadrature policy for the oracle.
+    """The oracle's fixed adaptive-quadrature tolerances.
 
     Attributes
     ----------
@@ -60,18 +58,10 @@ class QuadratureSpec:
         Subdivision cap per quadrature.
     """
 
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
+    abs_tol = 1e-13
+    rel_tol = 1e-11
+    max_subdivisions = 200
 
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise GeometryError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise GeometryError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 # Pinned image counts giving quadrature-route truncation below 1e-8
 # relative at the certification point: the parallel families cancel
@@ -130,9 +120,10 @@ def _weight(observable, t):
     return w, taylor
 
 
-def _quad(f, lo, hi, spec):
+def _quad(f, lo, hi):
     if hi <= lo:
         return 0.0, 0.0
+    spec = QuadratureSpec
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         val, err = scipy.integrate.quad(
@@ -179,7 +170,7 @@ def _finite_part_image(axis, observable, x, t):
     return total
 
 
-def _image_sum(axis, observable, x, c, t, spec, window):
+def _image_sum(axis, observable, x, c, t, window):
     """sum_i c_i integral_0^t w(tau) K(x_i, tau) dtau over images at distances x_i > 0.
 
     Images with x_i < t contribute their Laurent part at +2 x_i in closed
@@ -208,57 +199,55 @@ def _image_sum(axis, observable, x, c, t, spec, window):
             acc = acc * r + bk
         return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _raw_kernel(axis, tau, x2_raw)))
 
-    val, _ = _quad(smooth, 0.0, t, spec)
+    val, _ = _quad(smooth, 0.0, t)
     return closed + val
 
 
-def _image_integral(axis, observable, x, t, spec, *, window=SINGULAR_WINDOW):
+def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
     if x == 0.0:
         raise GeometryError("image distance x must be nonzero")
     if t == 0.0:
         return 0.0
-    return _image_sum(axis, observable, [abs(x)], [1.0], t, spec, window)
+    return _image_sum(axis, observable, [abs(x)], [1.0], t, window)
 
 
-def velocity_integral(kernel, t, spec=None):
+def velocity_integral(kernel, t):
     """2 * integral_0^t (t - tau) kernel(tau) dtau by adaptive quadrature.
 
     For black-box integrands that are regular on [0, t]. Image integrands
     with an interior light-cone pole go through
     :func:`image_velocity_integral` instead.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    val, _ = _quad(lambda tau: 2.0 * (t - tau) * kernel(tau), 0.0, t, spec)
+    val, _ = _quad(lambda tau: 2.0 * (t - tau) * kernel(tau), 0.0, t)
     return val
 
 
-def position_integral(kernel, t, spec=None):
+def position_integral(kernel, t):
     """2 * integral_0^t (t**3/3 - tau t**2/2 + tau**3/6) kernel(tau) dtau.
 
     Same contract as :func:`velocity_integral`. With kernel = 1 the
     result is exactly t**4 / 4, a useful smoke test for the weight.
     """
-    spec = spec or DEFAULT_QUADRATURE
     w, _ = _weight("position", t)
-    val, _ = _quad(lambda tau: w(tau) * kernel(tau), 0.0, t, spec)
+    val, _ = _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
     return val
 
 
-def image_velocity_integral(axis, x, t, spec=None, *, window=SINGULAR_WINDOW):
+def image_velocity_integral(axis, x, t, *, window=SINGULAR_WINDOW):
     """Quadrature route to the closed-form velocity kernel of one image."""
     if axis not in ("parallel", "normal"):
         raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
-    return _image_integral(axis, "velocity", x, t, spec or DEFAULT_QUADRATURE, window=window)
+    return _image_integral(axis, "velocity", x, t, window=window)
 
 
-def image_position_integral(axis, x, t, spec=None, *, window=SINGULAR_WINDOW):
+def image_position_integral(axis, x, t, *, window=SINGULAR_WINDOW):
     """Quadrature route to the closed-form position kernel of one image."""
     if axis not in ("parallel", "normal"):
         raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
-    return _image_integral(axis, "position", x, t, spec or DEFAULT_QUADRATURE, window=window)
+    return _image_integral(axis, "position", x, t, window=window)
 
 
-def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=SINGULAR_WINDOW):
+def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WINDOW):
     """Reduced dispersion from a quadrature of the summed raw image integrands.
 
     Independent of the closed-form kernels. The default image count is
@@ -278,7 +267,6 @@ def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=S
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
         raise GeometryError(f"expected EvalPoint, got {type(point).__name__}")
-    spec = spec or DEFAULT_QUADRATURE
     geom, t = point.geometry, point.t
     a, z = geom.a, geom.z
     if t == 0.0:
@@ -298,9 +286,9 @@ def dispersion_via_quadrature(kind, point, n_images=None, spec=None, *, window=S
     na = np.arange(1.0, n_images) * a
     offsets = np.concatenate(([z], na, na + z, na - z))
     weights = np.concatenate(([sign], np.full(na.size, 2.0), np.full(2 * na.size, sign)))
-    total = _image_sum(axis, obs, offsets, weights, t, spec, window)
+    total = _image_sum(axis, obs, offsets, weights, t, window)
     plain, up, down = (
-        _image_integral(axis, obs, x, t, spec, window=window)
+        _image_integral(axis, obs, x, t, window=window)
         for x in (n_images * a, n_images * a + z, n_images * a - z)
     )
     total += 2.0 * plain + sign * (up + down)
@@ -324,22 +312,21 @@ _GRID_TOL = 1e-8
 def certification_report():
     """Cross-check closed-form kernels against the quadrature route.
 
-    Runs the full x and t/|x| grid for all four kernels with the default
-    quadrature spec (the t/|x| = 3 column exercises the finite-part
+    Runs the full x and t/|x| grid for all four kernels (the t/|x| = 3
+    column exercises the finite-part
     machinery), then records the convention adjudications the two routes
     settle: the modulus-log position forms past the cone, and the sign
     with which the shifted image family enters the normal components.
 
     Returns a JSON-serializable dict with a top-level "certified" flag.
     """
-    spec = DEFAULT_QUADRATURE
     grid = []
     worst = 0.0
     for (axis, obs), closed in _CLOSED.items():
         for x in _GRID_X:
             for ratio in _GRID_T_OVER_X:
                 t = ratio * x
-                quad_val = _image_integral(axis, obs, x, t, spec)
+                quad_val = _image_integral(axis, obs, x, t)
                 closed_val = closed(x, t)
                 diff = abs(quad_val - closed_val)
                 worst = max(worst, diff)
@@ -366,7 +353,7 @@ def certification_report():
     sign_checks = []
     for obs in ("velocity", "position"):
         kind = DispersionKind("normal", obs)
-        quad_val = dispersion_via_quadrature(kind, point, spec=spec).value
+        quad_val = dispersion_via_quadrature(kind, point).value
         plus = dispersion_exact(kind, point).value
         minus = _flipped_normal_sum(kind, point)
         sign_checks.append(
@@ -383,7 +370,11 @@ def certification_report():
 
     certified = all(g["ok"] for g in grid) and all(s["ok"] for s in sign_checks)
     return {
-        "quadrature_spec": asdict(spec),
+        "quadrature_spec": {
+            "abs_tol": QuadratureSpec.abs_tol,
+            "rel_tol": QuadratureSpec.rel_tol,
+            "max_subdivisions": QuadratureSpec.max_subdivisions,
+        },
         "grid_tolerance": _GRID_TOL,
         "worst_grid_diff": worst,
         "grid": grid,
@@ -407,9 +398,8 @@ def _flipped_normal_sum(kind, point):
     """Closed-form image sum with the (wrong) minus shifted-family sign."""
     geom, t = point.geometry, point.t
     fvec, series = offset_kernel(kind, t)
-    value, _, _ = _grouped_image_sum(
-        fvec, -1.0, geom.a, geom.z, DEFAULT_CONTROL, horizon(geom.a, geom.z, t), series
-    )
+    n_horizon = horizon(geom.a, geom.z, t)
+    value, _, _ = _grouped_image_sum(fvec, -1.0, geom.a, geom.z, series, n_horizon)
     return value
 
 

@@ -125,13 +125,13 @@ def displacement_bound(z, particle=ELECTRON):
     return particle.mass_ev * z * z
 
 
-def amplification_ratio(point, ctrl=None):
+def amplification_ratio(point):
     """Two-plate normal velocity dispersion over its single-plate value.
 
     Both reduced, same z and t, so the universal prefactor cancels.
     """
     kind = DispersionKind("normal", "velocity")
-    plates = dispersion_exact(kind, point, ctrl).value
+    plates = dispersion_exact(kind, point).value
     single = single_plate_reference(kind, point.geometry.z, point.t)
     return plates / single
 

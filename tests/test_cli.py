@@ -181,8 +181,6 @@ def test_sweep_z_symmetric(capsys):
         "1",
         "--t",
         "0.3",
-        "--rel-tol",
-        "1e-13",
         "--format",
         "csv",
     )

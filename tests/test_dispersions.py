@@ -8,7 +8,6 @@ import pytest
 from platevac import (
     ConvergenceError,
     GeometryError,
-    SeriesControl,
     SingularWindowError,
     dispersion_exact,
     efield_correlator_normal,
@@ -21,8 +20,6 @@ from platevac import (
 )
 from platevac.kernels import horizon
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
-
-TIGHT = SeriesControl(rel_tol=1e-13)
 
 VZ = DispersionKind("normal", "velocity")
 VX = DispersionKind("parallel", "velocity")
@@ -67,11 +64,25 @@ def test_single_plate_is_the_nearest_image_term():
 
 @pytest.mark.parametrize("a", [1e100, 1e300])
 def test_wide_gap_limit_is_the_single_plate_value(a):
-    # a**4 overflows past a ~ 1e77; the far images must then vanish, not raise
+    # a**2 overflows past a ~ 1e154; the far images must then vanish, not raise
     z, t = 0.5, 0.3
     for kind in ALL_KINDS:
         got = dispersion_exact(kind, EvalPoint(Geometry(a, z), t))
         assert got.value == pytest.approx(single_plate_reference(kind, z, t), rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [1e-80, 1e-150])
+def test_narrow_gaps_scale_like_the_unit_gap(a):
+    # Each dispersion is a**-2 (velocities) or a**0 (positions) times a
+    # function of z/a and t/a; no power of a in the tail may underflow.
+    eps = np.finfo(float).eps
+    for z_over_a, t_over_a in ((0.5, 0.3), (0.3, 1.37)):
+        for kind in ALL_KINDS:
+            ref = dispersion_exact(kind, EvalPoint(Geometry(1.0, z_over_a), t_over_a))
+            got = dispersion_exact(kind, EvalPoint(Geometry(a, z_over_a * a), t_over_a * a))
+            scale = a * a if kind.observable == "velocity" else 1.0
+            allowed = ref.tail_estimate + scale * got.tail_estimate + 4 * eps * abs(ref.value)
+            assert abs(scale * got.value - ref.value) <= allowed, kind.token
 
 
 @pytest.mark.parametrize("t", [0.3, 7.3])
@@ -79,8 +90,8 @@ def test_reflection_symmetry(t):
     left = EvalPoint(Geometry(1.0, 0.37), t)
     right = EvalPoint(Geometry(1.0, 0.63), t)
     for kind in ALL_KINDS:
-        a = dispersion_exact(kind, left, TIGHT).value
-        b = dispersion_exact(kind, right, TIGHT).value
+        a = dispersion_exact(kind, left).value
+        b = dispersion_exact(kind, right).value
         assert a == pytest.approx(b, rel=5e-13)
 
 
@@ -128,18 +139,17 @@ def test_late_time_normal_position_growth():
 
 
 def test_truncation_tail_is_honest():
+    # The tail bound at this point is checked against an mpmath reference in
+    # test_image_tails; here only the explicit range.
     pt = EvalPoint(Geometry(1.0, 0.5), 30.5)
-    loose = dispersion_exact(ZZ, pt)
-    tight = dispersion_exact(ZZ, pt, TIGHT)
-    assert abs(loose.value - tight.value) <= loose.tail_estimate + tight.tail_estimate
-    assert loose.n_used >= 17  # horizon for t = 30.5
+    assert dispersion_exact(ZZ, pt).n_used >= 17  # horizon for t = 30.5
 
 
 def test_convergence_cap_raises():
-    ctrl = SeriesControl(rel_tol=1e-10, n_max=256)
-    pt = EvalPoint(Geometry(1.0, 0.5), 1000.5)  # horizon needs ~502 images
+    # twice the horizon is 2,000,004 pairs, just past the cap of 2,000,000
+    pt = EvalPoint(Geometry(1.0, 0.3), 2e6 + 0.37)
     with pytest.raises(ConvergenceError):
-        dispersion_exact(VX, pt, ctrl)
+        dispersion_exact(VX, pt, window=1e-9)
 
 
 def test_sum_through_a_light_cone_raises_instead_of_returning():
@@ -159,17 +169,17 @@ def test_sum_through_a_light_cone_raises_instead_of_returning():
             call()
 
 
-@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-14])
-def test_explicit_range_is_twice_the_horizon(rel_tol):
-    ctrl = SeriesControl(rel_tol=rel_tol)
+@pytest.mark.parametrize("window", [1e-6, 1e-10, 1e-14])
+def test_explicit_range_is_twice_the_horizon(window):
+    # The explicit range depends on the horizon alone, not on the singular window.
     z, a, t = 0.3, 1.0, 30.3
     expect = 2 * horizon(a, z, t)
     for kind in ALL_KINDS:
-        assert dispersion_exact(kind, EvalPoint(Geometry(a, z), t), ctrl).n_used == expect
-    assert efield_correlator_parallel(z, a, t, ctrl).n_used == expect
-    assert efield_correlator_normal(z, a, t, ctrl).n_used == expect
-    # Early times still sum n_min pairs.
-    assert dispersion_exact(VZ, EvalPoint(Geometry(a, z), 0.3), ctrl).n_used == ctrl.n_min
+        assert dispersion_exact(kind, EvalPoint(Geometry(a, z), t), window=window).n_used == expect
+    assert efield_correlator_parallel(z, a, t, window=window).n_used == expect
+    assert efield_correlator_normal(z, a, t, window=window).n_used == expect
+    # Early times still sum the minimum of 8 pairs.
+    assert dispersion_exact(VZ, EvalPoint(Geometry(a, z), 0.3), window=window).n_used == 8
 
 
 @pytest.mark.parametrize("t, window", [(250000.3, 1e-6), (1e6 + 0.37, 1e-9)])

@@ -11,7 +11,6 @@ from platevac import (
     PARTICLES,
     PROTON,
     Particle,
-    SeriesControl,
     amplification_ratio,
     displacement_bound,
     effective_temperature,
