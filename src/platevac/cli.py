@@ -118,7 +118,7 @@ def _empty_row(variable, value, regime, status):
 
 
 def _eval_row(kind, point, particle, window):
-    """One CSV row worth of results; never raises for singular points."""
+    """One CSV row worth of results; never raises for a point it cannot evaluate."""
     row = _empty_row("t", point.t, recommend_regime(point), "ok")
     try:
         result = dispersion_exact(kind, point, window=window)
@@ -129,6 +129,9 @@ def _eval_row(kind, point, particle, window):
         return row
     except ConvergenceError:
         row["status"] = "convergence"
+        return row
+    except GeometryError:  # the value is beyond the float range
+        row["status"] = "domain"
         return row
     row["reduced"] = result.value
     row["tail"] = result.tail_estimate
@@ -187,11 +190,7 @@ def cmd_eval(args):
             unit = "(v/c)^2" if kind.observable == "velocity" else "m^2"
             print(f"physical   {_fmt(row['physical'])} {unit}")
 
-    if row["status"] == "singular":
-        return 3
-    if row["status"] == "convergence":
-        return 4
-    return 0
+    return {"ok": 0, "domain": 2, "singular": 3, "convergence": 4}[row["status"]]
 
 
 def cmd_sweep(args):

@@ -3,7 +3,8 @@
 The renormalized photon two-point function between conducting plates at
 z = 0 and z = a is a lattice of image terms: offsets z + z' + 2na summed
 over all integers n with a reflected tensor factor, plus offsets
-z - z' + 2na summed over n != 0 with the flat tensor factor. Double time
+z - z' + 2na summed over n != 0 with the flat tensor factor; halved, they
+are the families n a +/- (z+z')/2 and n a +/- (z-z')/2. Double time
 derivatives of it give the equal-position electric-field correlators that
 drive the Brownian motion; those reduce to image sums of the two raw
 kernels
@@ -23,7 +24,8 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError
-from .kernels import _K, SINGULAR_WINDOW, check_cone, checked_report, horizon, singularity_report
+from .kernels import _K, SINGULAR_WINDOW, _nearest_cone, check_cone, checked_report, horizon
+from .kernels import singularity_report
 from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -34,9 +36,11 @@ _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
 # Every image sum takes at least _N_MIN pairs explicitly; one whose geometry
 # needs more than _N_MAX raises ConvergenceError before summing. _TAIL_TARGET
 # is the bound on tail_estimate / |value| that picks the tail bound reported.
+# The photon function's relative light-cone window is _PHOTON_CONE_WINDOW.
 _N_MIN = 8
 _N_MAX = 2_000_000
 _TAIL_TARGET = 1e-10
+_PHOTON_CONE_WINDOW = 1e-10
 
 
 def _k_parallel_vec(x, dt):
@@ -50,11 +54,11 @@ def _k_normal_vec(x, dt):
     return 1.0 / (d * d)
 
 
-# Large-offset series (c_k, m, p) of the raw kernels: for x > dt/2,
-# K = sum_k c_k (dt/2)**(2k+m) x**-(2k+4) with m = 0, and
+# Large-offset series (c_k, m, s0, p) of the raw kernels: for x > dt/2,
+# K = sum_k c_k (dt/2)**(2k+m) x**-(2k+s0) with m = 0 and s0 = 4, and
 # |c_{k+1} / c_k| = ((k+2)/(k+1))**p.
-_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 0, 2)
-_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 1)
+_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 0, 4, 2)
+_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 4, 1)
 
 
 def _correlator_term(kvec, x, dt):
@@ -81,10 +85,10 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal_vec, x, dt)
 
 
-def _hurwitz_tail(total, series, step, q, weights, s0=4):
+def _hurwitz_tail(total, series, step, q, weights):
     """Add to ``total`` the images x = (q[f] + n) step, n >= 0, of each family f.
 
-    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, p, h) =
+    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, s0, p, h) =
     ``series``, so the family's k-th term is weights[f] c_k (h/step)**(2k+m)
     zeta(2k+s0, q[f]) / step**(s0-m) (DLMF 25.11). Only the ratio h/step and
     the power s0 - m of step, which is the dimension of the value, enter, so
@@ -95,7 +99,7 @@ def _hurwitz_tail(total, series, step, q, weights, s0=4):
     every term; the tail estimate is that bound at the first k where it is at
     most _TAIL_TARGET |value|.
     """
-    c, m, p, h = series
+    c, m, s0, p, h = series
     k = _K[:, None]
     u = h / (step * q)
     zq = zeta(2.0 * k + s0, q)
@@ -113,24 +117,29 @@ def _hurwitz_tail(total, series, step, q, weights, s0=4):
     return value, float(bounds[met[0] if met.size else -1])
 
 
-def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
-    """Sum sign*f(z) + sum_{n>=1} [2 f(n a) + sign (f(n a + z) + f(n a - z))].
+def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
+    """Sum sign f(z) + sum_{n>=1} [f(n a + d) + f(n a - d) + sign (f(n a + z) + f(n a - z))].
 
     ``fvec`` maps positive offsets to image values and ``series`` is its
     large-offset series (see :func:`_hurwitz_tail`). Pairs up to max(_N_MIN,
-    2 horizon_n) are explicit, so every later offset exceeds t.
-    Returns (value, tail_estimate, n_used).
+    2 horizon_n) are explicit, so every later offset exceeds t. Callers
+    reject a point on a light cone, so a non-finite sum is beyond the float
+    range. Returns (value, tail_estimate, n_used).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
         raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
     base = np.arange(1, N + 1, dtype=float) * a
-    vals = 2.0 * fvec(base) + sign * (fvec(base + z) + fvec(base - z))
+    if d == 0.0:  # one column of weight 2: half the kernel work of the pair at +/-d
+        plain, shifts, weights = 2.0 * fvec(base), [0.0], [2.0]
+    else:
+        plain, shifts, weights = fvec(base + d) + fvec(base - d), [d, -d], [1.0, 1.0]
+    vals = plain + sign * (fvec(base + z) + fvec(base - z))
     total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
     if not math.isfinite(total):
-        raise SingularWindowError(f"image sum is {total}: an image lies on its light cone")
-    q = N + 1.0 + np.array([0.0, z, -z]) / a
-    value, tail = _hurwitz_tail(total, series, a, q, np.array([2.0, sign, sign]))
+        raise GeometryError(f"image sum is {total}: the value is beyond the float range")
+    q = N + 1.0 + np.array([*shifts, z, -z]) / a
+    value, tail = _hurwitz_tail(total, series, a, q, np.array([*weights, sign, sign]))
     return value, tail, N
 
 
@@ -197,31 +206,21 @@ def _check_indices(mu, nu):
         raise GeometryError(f"tensor indices must be 0..3, got ({mu}, {nu})")
 
 
-def _lattice_scalar(A, s, a, include_zero):
-    """sum_n 1/(A - (s + 2 n a)**2), integer n (optionally excluding 0).
+def _lattice_scalar(A, sign, a, c, d):
+    """Grouped image sum of f(x) = 1/(A - 4 x**2), shifted by c and plain by d.
 
-    Explicit terms to |n| <= N, where every later |y| is at least
-    2 sqrt|A|, plus the tail in both directions as Hurwitz zeta series of
-    1/(A - y**2) = -sum_k A**k y**-(2k+2). A term is on its light cone
-    when A > 0 and |y| is within 1e-10 sqrt(A) of sqrt(A), relative to
-    that term alone, so the window does not grow with a. Returns
-    (value, tail, N).
+    With t = sqrt|A| it has the explicit range of a dispersion at (a, c, t);
+    past it f(x) = -sum_k sign(A)**k (t/2)**2k x**-(2k+2) / 4. For A > 0 an
+    image within _PHOTON_CONE_WINDOW of its cone 2x = t raises
+    SingularWindowError. Returns (value, tail, N).
     """
-    h = math.sqrt(abs(A))
-    N = max(_N_MIN, math.ceil((abs(s) + 2.0 * h) / (2.0 * a)))
-    if N > _N_MAX:
-        raise ConvergenceError(f"lattice sum needs {N} terms each way, above the cap of {_N_MAX}")
-    n = np.arange(-N, N + 1, dtype=float)
-    if not include_zero:
-        n = n[n != 0.0]
-    y = s + 2.0 * a * n
-    if A > 0.0 and np.any(np.abs(np.abs(y) - h) <= 1e-10 * h):
-        raise SingularWindowError("an image offset is light-like separated")
-    denom = A - y * y
-    q = N + 1.0 + np.array([s, -s]) / (2.0 * a)
-    series = (-(np.sign(A) ** _K), 0, 0, h)
-    value, tail = _hurwitz_tail(float(np.sum(1.0 / denom)), series, 2 * a, q, 1.0, 2)
-    return value, tail, N
+    t = math.sqrt(abs(A))
+    n_top = horizon(a, c, t)
+    if A > 0.0:
+        families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
+        checked_report(_nearest_cone(families, a, t, n_top, _PHOTON_CONE_WINDOW), t)
+    series = (-(np.sign(A) ** _K) / 4.0, 0, 2, 0, 0.5 * t)
+    return _grouped_image_sum(lambda x: 1.0 / (A - 4.0 * x * x), sign, a, c, series, n_top, d)
 
 
 def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
@@ -233,21 +232,17 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
     components vanish identically.
 
     Returns a :class:`ReducedValue`; its tail estimate bounds the
-    truncation of the Hurwitz-zeta tails of both lattices.
+    truncation of the Hurwitz-zeta tail and ``n_used`` counts its shells.
     """
     _check_indices(mu, nu)
     Geometry(a, z)
     Geometry(a, zp)
+    A = dt * dt - dx * dx - dy * dy
+    if not math.isfinite(A):
+        raise GeometryError(f"interval must be finite, got dt={dt}, dx={dx}, dy={dy}")
     if mu != nu:
         return ReducedValue(0.0)
-    A = dt * dt - dx * dx - dy * dy
+    sign = -_REFLECTED_DIAG[mu] / _ETA_DIAG[mu]  # z + z' lattice relative to z - z'
+    value, tail, n_used = _lattice_scalar(A, sign, a, 0.5 * (z + zp), 0.5 * (z - zp))
     four_pi2 = 4.0 * math.pi * math.pi
-
-    s_plus, tail_plus, n_plus = _lattice_scalar(A, z + zp, a, True)
-    s_minus, tail_minus, n_minus = _lattice_scalar(A, z - zp, a, False)
-
-    c_plus = -_REFLECTED_DIAG[mu] / four_pi2
-    c_minus = _ETA_DIAG[mu] / four_pi2
-    value = c_plus * s_plus + c_minus * s_minus
-    tail = (abs(tail_plus) + abs(tail_minus)) / four_pi2
-    return ReducedValue(value, tail, max(n_plus, n_minus))
+    return ReducedValue(_ETA_DIAG[mu] * value / four_pi2, tail / four_pi2, n_used)

@@ -248,9 +248,9 @@ _SCALED = {
 def offset_kernel(kind, t):
     """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
 
-    Returns (fvec, (c, m, p, h)): fvec maps an offset array to image values;
-    with h = t/2 an image past the light front is sum_k c_k h**(2k+m) x**-(2k+4),
-    and |c_{k+1} / c_k| is below ((k+2)/(k+1))**p = 1.
+    Returns (fvec, (c, m, s0, p, h)): fvec maps an offset array to image values;
+    with h = t/2 an image past the light front is sum_k c_k h**(2k+m) x**-(2k+s0),
+    s0 = 4, and |c_{k+1} / c_k| is below ((k+2)/(k+1))**p = 1.
     """
     scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
     coef, m = _SERIES[(kind.axis, kind.observable)]
@@ -260,7 +260,7 @@ def offset_kernel(kind, t):
         v = scaled(u)
         return v / (x * x) if per_x2 else v
 
-    return fvec, (coef, m, 0, 0.5 * t)
+    return fvec, (coef, m, 4, 0, 0.5 * t)
 
 
 def horizon(a, z, t):
@@ -284,13 +284,13 @@ class SingularityReport:
     nearest_time : float or None
         The singular time 2 X for that offset.
     family : str or None
-        "plain" for offsets n a, "shifted" for n a +/- z.
+        "plain" for offsets n a, "shifted" for n a +/- z (photon: n a +/- d, n a +/- c).
     n : int or None
         Image index of the nearest offset.
     threshold : float
         The window the distance was compared against.
     is_near : bool
-        True when ``distance < threshold``.
+        True when ``distance < threshold`` or t lies on a cone.
     """
 
     __slots__ = (
@@ -310,7 +310,7 @@ class SingularityReport:
         self.family = family
         self.n = n
         self.threshold = threshold
-        self.is_near = distance < threshold
+        self.is_near = distance < threshold or distance == 0.0
 
     def __repr__(self):
         return (
@@ -342,12 +342,17 @@ def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     _check_t(t)
     if t == 0.0:
         return SingularityReport(math.inf, None, None, None, None, threshold)
-    n_top = horizon(a, z, t)
+    families = (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1))
+    return _nearest_cone(families, a, t, horizon(a, z, t), threshold)
+
+
+def _nearest_cone(families, a, t, n_top, threshold):
+    """Report on the cones of the offsets |n a + shift|, n_low <= n <= n_top,
+    of each family (name, shift, n_low); the nearest has n next to
+    (t/2 - shift) / a. Ties go to the first family listed, then to the lowest n.
+    """
     best = (math.inf, None, None, None)
-    # The offset of family (shift, n) is |n a + shift|, so the nearest cone
-    # of each family has n next to (t/2 - shift) / a. Ties go to the first
-    # family listed, then to the lowest n.
-    for family, shift, n_low in (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1)):
+    for family, shift, n_low in families:
         centre = round((0.5 * t - shift) / a)
         for n in range(max(n_low, centre - 1), min(n_top, centre + 1) + 1):
             offset = abs(n * a + shift)

@@ -120,6 +120,28 @@ def test_eval_domain_error_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_value_beyond_the_float_range_exit_2(capsys):
+    rc, out = run_cli(
+        capsys, "eval", "--quantity", "dv2-normal", "--a", "1e-160", "--z", "5e-161",
+        "--t", "3e-161",
+    )
+    assert rc == 2
+    assert "status     domain" in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_keeps_going_past_a_value_beyond_the_float_range(capsys):
+    # At z = 1e-160 the value, about 1/(4 z**2), overflows; at z = a/2 it does not.
+    rc, out = run_cli(
+        capsys, "sweep", "--quantity", "dv2-normal", "--var", "z", "--start", "1e-160",
+        "--stop", "5e-151", "--steps", "2", "--scale", "log", "--a", "1e-150", "--t", "3e-151",
+        "--format", "csv",
+    )
+    assert rc == 0
+    assert [r["status"] for r in parse_csv(out)] == ["domain", "ok"]
+
+
 def test_eval_singular_window_exit_3(capsys):
     # t = 2z light cone
     rc, out = run_cli(

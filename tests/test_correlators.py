@@ -141,3 +141,9 @@ def test_image_sum_tail_estimate_is_honest():
     # The tail bound at this point is checked against an mpmath reference in
     # test_image_tails; here only the explicit range.
     assert efield_correlator_parallel(0.37, 1.0, 0.21).n_used >= 8
+
+
+@pytest.mark.parametrize("dt, dx", [(math.inf, 0.0), (math.nan, 0.0), (0.3, math.nan), (0.3, math.inf)])
+def test_two_point_non_finite_interval_is_a_geometry_error(dt, dx):
+    with pytest.raises(GeometryError):
+        renormalized_photon_two_point(0, 0, dt, dx, 0.0, 0.5, 0.4, 1.0)

@@ -9,10 +9,13 @@ from platevac import (
     ConvergenceError,
     GeometryError,
     SingularWindowError,
+    approx_large_t,
     dispersion_exact,
+    dispersion_via_quadrature,
     efield_correlator_normal,
     efield_correlator_parallel,
     single_plate_reference,
+    singularity_report,
     position_kernel_normal,
     position_kernel_parallel,
     velocity_kernel_normal,
@@ -189,3 +192,29 @@ def test_normal_velocity_sums_to_a_million_plate_spacings(t, window):
     plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + 1.0 / math.sin(math.pi * z / a) ** 2)
     assert abs(got.value - plateau) <= 20.0 * (a / t) ** 2 * plateau
     assert got.n_used == 2 * horizon(a, z, t)
+
+
+def test_values_beyond_the_float_range_are_a_geometry_error():
+    # The velocity dispersions scale as a**-2 and the correlators as a**-4:
+    # here they exceed the float range, with every image far from its cone.
+    point = EvalPoint(Geometry(1e-160, 5e-161), 3e-161)
+    calls = [lambda kind=kind: dispersion_exact(kind, point) for kind in (VX, VZ)]
+    calls.append(lambda: efield_correlator_parallel(5e-81, 1e-80, 3e-81))
+    for call in calls:
+        with pytest.raises(GeometryError, match="float range"), np.errstate(all="ignore"):
+            call()
+
+
+def test_a_point_on_a_cone_is_near_at_any_window():
+    # With the window switched off, a point exactly on a cone is still
+    # rejected before any route evaluates there.
+    assert singularity_report(0.5, 1.0, 1000.0, threshold=0.0).is_near
+    assert not singularity_report(0.5, 1.0, 1000.3, threshold=0.0).is_near
+    calls = (
+        lambda: approx_large_t(VZ, EvalPoint(Geometry(1.0, 0.5), 1000.0), window=0.0),
+        lambda: dispersion_via_quadrature(VZ, EvalPoint(Geometry(1.0, 0.3), 2.0), window=0.0),
+    )
+    for call in calls:
+        with pytest.raises(SingularWindowError) as info:
+            call()
+        assert info.value.report.distance == 0.0

@@ -1,24 +1,31 @@
-"""Tail estimates of the image sums against an independent mpmath reference.
+"""Tail estimates of the image sums against an independent high-precision reference.
 
-The reference sums the images explicitly in mpmath at 30 digits out to
-twice as far as platevac does, so that every later offset is at least
-2t away, and adds the rest as Hurwitz zeta values. Its series
-coefficients come from ``mpmath.taylor`` of the closed kernels below,
-not from platevac's own tables.
+The reference sums the images explicitly at 30 digits out to twice as far
+as platevac does, so that every later offset is at least 2t away, and adds
+the rest as Hurwitz zeta values. Its series coefficients come from
+``mpmath.taylor`` of the closed kernels below, not from platevac's own
+tables.
 """
 
+import decimal
 import functools
+import math
+from decimal import Decimal
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platevac import (
     EvalPoint,
     Geometry,
+    SingularWindowError,
     dispersion_exact,
     efield_correlator_normal,
     efield_correlator_parallel,
+    renormalized_photon_two_point,
     singularity_report,
 )
 from platevac.correlators import _TAIL_TARGET
@@ -122,3 +129,90 @@ def test_tail_estimate_bounds_the_error(a, z_over_a, t_over_a):
         got = _platevac(name, a, z, t)
         assert abs(got.value - ref) <= got.tail_estimate + 4.0 * EPS * sensitivity, name
         assert got.tail_estimate <= _TAIL_TARGET * abs(got.value), name
+
+
+# The photon two-point function: 1/(A - y**2) summed over y = z + z' + 2na
+# (all n, weight -REFLECTED[mu]) and y = z - z' + 2na (n != 0, weight
+# ETA[mu]), over 4 pi**2.
+ETA = (1, -1, -1, -1)
+REFLECTED = (1, -1, -1, 1)
+
+
+def _photon_reference(mu, A, z, zp, a):
+    """(value, sensitivity, cone distance) of the photon function at interval A.
+
+    Each lattice is explicit while |n| <= M, past which every |y| is at
+    least 4 sqrt|A| (twice as far as platevac sums explicitly), in 30-digit
+    decimal arithmetic; the rest is Hurwitz zeta values with the
+    coefficients of ``mpmath.taylor`` of 1/(A - y**2) = psi(2a/|y|)/(2a)**2.
+    The sensitivity sums |y f'(y)| + |f(y)| over the explicit terms; the
+    cone distance is min ||y| - sqrt A| / sqrt A over them (inf if A <= 0).
+    """
+    root = math.sqrt(abs(A))
+    M = math.ceil((4.0 * root + z + zp) / (2.0 * a)) + 8
+    with mpmath.workdps(DPS):
+        Ap = mpmath.mpf(A) / (2 * mpmath.mpf(a)) ** 2
+        coef = mpmath.taylor(lambda u: u * u / (Ap * u * u - 1), 0, ORDER)
+    value, sensitivity, cone = mpmath.mpf(0), 0.0, math.inf
+    with decimal.localcontext(decimal.Context(prec=DPS)):
+        Ad, ad = Decimal(A), Decimal(a)
+        for s, weight, skip_zero in ((Decimal(z) + Decimal(zp), -REFLECTED[mu], False),
+                                     (Decimal(z) - Decimal(zp), ETA[mu], True)):
+            total = Decimal(0)
+            for n in range(-M, M + 1):
+                if n or not skip_zero:
+                    y = s + 2 * n * ad
+                    total += 1 / (Ad - y * y)
+            n = np.arange(-M, M + 1)
+            y = np.abs(float(s) + 2.0 * a * n[n != 0] if skip_zero else float(s) + 2.0 * a * n)
+            f = np.abs(1.0 / (A - y * y))
+            sensitivity += float(np.sum(f * (1.0 + 2.0 * y * y * f)))
+            if A > 0.0:
+                cone = min(cone, float(np.min(np.abs(y - root))) / root)
+            with mpmath.workdps(DPS):
+                r = mpmath.mpf(float(s)) / (2 * mpmath.mpf(a))
+                tail = sum(coef[j] * (mpmath.zeta(j, M + 1 + r) + mpmath.zeta(j, M + 1 - r))
+                           for j in range(2, ORDER + 1, 2))
+                value += weight * (mpmath.mpf(str(total)) + tail / (2 * mpmath.mpf(a)) ** 2)
+    four_pi2 = 4.0 * math.pi**2
+    return float(value / (4 * mpmath.pi**2)), sensitivity / four_pi2, cone
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu=st.integers(0, 3),
+    a=st.floats(0.1, 10.0),
+    z_over_a=st.floats(0.01, 0.99),
+    zp_over_a=st.floats(0.01, 0.99),
+    dt_over_a=st.floats(-2.0, 2.3).map(lambda p: 10.0**p),
+    dx_over_dt=st.floats(0.0, 1.5),
+    dy_over_a=st.floats(0.0, 0.5),
+)
+@example(mu=0, a=1.0, z_over_a=0.3, zp_over_a=0.6, dt_over_a=0.4, dx_over_dt=0.25, dy_over_a=0.2)
+@example(mu=3, a=1.0, z_over_a=0.3, zp_over_a=0.6, dt_over_a=0.4, dx_over_dt=1.3, dy_over_a=0.0)
+@example(mu=1, a=2.0, z_over_a=0.2, zp_over_a=0.7, dt_over_a=3.1, dx_over_dt=1.0, dy_over_a=0.0)
+@example(mu=3, a=1.0, z_over_a=0.5, zp_over_a=0.5, dt_over_a=7.3, dx_over_dt=0.0, dy_over_a=0.0)
+@example(mu=2, a=1.0, z_over_a=0.3, zp_over_a=0.4, dt_over_a=98000.37, dx_over_dt=0.1 / 98000.37,
+         dy_over_a=0.2)
+def test_photon_tail_estimate_bounds_the_error(mu, a, z_over_a, zp_over_a, dt_over_a, dx_over_dt,
+                                               dy_over_a):
+    z, zp, dt, dy = a * z_over_a, a * zp_over_a, a * dt_over_a, a * dy_over_a
+    dx = dt * dx_over_dt
+    A = dt * dt - dx * dx - dy * dy  # rounded once, as platevac rounds it
+    assume(0.0 < z < a and 0.0 < zp < a)
+    ref, sensitivity, cone = _photon_reference(mu, A, z, zp, a)
+    assume(cone >= 1e-3)
+    got = renormalized_photon_two_point(mu, mu, dt, dx, dy, z, zp, a)
+    assert abs(got.value - ref) <= got.tail_estimate + 4.0 * EPS * sensitivity
+    assert got.tail_estimate <= _TAIL_TARGET * abs(got.value)
+
+
+def test_photon_cone_window_is_1e_10_relative():
+    # z + z' = 0.9: the n = 0 image of the reflected lattice has its cone at dt = 0.9.
+    with pytest.raises(SingularWindowError) as info:
+        renormalized_photon_two_point(0, 0, 0.9 * (1.0 + 1e-12), 0.0, 0.0, 0.4, 0.5, 1.0)
+    report = info.value.report
+    assert report.nearest_time == 0.9
+    assert (report.family, report.n) == ("shifted", 0)
+    got = renormalized_photon_two_point(0, 0, 0.9 * (1.0 + 1e-9), 0.0, 0.0, 0.4, 0.5, 1.0)
+    assert math.isfinite(got.value) and math.isfinite(got.tail_estimate)
