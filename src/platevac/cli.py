@@ -423,7 +423,7 @@ def build_parser():
     p = sub.add_parser("physics", help="physical scales and validity flags")
     _add_point_args(p)
     _add_particle(p)
-    _add_format(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--safety", type=float, default=10.0)
     p.set_defaults(func=cmd_physics)
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError
-from .kernels import _K, SINGULAR_WINDOW, _nearest_cone, check_cone, checked_report, horizon
+from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, checked_report, horizon
 from .kernels import singularity_report
 from .quantities import Geometry, ReducedValue
 
@@ -62,10 +62,7 @@ _K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 4, 1)
 
 
 def _correlator_term(kvec, x, dt):
-    if x == 0.0:
-        raise GeometryError("image distance x must be nonzero")
-    if dt != 0.0:
-        check_cone(x, abs(dt), SINGULAR_WINDOW)
+    _image_report(x, abs(dt), SINGULAR_WINDOW)
     return float(kvec(np.float64(abs(x)), abs(dt)))
 
 
@@ -124,18 +121,19 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
     large-offset series (see :func:`_hurwitz_tail`). Pairs up to max(_N_MIN,
     2 horizon_n) are explicit, so every later offset exceeds t. Callers
     reject a point on a light cone, so a non-finite sum is beyond the float
-    range. Returns (value, tail_estimate, n_used).
+    range, which numpy need not warn of. Returns (value, tail_estimate, n_used).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
         raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
     base = np.arange(1, N + 1, dtype=float) * a
-    if d == 0.0:  # one column of weight 2: half the kernel work of the pair at +/-d
-        plain, shifts, weights = 2.0 * fvec(base), [0.0], [2.0]
-    else:
-        plain, shifts, weights = fvec(base + d) + fvec(base - d), [d, -d], [1.0, 1.0]
-    vals = plain + sign * (fvec(base + z) + fvec(base - z))
-    total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if d == 0.0:  # one column of weight 2: half the kernel work of the pair at +/-d
+            plain, shifts, weights = 2.0 * fvec(base), [0.0], [2.0]
+        else:
+            plain, shifts, weights = fvec(base + d) + fvec(base - d), [d, -d], [1.0, 1.0]
+        vals = plain + sign * (fvec(base + z) + fvec(base - z))
+        total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
     if not math.isfinite(total):
         raise GeometryError(f"image sum is {total}: the value is beyond the float range")
     q = N + 1.0 + np.array([*shifts, z, -z]) / a
@@ -178,8 +176,10 @@ def empty_space_efield(dt):
 
     Isotropic: holds for any one diagonal component. Adding it to the
     renormalized tangential correlator recovers the full correlator that
-    vanishes on the plates.
+    vanishes on the plates. A non-finite ``dt`` raises GeometryError.
     """
+    if not math.isfinite(dt):
+        raise GeometryError(f"time difference must be finite, got dt={dt}")
     if dt == 0.0:
         raise SingularWindowError("empty-space correlator diverges at dt = 0")
     return 1.0 / (math.pi * math.pi * dt**4)
@@ -189,13 +189,15 @@ def minkowski_two_point(mu, nu, dt, dx, dy, dz):
     """Free-space photon two-point function, metric diag(+,-,-,-).
 
     eta_{mu nu} / (4 pi**2 s2) with s2 the squared interval; zero off the
-    diagonal. Points on the light cone are rejected.
+    diagonal. Points on the light cone are rejected, non-finite ones too.
     """
     _check_indices(mu, nu)
     if mu != nu:
         return 0.0
     s2 = dt * dt - dx * dx - dy * dy - dz * dz
     scale = dt * dt + dx * dx + dy * dy + dz * dz
+    if not math.isfinite(scale):
+        raise GeometryError(f"interval must be finite, got dt={dt}, dx={dx}, dy={dy}, dz={dz}")
     if abs(s2) <= 1e-12 * max(scale, 1e-300):
         raise SingularWindowError("points are light-like separated")
     return _ETA_DIAG[mu] / (4.0 * math.pi * math.pi * s2)
@@ -212,15 +214,19 @@ def _lattice_scalar(A, sign, a, c, d):
     With t = sqrt|A| it has the explicit range of a dispersion at (a, c, t);
     past it f(x) = -sum_k sign(A)**k (t/2)**2k x**-(2k+2) / 4. For A > 0 an
     image within _PHOTON_CONE_WINDOW of its cone 2x = t raises
-    SingularWindowError. Returns (value, tail, N).
+    SingularWindowError. Returns (value, tail, N, nearest-cone report or None).
     """
     t = math.sqrt(abs(A))
     n_top = horizon(a, c, t)
+    report = None
     if A > 0.0:
         families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
-        checked_report(_nearest_cone(families, a, t, n_top, _PHOTON_CONE_WINDOW), t)
+        report = checked_report(_nearest_cone(families, a, t, n_top, _PHOTON_CONE_WINDOW), t)
     series = (-(np.sign(A) ** _K) / 4.0, 0, 2, 0, 0.5 * t)
-    return _grouped_image_sum(lambda x: 1.0 / (A - 4.0 * x * x), sign, a, c, series, n_top, d)
+    value, tail, n_used = _grouped_image_sum(
+        lambda x: 1.0 / (A - 4.0 * x * x), sign, a, c, series, n_top, d
+    )
+    return value, tail, n_used, report
 
 
 def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
@@ -232,7 +238,8 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
     components vanish identically.
 
     Returns a :class:`ReducedValue`; its tail estimate bounds the
-    truncation of the Hurwitz-zeta tail and ``n_used`` counts its shells.
+    truncation of the Hurwitz-zeta tail, ``n_used`` counts its shells and
+    ``singularity`` reports the nearest cone of a time-like interval.
     """
     _check_indices(mu, nu)
     Geometry(a, z)
@@ -243,6 +250,6 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
     if mu != nu:
         return ReducedValue(0.0)
     sign = -_REFLECTED_DIAG[mu] / _ETA_DIAG[mu]  # z + z' lattice relative to z - z'
-    value, tail, n_used = _lattice_scalar(A, sign, a, 0.5 * (z + zp), 0.5 * (z - zp))
+    value, tail, n_used, report = _lattice_scalar(A, sign, a, 0.5 * (z + zp), 0.5 * (z - zp))
     four_pi2 = 4.0 * math.pi * math.pi
-    return ReducedValue(_ETA_DIAG[mu] * value / four_pi2, tail / four_pi2, n_used)
+    return ReducedValue(_ETA_DIAG[mu] * value / four_pi2, tail / four_pi2, n_used, report)

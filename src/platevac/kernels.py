@@ -18,7 +18,7 @@ with Lam(u) = artanh(min(u, 1/u)) = (1/2) ln|(1+u)/(1-u)| and
 All logarithms take the modulus of their argument, so every kernel is real
 and finite on both sides of the light cone u = 1. The cone itself is a
 genuine logarithmic/power singularity: public entry points reject points
-with |t - 2|x|| < window * t.
+with |t - 2|x|| < window * t, or on the cone, as image lattices do.
 
 The kernels are reduced: the universal charge/mass prefactor is applied
 once, downstream, by :func:`platevac.physics.physicalize`.
@@ -145,13 +145,6 @@ def _pos_normal_scaled(u):
     return out
 
 
-def _check_x(x):
-    if x == 0.0:
-        raise GeometryError("image distance x must be nonzero")
-    if not math.isfinite(x):
-        raise GeometryError(f"image distance must be finite, got x={x}")
-
-
 def _check_t(t):
     if t < 0.0 or not math.isfinite(t):
         raise GeometryError(f"elapsed time must be finite and nonnegative, got t={t}")
@@ -162,20 +155,24 @@ def _cone_distance(x, t):
     return abs(t - 2.0 * abs(x)) / t
 
 
-def check_cone(x, t, window):
-    """Reject a time t > 0 within ``window * t`` of the light cone t = 2|x|."""
-    if _cone_distance(x, t) < window:
-        raise SingularWindowError(
-            f"t={t} lies within {window} (relative) of the light cone at 2|x|={2 * abs(x)}"
-        )
+def _image_report(x, t, window):
+    """The window rule for one image at distance x: None at t = 0, else its checked report.
+
+    A zero or non-finite x and a negative or non-finite t raise GeometryError.
+    """
+    if x == 0.0 or not math.isfinite(x):
+        raise GeometryError(f"image distance must be finite and nonzero, got x={x}")
+    _check_t(t)
+    if t == 0.0:
+        return None
+    offset = float(abs(x))
+    report = SingularityReport(_cone_distance(offset, t), offset, 2.0 * offset, None, None, window)
+    return checked_report(report, t)
 
 
 def _kernel_at(scaled, per_x2, x, t, window):
-    _check_x(x)
-    _check_t(t)
-    if t == 0.0:
+    if _image_report(x, t, window) is None:
         return 0.0
-    check_cone(x, t, window)
     value = float(scaled(np.float64(t / (2.0 * abs(x)))))
     return value / (x * x) if per_x2 else value
 
@@ -200,9 +197,10 @@ def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
     Raises
     ------
     GeometryError
-        If ``x == 0`` or inputs are not finite.
+        If ``x == 0``, ``t < 0`` or an input is not finite.
     SingularWindowError
-        If ``t`` is within ``window * t`` of the light cone.
+        If ``t`` is within ``window * t`` of the light cone, or on it; the
+        error carries the :class:`SingularityReport`.
     """
     return _kernel_at(_vel_parallel_scaled, True, x, t, window)
 
@@ -284,9 +282,10 @@ class SingularityReport:
     nearest_time : float or None
         The singular time 2 X for that offset.
     family : str or None
-        "plain" for offsets n a, "shifted" for n a +/- z (photon: n a +/- d, n a +/- c).
+        "plain" for offsets n a, "shifted" for n a +/- z (photon: n a +/- d,
+        n a +/- c); None for a single image, which belongs to no lattice.
     n : int or None
-        Image index of the nearest offset.
+        Image index of the nearest offset; None for a single image.
     threshold : float
         The window the distance was compared against.
     is_near : bool

@@ -20,7 +20,8 @@ polynomial weight integrates in closed form: past the light cone
 terms dropped and the 1/(tau - tau0) piece a principal value; before it
 (t < tau0 < 2t) it is an ordinary integral. Every R and the raw
 integrands of the farther images are smooth on [0, t]; summed into one
-integrand, they take a single adaptive quadrature.
+integrand, they take a single adaptive quadrature; a second one, of the
+last image group alone, gives the tail estimate.
 """
 
 import hashlib
@@ -34,7 +35,8 @@ from .correlators import _grouped_image_sum
 from .errors import ConvergenceError, GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
-    check_cone,
+    _check_t,
+    _image_report,
     checked_report,
     horizon,
     offset_kernel,
@@ -122,7 +124,7 @@ def _weight(observable, t):
 
 def _quad(f, lo, hi):
     if hi <= lo:
-        return 0.0, 0.0
+        return 0.0
     spec = QuadratureSpec
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
@@ -135,7 +137,7 @@ def _quad(f, lo, hi):
             value=val,
             error_estimate=err,
         )
-    return val, err
+    return val
 
 
 def _fp_power(p, t, tau0):
@@ -170,18 +172,16 @@ def _finite_part_image(axis, observable, x, t):
     return total
 
 
-def _image_sum(axis, observable, x, c, t, window):
+def _image_sum(axis, observable, x, c, t):
     """sum_i c_i integral_0^t w(tau) K(x_i, tau) dtau over images at distances x_i > 0.
 
     Images with x_i < t contribute their Laurent part at +2 x_i in closed
     form; their mirror-pole remainders and the raw integrands of the
     other images are summed into one integrand, smooth on [0, t], which a
-    single adaptive quadrature integrates.
+    single adaptive quadrature integrates. Callers reject a t near a cone.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
-    nearest = np.argmin(np.abs(t - 2.0 * x))
-    check_cone(x[nearest], t, window)
     w, _ = _weight(observable, t)
 
     split = x < t
@@ -199,16 +199,15 @@ def _image_sum(axis, observable, x, c, t, window):
             acc = acc * r + bk
         return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _raw_kernel(axis, tau, x2_raw)))
 
-    val, _ = _quad(smooth, 0.0, t)
-    return closed + val
+    return closed + _quad(smooth, 0.0, t)
 
 
 def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
-    if x == 0.0:
-        raise GeometryError("image distance x must be nonzero")
-    if t == 0.0:
+    if axis not in ("parallel", "normal"):
+        raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
+    if _image_report(x, t, window) is None:
         return 0.0
-    return _image_sum(axis, observable, [abs(x)], [1.0], t, window)
+    return _image_sum(axis, observable, [abs(x)], [1.0], t)
 
 
 def velocity_integral(kernel, t):
@@ -216,10 +215,12 @@ def velocity_integral(kernel, t):
 
     For black-box integrands that are regular on [0, t]. Image integrands
     with an interior light-cone pole go through
-    :func:`image_velocity_integral` instead.
+    :func:`image_velocity_integral` instead. A negative or non-finite t
+    raises GeometryError.
     """
-    val, _ = _quad(lambda tau: 2.0 * (t - tau) * kernel(tau), 0.0, t)
-    return val
+    _check_t(t)
+    w, _ = _weight("velocity", t)
+    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
 
 
 def position_integral(kernel, t):
@@ -228,22 +229,18 @@ def position_integral(kernel, t):
     Same contract as :func:`velocity_integral`. With kernel = 1 the
     result is exactly t**4 / 4, a useful smoke test for the weight.
     """
+    _check_t(t)
     w, _ = _weight("position", t)
-    val, _ = _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
-    return val
+    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
 
 
 def image_velocity_integral(axis, x, t, *, window=SINGULAR_WINDOW):
     """Quadrature route to the closed-form velocity kernel of one image."""
-    if axis not in ("parallel", "normal"):
-        raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
     return _image_integral(axis, "velocity", x, t, window=window)
 
 
 def image_position_integral(axis, x, t, *, window=SINGULAR_WINDOW):
     """Quadrature route to the closed-form position kernel of one image."""
-    if axis not in ("parallel", "normal"):
-        raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
     return _image_integral(axis, "position", x, t, window=window)
 
 
@@ -256,13 +253,13 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     decay slowly, so a sum stopped at the horizon is off by its tail,
     and twice the horizon is where the exact route's explicit shells
     stop too. An explicit ``n_images`` below the horizon raises
-    GeometryError. Every image group but the last is
-    integrated as one sum (see the module docstring). The last group's
-    three images are integrated one by one, because the returned tail
-    estimate is scaled from their magnitudes: it bounds what the
+    GeometryError. Every image group is integrated as one sum (see the
+    module docstring). The returned tail estimate bounds what the
     truncation leaves out by integral comparison of the offset**-4 group
-    decay. That makes four adaptive quadratures per call, whatever the
-    image count.
+    decay, scaled from the last group's 2|plain| + |up| + |down|: past t/2
+    each of its raw integrands keeps one sign on [0, t], so a second
+    quadrature of their unsigned sum is that magnitude. That makes two
+    adaptive quadratures per call, whatever the image count.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -283,16 +280,12 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
 
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
-    na = np.arange(1.0, n_images) * a
+    na = np.arange(1.0, n_images + 1) * a
     offsets = np.concatenate(([z], na, na + z, na - z))
     weights = np.concatenate(([sign], np.full(na.size, 2.0), np.full(2 * na.size, sign)))
-    total = _image_sum(axis, obs, offsets, weights, t, window)
-    plain, up, down = (
-        _image_integral(axis, obs, x, t, window=window)
-        for x in (n_images * a, n_images * a + z, n_images * a - z)
-    )
-    total += 2.0 * plain + sign * (up + down)
-    tail = (2.0 * abs(plain) + abs(up) + abs(down)) * n_images / 3.0
+    total = _image_sum(axis, obs, offsets, weights, t)
+    last = n_images * a + np.array([0.0, z, -z])
+    tail = abs(_image_sum(axis, obs, last, [2.0, 1.0, 1.0], t)) * n_images / 3.0
     return ReducedValue(total, tail, n_images, report)
 
 

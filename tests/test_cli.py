@@ -568,3 +568,10 @@ def test_every_flag_is_read_by_its_handler(capsys, tmp_path, argv):
     args._reads.clear()
     assert args.func(args) == 0
     assert dests <= args._reads, f"never read: {sorted(dests - args._reads)}"
+
+
+def test_physics_takes_only_text_and_json(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["physics", "--a", "1", "--z", "0.5", "--t", "0.3", "--format", "csv"])
+    assert info.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err

@@ -147,3 +147,27 @@ def test_image_sum_tail_estimate_is_honest():
 def test_two_point_non_finite_interval_is_a_geometry_error(dt, dx):
     with pytest.raises(GeometryError):
         renormalized_photon_two_point(0, 0, dt, dx, 0.0, 0.5, 0.4, 1.0)
+
+
+def test_photon_value_carries_its_nearest_cone():
+    got = renormalized_photon_two_point(0, 0, 0.9 * (1.0 + 1e-9), 0.0, 0.0, 0.4, 0.5, 1.0)
+    report = got.singularity
+    assert report.nearest_time == 0.9
+    assert (report.family, report.n) == ("shifted", 0)
+    assert not report.is_near
+    # a space-like interval has no cone to be near
+    assert renormalized_photon_two_point(0, 0, 0.3, 0.5, 0.0, 0.4, 0.5, 1.0).singularity is None
+
+
+def test_free_space_parts_reject_non_finite_input():
+    nan, inf = math.nan, math.inf
+    calls = (
+        lambda: minkowski_two_point(0, 0, nan, 0.0, 0.0, 0.0),
+        lambda: minkowski_two_point(0, 0, inf, 0.0, 0.0, 0.0),
+        lambda: minkowski_two_point(3, 3, 1.0, 0.0, 0.0, -inf),
+        lambda: empty_space_efield(nan),
+        lambda: empty_space_efield(-inf),
+    )
+    for call in calls:
+        with pytest.raises(GeometryError):
+            call()

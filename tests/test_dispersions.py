@@ -1,6 +1,7 @@
 """Exact image-sum dispersions: symmetry, limits, windows, truncation honesty."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,22 @@ def test_a_point_on_a_cone_is_near_at_any_window():
         with pytest.raises(SingularWindowError) as info:
             call()
         assert info.value.report.distance == 0.0
+
+
+def test_overflowing_image_terms_warn_nothing(capsys):
+    # An overflowing term either vanishes from the value or makes the sum
+    # non-finite, which raises GeometryError; numpy's warning adds nothing.
+    from platevac.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = dispersion_exact(VZ, EvalPoint(Geometry(1e300, 0.5), 0.3)).value
+        assert wide == single_plate_reference(VZ, 0.5, 0.3)
+        assert efield_correlator_normal(0.5, 1e100, 0.3).value > 0.0
+        with pytest.raises(GeometryError, match="float range"):
+            efield_correlator_parallel(5e-81, 1e-80, 3e-81)
+        point = ["--a", "1e-160", "--z", "5e-161", "--t", "3e-161"]
+        assert main(["eval", "--quantity", "dv2-normal", *point]) == 2
+    captured = capsys.readouterr()
+    assert "status     domain" in captured.out
+    assert captured.err == ""

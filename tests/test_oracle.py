@@ -192,3 +192,34 @@ def test_write_adjudication_hash_covers_file_bytes(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
     report = json.loads(data)
     assert report["certified"] is True
+
+
+@pytest.mark.parametrize("t", [2.7, 40.3])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.token)
+def test_dispersion_takes_two_quadratures_and_scales_its_tail_from_the_last_group(
+    monkeypatch, kind, t
+):
+    a, z = 1.0, 0.3
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    got = dispersion_via_quadrature(kind, EvalPoint(Geometry(a, z), t))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    integral = image_velocity_integral if kind.observable == "velocity" else image_position_integral
+    n = got.n_used
+    plain, up, down = (integral(kind.axis, x, t) for x in (n * a, n * a + z, n * a - z))
+    expect = (2.0 * abs(plain) + abs(up) + abs(down)) * n / 3.0
+    assert got.tail_estimate == pytest.approx(expect, rel=1e-10)
+
+
+def test_black_box_integrals_reject_a_bad_time():
+    for integral in (velocity_integral, position_integral):
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(GeometryError):
+                integral(lambda tau: 1.0, t)
