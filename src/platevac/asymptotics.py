@@ -21,25 +21,14 @@ import math
 import numpy as np
 from scipy.special import spence
 
+from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError
-from .kernels import (
-    SINGULAR_WINDOW,
-    checked_report,
-    position_kernel_normal,
-    position_kernel_parallel,
-    singularity_report,
-    velocity_kernel_normal,
-    velocity_kernel_parallel,
-)
+from .kernels import SINGULAR_WINDOW, checked_report, singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
 # Regime margin: large-a wants t at most 1/REGIME_MARGIN of the nearest
 # image round trip, large-t wants at least REGIME_MARGIN cavity crossings.
 REGIME_MARGIN = 5.0
-
-
-def _as_kind(kind):
-    return DispersionKind.coerce(kind)
 
 
 def image_sum_quartic(z, a):
@@ -60,7 +49,7 @@ def approx_large_a(kind, point):
     Valid while t is small compared with the round trips 2z and
     2(a - z); enforced as t <= min(2z, 2(a-z)) / REGIME_MARGIN.
     """
-    kind = _as_kind(kind)
+    kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
     a, z, zbar = geom.a, geom.z, geom.zbar
     if t > min(2.0 * z, 2.0 * zbar) / REGIME_MARGIN:
@@ -70,14 +59,8 @@ def approx_large_a(kind, point):
     lattice = image_sum_quartic(z, a) - z**-4 - zbar**-4
     zeta4_sum = 2.0 * math.pi**4 / 90.0  # sum over n != 0 of n**-4
 
-    if kind.observable == "velocity":
-        coeff = t * t / 16.0
-        kern = velocity_kernel_parallel if kind.axis == "parallel" else velocity_kernel_normal
-    else:
-        coeff = t**4 / 64.0
-        kern = position_kernel_parallel if kind.axis == "parallel" else position_kernel_normal
-
-    near = kind.image_sign * (kern(z, t) + kern(zbar, t))
+    coeff = t * t / 16.0 if kind.observable == "velocity" else t**4 / 64.0
+    near = single_plate_reference(kind, z, t) + single_plate_reference(kind, zbar, t)
     # Distant shifted images contribute +coeff * lattice for both axes:
     # the axis sign and the kernel's leading sign cancel. Distant plain
     # images keep the kernel's own sign.
@@ -94,7 +77,7 @@ def approx_large_a_far(kind, point):
     The far plate counts as far at a >= 20 * REGIME_MARGIN * z, and the
     time as short at t <= 2a / REGIME_MARGIN.
     """
-    kind = _as_kind(kind)
+    kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
     a, z = geom.a, geom.z
     if a < 20.0 * REGIME_MARGIN * z:
@@ -105,10 +88,10 @@ def approx_large_a_far(kind, point):
 
     if kind.observable == "velocity":
         if kind.axis == "parallel":
-            value = -velocity_kernel_parallel(z, t) + 0.125 * ta4 * (z / a) ** 8 / (t * t)
+            correction = 0.125 * ta4 * (z / a) ** 8 / (t * t)
         else:
-            value = velocity_kernel_normal(z, t) + math.pi**4 * t * t / (360.0 * a**4)
-        return ReducedValue(value)
+            correction = math.pi**4 * t * t / (360.0 * a**4)
+        return ReducedValue(single_plate_reference(kind, z, t) + correction)
 
     if t < 2.0 * z * REGIME_MARGIN:
         raise RegimeError(f"far-plate position form needs t >> 2z, got t={t}, z={z}")
@@ -211,7 +194,7 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     SingularWindowError
         If ``t`` is within ``window`` (relative) of any image cone.
     """
-    kind = _as_kind(kind)
+    kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
     a, theta, tau = geom.a, geom.z / geom.a, point.gamma
     if tau < REGIME_MARGIN:

@@ -100,15 +100,13 @@ def _adjudication_block(path):
     return {"path": path, "sha256": digest}
 
 
-def _particle(args):
-    if args.particle is None:
-        return None
-    try:
-        return PARTICLES[args.particle]
-    except KeyError:
-        raise GeometryError(
-            f"unknown particle {args.particle!r}; expected one of {sorted(PARTICLES)}"
-        ) from None
+# Exit code of each row status; a sweep exits with the first one among its rows.
+_EXIT_CODES = {
+    "ok": 0,
+    "singular": SingularWindowError.exit_code,
+    "convergence": ConvergenceError.exit_code,
+    "domain": GeometryError.exit_code,
+}
 
 
 def _empty_row(variable, value, regime, status):
@@ -153,7 +151,7 @@ def _emit_csv(rows, stream):
 def cmd_eval(args):
     kind = DispersionKind.from_token(args.quantity)
     point = _point(args)
-    particle = _particle(args)
+    particle = PARTICLES.get(args.particle)
     row = _eval_row(kind, point, particle, args.window)
 
     if args.format == "csv":
@@ -190,12 +188,12 @@ def cmd_eval(args):
             unit = "(v/c)^2" if kind.observable == "velocity" else "m^2"
             print(f"physical   {_fmt(row['physical'])} {unit}")
 
-    return {"ok": 0, "domain": 2, "singular": 3, "convergence": 4}[row["status"]]
+    return _EXIT_CODES[row["status"]]
 
 
 def cmd_sweep(args):
     kind = DispersionKind.from_token(args.quantity)
-    particle = _particle(args)
+    particle = PARTICLES.get(args.particle)
     start = _parse_value(args.start, allow_time=args.var == "t")
     stop = _parse_value(args.stop, allow_time=args.var == "t")
     if args.steps < 2:
@@ -243,13 +241,7 @@ def cmd_sweep(args):
         _emit_csv(rows, sys.stdout)
 
     statuses = {r["status"] for r in rows}
-    if "ok" in statuses:
-        return 0
-    if "singular" in statuses:
-        return 3
-    if "convergence" in statuses:
-        return 4
-    return 2
+    return next(code for status, code in _EXIT_CODES.items() if status in statuses)
 
 
 def cmd_compare(args):
@@ -310,7 +302,7 @@ def cmd_compare(args):
 
 def cmd_physics(args):
     point = _point(args)
-    particle = _particle(args) or PARTICLES["electron"]
+    particle = PARTICLES[args.particle or "electron"]
     geom = point.geometry
     z_near = min(geom.z, geom.zbar)
 
@@ -407,7 +399,7 @@ def build_parser():
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     _add_point_args(p, required=False)
     _add_particle(p)
-    _add_format(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_window(p)
     p.set_defaults(func=cmd_sweep)
 

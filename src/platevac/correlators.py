@@ -43,14 +43,14 @@ _TAIL_TARGET = 1e-10
 _PHOTON_CONE_WINDOW = 1e-10
 
 
-def _k_parallel_vec(x, dt):
-    x2 = 4.0 * x * x
+# The raw kernels take x2 = (2x)**2, so a caller can square its offsets once.
+def _k_parallel(x2, dt):
     d = dt * dt - x2
     return (dt * dt + x2) / (d * d * d)
 
 
-def _k_normal_vec(x, dt):
-    d = dt * dt - 4.0 * x * x
+def _k_normal(x2, dt):
+    d = dt * dt - x2
     return 1.0 / (d * d)
 
 
@@ -63,7 +63,8 @@ _K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 4, 1)
 
 def _correlator_term(kvec, x, dt):
     _image_report(x, abs(dt), SINGULAR_WINDOW)
-    return float(kvec(np.float64(abs(x)), abs(dt)))
+    x = np.float64(abs(x))
+    return float(kvec(4.0 * x * x, abs(dt)))
 
 
 def correlator_term_parallel(x, dt):
@@ -71,7 +72,7 @@ def correlator_term_parallel(x, dt):
 
     Even in ``dt``; defined at dt = 0 where it equals -1/(16 x**4).
     """
-    return _correlator_term(_k_parallel_vec, x, dt)
+    return _correlator_term(_k_parallel, x, dt)
 
 
 def correlator_term_normal(x, dt):
@@ -79,7 +80,7 @@ def correlator_term_normal(x, dt):
 
     Even in ``dt``; defined at dt = 0 where it equals +1/(16 x**4).
     """
-    return _correlator_term(_k_normal_vec, x, dt)
+    return _correlator_term(_k_normal, x, dt)
 
 
 def _hurwitz_tail(total, series, step, q, weights):
@@ -146,7 +147,7 @@ def _efield(kvec, series, sign, z, a, dt, window):
     dt = abs(dt)
     report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
     value, tail, n_used = _grouped_image_sum(
-        lambda x: kvec(x, dt), sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt)
+        lambda x: kvec(4.0 * x * x, dt), sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt)
     )
     pi2 = math.pi * math.pi
     return ReducedValue(value / pi2, tail / pi2, n_used, report)
@@ -159,7 +160,7 @@ def efield_correlator_parallel(z, a, dt, *, window=SINGULAR_WINDOW):
     twice, the shifted offsets n a +/- z enter with a minus sign, all
     divided by pi**2. ``dt = 0`` is allowed (coincidence limit).
     """
-    return _efield(_k_parallel_vec, _K_PARALLEL_SERIES, -1.0, z, a, dt, window)
+    return _efield(_k_parallel, _K_PARALLEL_SERIES, -1.0, z, a, dt, window)
 
 
 def efield_correlator_normal(z, a, dt, *, window=SINGULAR_WINDOW):
@@ -168,7 +169,7 @@ def efield_correlator_normal(z, a, dt, *, window=SINGULAR_WINDOW):
     Same structure as :func:`efield_correlator_parallel` but with the
     normal raw kernel and the shifted offsets entering with a plus sign.
     """
-    return _efield(_k_normal_vec, _K_NORMAL_SERIES, 1.0, z, a, dt, window)
+    return _efield(_k_normal, _K_NORMAL_SERIES, 1.0, z, a, dt, window)
 
 
 def empty_space_efield(dt):
@@ -176,31 +177,46 @@ def empty_space_efield(dt):
 
     Isotropic: holds for any one diagonal component. Adding it to the
     renormalized tangential correlator recovers the full correlator that
-    vanishes on the plates. A non-finite ``dt`` raises GeometryError.
+    vanishes on the plates. A non-finite ``dt``, or one so small that the
+    value is beyond the float range, raises GeometryError.
     """
     if not math.isfinite(dt):
         raise GeometryError(f"time difference must be finite, got dt={dt}")
     if dt == 0.0:
         raise SingularWindowError("empty-space correlator diverges at dt = 0")
-    return 1.0 / (math.pi * math.pi * dt**4)
+    try:
+        dt4 = dt**4
+    except OverflowError:  # dt**4 above the float range: the value is subnormal or 0
+        return (1.0 / (math.pi * dt * dt)) ** 2
+    value = 1.0 / (math.pi * math.pi * dt4) if dt4 else math.inf
+    if value == math.inf:
+        raise GeometryError(f"empty-space correlator at dt={dt} is beyond the float range")
+    return value
 
 
 def minkowski_two_point(mu, nu, dt, dx, dy, dz):
     """Free-space photon two-point function, metric diag(+,-,-,-).
 
     eta_{mu nu} / (4 pi**2 s2) with s2 the squared interval; zero off the
-    diagonal. Points on the light cone are rejected, non-finite ones too.
+    diagonal. Points on the light cone are rejected; non-finite ones, and
+    a value beyond the float range, raise GeometryError.
     """
     _check_indices(mu, nu)
     if mu != nu:
         return 0.0
-    s2 = dt * dt - dx * dx - dy * dy - dz * dz
-    scale = dt * dt + dx * dx + dy * dy + dz * dz
-    if not math.isfinite(scale):
+    parts = (dt, dx, dy, dz)
+    if not all(map(math.isfinite, parts)):
         raise GeometryError(f"interval must be finite, got dt={dt}, dx={dx}, dy={dy}, dz={dz}")
-    if abs(s2) <= 1e-12 * max(scale, 1e-300):
+    # Scaled by a power of two, exactly, so the squares below stay in range.
+    e = math.frexp(max(map(abs, parts)))[1]
+    st, sx, sy, sz = (math.ldexp(p, -e) for p in parts)
+    s2 = st * st - sx * sx - sy * sy - sz * sz
+    if abs(s2) <= 1e-12 * (st * st + sx * sx + sy * sy + sz * sz):
         raise SingularWindowError("points are light-like separated")
-    return _ETA_DIAG[mu] / (4.0 * math.pi * math.pi * s2)
+    try:
+        return math.ldexp(_ETA_DIAG[mu] / (4.0 * math.pi * math.pi * s2), -2 * e)
+    except OverflowError:
+        raise GeometryError(f"two-point function at dt={dt} is beyond the float range") from None
 
 
 def _check_indices(mu, nu):

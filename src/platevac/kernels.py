@@ -47,16 +47,16 @@ _U_LARGE = 4.0
 _G_SERIES_TERMS = 24
 _INV_SERIES_TERMS = 16
 
-# Large-offset series of each scaled kernel, keyed like _SCALED: at u = t/2x < 1
-# an image is sum_k c_k (t/2)**(2k+m) x**-(2k+4), stored as (c_k, m); for the
-# position kernels that is G(u) = sum_k c_k u**(2k+4), which their small-u
-# branches sum. 40 terms reach below double precision at u = 1/2.
+# Large-offset series (c_k, m, s0, p) of each scaled kernel, keyed like _SCALED:
+# at u = t/2x < 1 an image is sum_k c_k (t/2)**(2k+m) x**-(2k+s0), s0 = 4, with
+# |c_{k+1}/c_k| < ((k+2)/(k+1))**p = 1. The position kernels' small-u branches sum
+# it as G(u) = sum_k c_k u**(2k+4). 40 terms reach below double precision at u = 1/2.
 _K = np.arange(40.0)
 _SERIES = {
-    ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2),
-    ("normal", "velocity"): (1.0 / (4.0 * (2.0 * _K + 1.0)), 2),
-    ("parallel", "position"): (-(_K + 1.0) / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
-    ("normal", "position"): (1.0 / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
+    ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2, 4, 0),
+    ("normal", "velocity"): (1.0 / (4.0 * (2.0 * _K + 1.0)), 2, 4, 0),
+    ("parallel", "position"): (-(_K + 1.0) / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4, 4, 0),
+    ("normal", "position"): (1.0 / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4, 4, 0),
 }
 
 
@@ -170,11 +170,27 @@ def _image_report(x, t, window):
     return checked_report(report, t)
 
 
+# (scaled kernel of u, carries 1/x**2) per (axis, observable). Every closed kernel
+# is looked up here at call time, so replacing an entry reaches all of them.
+_SCALED = {
+    ("parallel", "velocity"): (_vel_parallel_scaled, True),
+    ("normal", "velocity"): (_vel_normal_scaled, True),
+    ("parallel", "position"): (_pos_parallel_scaled, False),
+    ("normal", "position"): (_pos_normal_scaled, False),
+}
+
+
+def _image_values(scaled, per_x2, x, t):
+    """Closed kernel of images at distances x > 0: scaled(t/2x), over x**2 if per_x2."""
+    v = scaled(t / (2.0 * x))
+    return v / (x * x) if per_x2 else v
+
+
 def _kernel_at(scaled, per_x2, x, t, window):
     if _image_report(x, t, window) is None:
         return 0.0
-    value = float(scaled(np.float64(t / (2.0 * abs(x)))))
-    return value / (x * x) if per_x2 else value
+    # one image in Python floats: a float in gives a float out
+    return _image_values(lambda u: float(scaled(u)), per_x2, abs(x), t)
 
 
 def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -202,7 +218,7 @@ def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
         If ``t`` is within ``window * t`` of the light cone, or on it; the
         error carries the :class:`SingularityReport`.
     """
-    return _kernel_at(_vel_parallel_scaled, True, x, t, window)
+    return _kernel_at(*_SCALED[("parallel", "velocity")], x, t, window)
 
 
 def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -211,7 +227,7 @@ def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns
     F_norm(t / 2|x|) / x**2, which is strictly positive for t > 0.
     """
-    return _kernel_at(_vel_normal_scaled, True, x, t, window)
+    return _kernel_at(*_SCALED[("normal", "velocity")], x, t, window)
 
 
 def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -220,7 +236,7 @@ def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_par(t / 2|x|).
     """
-    return _kernel_at(_pos_parallel_scaled, False, x, t, window)
+    return _kernel_at(*_SCALED[("parallel", "position")], x, t, window)
 
 
 def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -229,36 +245,19 @@ def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_norm(t / 2|x|).
     """
-    return _kernel_at(_pos_normal_scaled, False, x, t, window)
-
-
-# (scaled kernel of u, carries 1/x**2) per (axis, observable). Every image
-# sum looks its kernel up here at call time, so replacing an entry reaches
-# all of them.
-_SCALED = {
-    ("parallel", "velocity"): (_vel_parallel_scaled, True),
-    ("normal", "velocity"): (_vel_normal_scaled, True),
-    ("parallel", "position"): (_pos_parallel_scaled, False),
-    ("normal", "position"): (_pos_normal_scaled, False),
-}
+    return _kernel_at(*_SCALED[("normal", "position")], x, t, window)
 
 
 def offset_kernel(kind, t):
     """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
 
-    Returns (fvec, (c, m, s0, p, h)): fvec maps an offset array to image values;
-    with h = t/2 an image past the light front is sum_k c_k h**(2k+m) x**-(2k+s0),
-    s0 = 4, and |c_{k+1} / c_k| is below ((k+2)/(k+1))**p = 1.
+    Returns (fvec, (*series, h)): fvec maps an offset array to image values,
+    and with h = t/2 an image past the light front is the _SERIES entry's
+    sum_k c_k h**(2k+m) x**-(2k+s0).
     """
-    scaled, per_x2 = _SCALED[(kind.axis, kind.observable)]
-    coef, m = _SERIES[(kind.axis, kind.observable)]
-
-    def fvec(x):
-        u = t / (2.0 * x)
-        v = scaled(u)
-        return v / (x * x) if per_x2 else v
-
-    return fvec, (coef, m, 4, 0, 0.5 * t)
+    key = (kind.axis, kind.observable)
+    scaled, per_x2 = _SCALED[key]
+    return (lambda x: _image_values(scaled, per_x2, x, t)), (*_SERIES[key], 0.5 * t)
 
 
 def horizon(a, z, t):

@@ -1,9 +1,9 @@
 """Independent quadrature route to the dispersions.
 
 The closed-form kernels in :mod:`platevac.kernels` are time integrals of
-two raw rational integrands. This module recomputes those integrals by
-adaptive quadrature, without touching the closed forms, so the two routes
-certify each other:
+the two raw rational integrands of :mod:`platevac.correlators`. This module
+recomputes those integrals by adaptive quadrature, without touching the
+closed forms, so the two routes certify each other:
 
     velocity(x, t) = 2 * integral_0^t (t - tau) K(x, tau) dtau
     position(x, t) = 2 * integral_0^t (t**3/3 - tau t**2/2 + tau**3/6)
@@ -31,20 +31,18 @@ import warnings
 import numpy as np
 import scipy.integrate
 
-from .correlators import _grouped_image_sum
+from .correlators import _N_MAX, _grouped_image_sum, _k_normal, _k_parallel
 from .errors import ConvergenceError, GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
+    _SCALED,
     _check_t,
     _image_report,
+    _kernel_at,
     checked_report,
     horizon,
     offset_kernel,
-    position_kernel_normal,
-    position_kernel_parallel,
     singularity_report,
-    velocity_kernel_normal,
-    velocity_kernel_parallel,
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -73,12 +71,8 @@ N_IMAGES_PARALLEL = 50
 N_IMAGES_NORMAL = 300
 
 
-def _raw_kernel(axis, tau, x2):
-    """Raw correlator integrand K at time tau for images with (2x)**2 = x2."""
-    d = tau * tau - x2
-    if axis == "parallel":
-        return (tau * tau + x2) / (d * d * d)
-    return 1.0 / (d * d)
+# The raw correlator integrand K of each axis, shared with the E-field correlators.
+_RAW = {"parallel": _k_parallel, "normal": _k_normal}
 
 
 def _laurent(axis, tau0):
@@ -197,17 +191,23 @@ def _image_sum(axis, observable, x, c, t):
         acc = mirror[0]
         for bk in mirror[1:]:
             acc = acc * r + bk
-        return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _raw_kernel(axis, tau, x2_raw)))
+        return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _RAW[axis](x2_raw, tau)))
 
     return closed + _quad(smooth, 0.0, t)
 
 
 def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
-    if axis not in ("parallel", "normal"):
+    if axis not in _RAW:
         raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
     if _image_report(x, t, window) is None:
         return 0.0
     return _image_sum(axis, observable, [abs(x)], [1.0], t)
+
+
+def _weighted_integral(observable, kernel, t):
+    _check_t(t)
+    w, _ = _weight(observable, t)
+    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
 
 
 def velocity_integral(kernel, t):
@@ -218,9 +218,7 @@ def velocity_integral(kernel, t):
     :func:`image_velocity_integral` instead. A negative or non-finite t
     raises GeometryError.
     """
-    _check_t(t)
-    w, _ = _weight("velocity", t)
-    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
+    return _weighted_integral("velocity", kernel, t)
 
 
 def position_integral(kernel, t):
@@ -229,9 +227,7 @@ def position_integral(kernel, t):
     Same contract as :func:`velocity_integral`. With kernel = 1 the
     result is exactly t**4 / 4, a useful smoke test for the weight.
     """
-    _check_t(t)
-    w, _ = _weight("position", t)
-    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
+    return _weighted_integral("position", kernel, t)
 
 
 def image_velocity_integral(axis, x, t, *, window=SINGULAR_WINDOW):
@@ -253,13 +249,15 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     decay slowly, so a sum stopped at the horizon is off by its tail,
     and twice the horizon is where the exact route's explicit shells
     stop too. An explicit ``n_images`` below the horizon raises
-    GeometryError. Every image group is integrated as one sum (see the
-    module docstring). The returned tail estimate bounds what the
-    truncation leaves out by integral comparison of the offset**-4 group
-    decay, scaled from the last group's 2|plain| + |up| + |down|: past t/2
-    each of its raw integrands keeps one sign on [0, t], so a second
-    quadrature of their unsigned sum is that magnitude. That makes two
-    adaptive quadratures per call, whatever the image count.
+    GeometryError; a count above 2,000,000, the image sums' cap, raises
+    ConvergenceError before any array is built. Every image group is
+    integrated as one sum (see the module docstring). The returned tail
+    estimate bounds what the truncation leaves out by integral comparison
+    of the offset**-4 group decay, scaled from the last group's 2|plain|
+    + |up| + |down|: past t/2 each of its raw integrands keeps one sign
+    on [0, t], so a second quadrature of their unsigned sum is that
+    magnitude. That makes two adaptive quadratures per call, whatever
+    the image count.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -277,6 +275,8 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
         raise GeometryError(
             f"n_images={n_images} does not reach past the horizon (need >= {n_horizon})"
         )
+    if n_images > _N_MAX:
+        raise ConvergenceError(f"{n_images} image shells exceed the cap of {_N_MAX}")
 
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
@@ -288,14 +288,6 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     tail = abs(_image_sum(axis, obs, last, [2.0, 1.0, 1.0], t)) * n_images / 3.0
     return ReducedValue(total, tail, n_images, report)
 
-
-# Closed-form kernels the certification grid compares against.
-_CLOSED = {
-    ("parallel", "velocity"): velocity_kernel_parallel,
-    ("normal", "velocity"): velocity_kernel_normal,
-    ("parallel", "position"): position_kernel_parallel,
-    ("normal", "position"): position_kernel_normal,
-}
 
 _GRID_X = (0.5, 1.0, 2.0)
 _GRID_T_OVER_X = (0.1, 0.5, 1.5, 3.0)
@@ -315,12 +307,12 @@ def certification_report():
     """
     grid = []
     worst = 0.0
-    for (axis, obs), closed in _CLOSED.items():
+    for (axis, obs), (scaled, per_x2) in _SCALED.items():
         for x in _GRID_X:
             for ratio in _GRID_T_OVER_X:
                 t = ratio * x
                 quad_val = _image_integral(axis, obs, x, t)
-                closed_val = closed(x, t)
+                closed_val = _kernel_at(scaled, per_x2, x, t, SINGULAR_WINDOW)
                 diff = abs(quad_val - closed_val)
                 worst = max(worst, diff)
                 grid.append(

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from platevac import ConvergenceError, length_to_natural
+from platevac import ConvergenceError, SingularWindowError, length_to_natural
 from platevac.cli import CSV_HEADER, build_parser, main
 
 
@@ -575,3 +575,66 @@ def test_physics_takes_only_text_and_json(capsys):
         main(["physics", "--a", "1", "--z", "0.5", "--t", "0.3", "--format", "csv"])
     assert info.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_sweep_takes_only_csv_and_json(capsys):
+    argv = ["sweep", "--quantity", "dv2-normal", "--start", "0.1", "--stop", "0.3", "--steps",
+            "2", "--a", "1", "--z", "0.5"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "text"])
+    assert info.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+    rc, default = run_cli(capsys, *argv)
+    rc_csv, out = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == rc_csv == 0
+    assert default == out
+
+
+def test_sweep_json_carries_the_csv_rows(capsys):
+    argv = ["sweep", "--quantity", "dv2-normal", "--start", "1.5", "--stop", "2.0", "--steps",
+            "2", "--a", "1", "--z", "0.5"]
+    rc, out = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["quantity"] == "dv2-normal"
+    assert [r["status"] for r in rec["rows"]] == ["ok", "singular"]
+    _, text = run_cli(capsys, *argv)
+    first = parse_csv(text)[0]
+    assert rec["rows"][0]["reduced"] == float(first["reduced"])
+    assert rec["rows"][0]["n_used"] == int(first["n_used"])
+
+
+def test_sweep_exit_code_precedence(capsys, monkeypatch):
+    # with no ok row: singular before convergence before domain
+    import platevac.cli as cli_mod
+
+    def failing(kind, point, **kwargs):
+        raise (SingularWindowError if point.geometry.z < 0.45 else ConvergenceError)("forced")
+
+    monkeypatch.setattr(cli_mod, "dispersion_exact", failing)
+    argv = ["sweep", "--quantity", "dv2-normal", "--var", "z", "--a", "1", "--t", "0.3",
+            "--steps", "2"]
+    rc, out = run_cli(capsys, *argv, "--start", "0.5", "--stop", "1.5")
+    assert (rc, [r["status"] for r in parse_csv(out)]) == (4, ["convergence", "domain"])
+    rc, out = run_cli(capsys, *argv, "--start", "0.4", "--stop", "0.5")
+    assert (rc, [r["status"] for r in parse_csv(out)]) == (3, ["singular", "convergence"])
+
+
+def test_compare_csv(capsys):
+    rc, out = run_cli(
+        capsys, "compare", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.01",
+        "--format", "csv",
+    )
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["route", "value", "abs_diff_vs_exact", "rel_diff_vs_exact"]
+    assert [r[0] for r in rows[1:]] == ["exact", "large_a"]
+    assert rows[1][2:] == ["0", "0"]
+    assert float(rows[2][3]) < 1e-4
+
+
+def test_compare_oracle_over_the_image_cap_exit_4(capsys):
+    rc = main(["compare", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
+               "--oracle", "--n-images", "3000000"])
+    assert rc == 4
+    assert "cap" in capsys.readouterr().err

@@ -171,3 +171,19 @@ def test_free_space_parts_reject_non_finite_input():
     for call in calls:
         with pytest.raises(GeometryError):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_free_space_parts_at_extreme_finite_input():
+    # a value below the float range is 0 or subnormal; one above it is a GeometryError
+    assert empty_space_efield(1e100) == 0.0
+    with pytest.raises(GeometryError, match="float range"):
+        empty_space_efield(1e-100)
+    pref = 1.0 / (4.0 * math.pi**2 * 1e320)
+    assert minkowski_two_point(0, 0, 1e160, 0.0, 0.0, 0.0) == pytest.approx(pref, rel=1e-2)
+    assert minkowski_two_point(0, 0, 1e160, 0.0, 0.0, 0.0) > 0.0
+    with pytest.raises(GeometryError, match="float range"):  # time-like, value ~3e338
+        minkowski_two_point(0, 0, 1e-170, 0.0, 0.0, 5e-171)
+    for dt in (1e-170, 1.0, 1e160):  # light-like at every scale
+        with pytest.raises(SingularWindowError):
+            minkowski_two_point(0, 0, dt, 0.0, dt, 0.0)

@@ -137,8 +137,8 @@ def test_summed_quadrature_agrees_with_the_exact_sum(a, z_over_a, t_over_a, kind
 
 
 @pytest.mark.parametrize("n_images", [50, 300])
-def test_dispersion_via_quadrature_makes_at_most_four_quadratures(monkeypatch, n_images):
-    # one for the summed lattice, one per image of the last group
+def test_dispersion_via_quadrature_makes_two_quadratures(monkeypatch, n_images):
+    # one for the summed lattice, one for the last image group's tail estimate
     calls = []
     quad = scipy.integrate.quad
 
@@ -151,7 +151,17 @@ def test_dispersion_via_quadrature_makes_at_most_four_quadratures(monkeypatch, n
         for kind in ALL_KINDS:
             calls.clear()
             dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t), n_images=n_images)
-            assert 0 < len(calls) <= 4
+            assert len(calls) == 2
+
+
+def test_dispersion_via_quadrature_obeys_the_image_cap():
+    # raises before building the offset arrays, explicit count or default
+    kind = DispersionKind("normal", "velocity")
+    with pytest.raises(ConvergenceError, match="cap"):
+        dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.5), 0.3), n_images=2_000_001)
+    # t = 1e7 itself is a plain-image cone; 0.3 past it clears a 1e-9 window
+    with pytest.raises(ConvergenceError, match="cap"):
+        dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), 1e7 + 0.3), window=1e-9)
 
 
 def test_dispersion_via_quadrature_horizon_guard():
