@@ -2,10 +2,10 @@
 
 Two regimes have closed expansions:
 
-* large separation (times short compared with the nearest image round
-  trip): the two nearest images keep their exact kernels and every
-  distant image is replaced by its leading power law, which resums into
-  trigonometric lattice constants;
+* large separation (times short compared with the round trip to the
+  images replaced): the nearest images keep their exact kernels and every
+  other image is replaced by its leading power law, which resums into
+  Hurwitz zeta values;
 * late times (many cavity crossings): each image family is a lattice sum
   with spacing 2a/t of one scaled kernel, expanded by Euler-Maclaurin
   with the singular terms at the origin and at the light cone; the
@@ -19,11 +19,11 @@ formula's regime raises :class:`platevac.errors.RegimeError`.
 import math
 
 import numpy as np
-from scipy.special import spence
+from scipy.special import spence, zeta
 
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError
-from .kernels import SINGULAR_WINDOW, checked_report, singularity_report
+from .kernels import _SERIES, SINGULAR_WINDOW, checked_report, singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
 # Regime margin: large-a wants t at most 1/REGIME_MARGIN of the nearest
@@ -34,76 +34,61 @@ REGIME_MARGIN = 5.0
 def image_sum_quartic(z, a):
     """Closed form of sum over all integers n of 1 / (n a + z)**4.
 
-    Equals pi**4 (2 + cos(2 pi z / a)) / (3 a**4 sin(pi z / a)**4).
+    Equals (pi / (a sin(pi z/a)))**4 (2 + cos(2 pi z/a)) / 3, formed from
+    z sinc(z/a) = a sin(pi z/a) / pi so that it is 0 or subnormal below
+    the float range; above it, GeometryError.
     """
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    s = math.sin(math.pi * z / a)
-    c = math.cos(2.0 * math.pi * z / a)
-    return math.pi**4 * (2.0 + c) / (3.0 * a**4 * s**4)
+    try:
+        w4 = (z * float(np.sinc(z / a))) ** -4
+    except (OverflowError, ZeroDivisionError):
+        raise GeometryError(f"lattice sum at z={z}, a={a} is beyond the float range") from None
+    return w4 * (2.0 + math.cos(2.0 * math.pi * z / a)) / 3.0
+
+
+def _wide_gap(kind, geom, t, k):
+    """Images z and (k = 2) a - z exact, every other one its leading law c0 (t/2)**m / x**4.
+
+    The plain images n a (n != 0) sum to 2 zeta(4) / a**4 and the other
+    shifted ones, with the axis sign, to (zeta(4, 1 + z/a) + zeta(4, k - z/a)) / a**4.
+    """
+    c, m = _SERIES[(kind.axis, kind.observable)][:2]
+    theta = geom.z / geom.a
+    lattice = 2.0 * zeta(4.0) + kind.image_sign * (zeta(4.0, 1.0 + theta) + zeta(4.0, k - theta))
+    near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
+    return ReducedValue(near + float(c[0] * lattice) * (0.5 * t / geom.a) ** m / geom.a ** (4 - m))
 
 
 def approx_large_a(kind, point):
-    """Wide-gap expansion: exact nearest images plus lattice power laws.
+    """Wide-gap expansion: the images at z and a - z exact, the others by power laws.
 
-    Valid while t is small compared with the round trips 2z and
-    2(a - z); enforced as t <= min(2z, 2(a-z)) / REGIME_MARGIN.
+    Valid while t is small compared with the round trips 2z and 2(a - z);
+    enforced as t <= min(2z, 2(a-z)) / REGIME_MARGIN.
     """
     kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
-    a, z, zbar = geom.a, geom.z, geom.zbar
-    if t > min(2.0 * z, 2.0 * zbar) / REGIME_MARGIN:
+    if t > min(2.0 * geom.z, 2.0 * geom.zbar) / REGIME_MARGIN:
         raise RegimeError(
             f"large-separation form needs t <= min(2z, 2(a-z))/{REGIME_MARGIN}, got t={t}"
         )
-    lattice = image_sum_quartic(z, a) - z**-4 - zbar**-4
-    zeta4_sum = 2.0 * math.pi**4 / 90.0  # sum over n != 0 of n**-4
-
-    coeff = t * t / 16.0 if kind.observable == "velocity" else t**4 / 64.0
-    near = single_plate_reference(kind, z, t) + single_plate_reference(kind, zbar, t)
-    # Distant shifted images contribute +coeff * lattice for both axes:
-    # the axis sign and the kernel's leading sign cancel. Distant plain
-    # images keep the kernel's own sign.
-    plain = kind.image_sign * coeff * zeta4_sum / a**4
-    return ReducedValue(near + coeff * lattice + plain)
+    return _wide_gap(kind, geom, t, 2)
 
 
 def approx_large_a_far(kind, point):
-    """Single-plate-dominated limit z << t << a (velocity: z, t << a).
+    """Far-plate limit z, t << a: the nearest plate exact plus the second plate's leading law.
 
-    Keeps the nearest plate's contribution and the leading correction in
-    t/a. Position components also replace the nearest-plate kernel by its
-    own late-time law, so they additionally require t >= 2z * REGIME_MARGIN.
-    The far plate counts as far at a >= 20 * REGIME_MARGIN * z, and the
-    time as short at t <= 2a / REGIME_MARGIN.
+    What it leaves out is smaller than that correction by (t/2a)**2. The
+    far plate counts as far at a >= 20 * REGIME_MARGIN * z, and the time
+    as short at t <= 2a / REGIME_MARGIN.
     """
     kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
-    a, z = geom.a, geom.z
-    if a < 20.0 * REGIME_MARGIN * z:
-        raise RegimeError(f"far-plate form needs a >> z, got a/z={a / z}")
-    if t > 2.0 * a / REGIME_MARGIN:
-        raise RegimeError(f"far-plate form needs t << 2a, got t={t}, a={a}")
-    ta4 = (t / a) ** 4
-
-    if kind.observable == "velocity":
-        if kind.axis == "parallel":
-            correction = 0.125 * ta4 * (z / a) ** 8 / (t * t)
-        else:
-            correction = math.pi**4 * t * t / (360.0 * a**4)
-        return ReducedValue(single_plate_reference(kind, z, t) + correction)
-
-    if t < 2.0 * z * REGIME_MARGIN:
-        raise RegimeError(f"far-plate position form needs t >> 2z, got t={t}, z={z}")
-    if kind.axis == "parallel":
-        value = -math.log(t / (2.0 * z)) / 3.0 + ta4 * (z / a) ** 8 / 32.0
-    else:
-        value = (
-            t * t / (8.0 * z * z)
-            + math.log(t / (2.0 * z)) / 3.0
-            + math.pi**4 * ta4 / 1440.0
-        )
-    return ReducedValue(value)
+    if geom.a < 20.0 * REGIME_MARGIN * geom.z:
+        raise RegimeError(f"far-plate form needs a >> z, got a/z={geom.a / geom.z}")
+    if t > 2.0 * geom.a / REGIME_MARGIN:
+        raise RegimeError(f"far-plate form needs t << 2a, got t={t}, a={geom.a}")
+    return _wide_gap(kind, geom, t, 1)
 
 
 def _cone_contrast(f, tau, theta):

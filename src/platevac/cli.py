@@ -10,7 +10,6 @@ import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -63,8 +62,6 @@ _VALUE_RE = re.compile(r"^([0-9eE.+-]+)\s*([a-zA-Z]*)$")
 def _fmt(x):
     if x is None:
         return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 

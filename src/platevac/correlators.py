@@ -237,7 +237,7 @@ def _lattice_scalar(A, sign, a, c, d):
     report = None
     if A > 0.0:
         families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
-        report = checked_report(_nearest_cone(families, a, t, n_top, _PHOTON_CONE_WINDOW), t)
+        report = checked_report(_nearest_cone(families, a, t, _PHOTON_CONE_WINDOW), t)
     series = (-(np.sign(A) ** _K) / 4.0, 0, 2, 0, 0.5 * t)
     value, tail, n_used = _grouped_image_sum(
         lambda x: 1.0 / (A - 4.0 * x * x), sign, a, c, series, n_top, d

@@ -302,6 +302,8 @@ class SingularityReport:
     )
 
     def __init__(self, distance, nearest_offset, nearest_time, family, n, threshold):
+        if not 0.0 <= threshold < math.inf:
+            raise GeometryError(f"singular window must be finite and nonnegative, got {threshold}")
         self.distance = distance
         self.nearest_offset = nearest_offset
         self.nearest_time = nearest_time
@@ -333,7 +335,8 @@ def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     t : float
         Elapsed time.
     threshold : float, optional
-        Window used to set the report's ``is_near`` flag.
+        Window used to set the report's ``is_near`` flag; a negative or
+        non-finite one raises GeometryError.
     """
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
@@ -341,18 +344,18 @@ def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     if t == 0.0:
         return SingularityReport(math.inf, None, None, None, None, threshold)
     families = (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1))
-    return _nearest_cone(families, a, t, horizon(a, z, t), threshold)
+    return _nearest_cone(families, a, t, threshold)
 
 
-def _nearest_cone(families, a, t, n_top, threshold):
-    """Report on the cones of the offsets |n a + shift|, n_low <= n <= n_top,
-    of each family (name, shift, n_low); the nearest has n next to
-    (t/2 - shift) / a. Ties go to the first family listed, then to the lowest n.
+def _nearest_cone(families, a, t, threshold):
+    """Report on the cones of the offsets |n a + shift|, n >= n_low, of each
+    family (name, shift, n_low); the nearest has n next to (t/2 - shift) / a.
+    Ties go to the first family listed, then to the lowest n.
     """
     best = (math.inf, None, None, None)
     for family, shift, n_low in families:
         centre = round((0.5 * t - shift) / a)
-        for n in range(max(n_low, centre - 1), min(n_top, centre + 1) + 1):
+        for n in range(max(n_low, centre - 1), centre + 2):
             offset = abs(n * a + shift)
             dist = _cone_distance(offset, t)
             if dist < best[0]:

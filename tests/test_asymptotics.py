@@ -16,6 +16,7 @@ from platevac import (
     image_sum_quartic,
     midpoint_extremal,
     recommend_regime,
+    single_plate_reference,
 )
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
 
@@ -34,6 +35,21 @@ def test_quartic_lattice_identity():
         assert image_sum_quartic(z, a) == pytest.approx(_brute_quartic(z, a), rel=1e-10)
     with pytest.raises(GeometryError):
         image_sum_quartic(1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quartic_lattice_at_extreme_scale():
+    # scale-free: in range it is z**-4 times a function of z/a, below the
+    # float range 0 or a subnormal, above it a GeometryError
+    for lam in (1e-60, 1e60, 2.0**-200, 2.0**200):
+        assert image_sum_quartic(0.3 * lam, lam) == pytest.approx(
+            lam**-4 * image_sum_quartic(0.3, 1.0), rel=1e-14
+        )
+    assert image_sum_quartic(1e-20, 1e304) == pytest.approx(1e80, rel=1e-15)
+    assert 0.0 <= image_sum_quartic(5e99, 1e100) < 1e-300
+    for z, a in [(5e-101, 1e-100), (1e-300, 1.0), (1e-80, 1e-79)]:
+        with pytest.raises(GeometryError):
+            image_sum_quartic(z, a)
 
 
 @pytest.mark.parametrize("z", [0.5, 0.37])
@@ -58,18 +74,12 @@ def test_wide_gap_regime_guard():
 
 
 def test_far_plate_forms():
-    # z << t << a: nearest plate dominates, leading cavity correction kept
+    # z << t << a: nearest plate exact, second plate by its leading power law
     pt = EvalPoint(Geometry(1000.0, 1.0), 100.0)
-    tol = {
-        ("parallel", "velocity"): 1e-8,
-        ("normal", "velocity"): 1e-8,
-        ("parallel", "position"): 0.1,  # form drops an O(1) additive constant
-        ("normal", "position"): 1e-3,
-    }
     for kind in ALL_KINDS:
         exact = dispersion_exact(kind, pt).value
         far = approx_large_a_far(kind, pt).value
-        assert abs(far - exact) / abs(exact) < tol[(kind.axis, kind.observable)]
+        assert abs(far - exact) / abs(exact) < 1e-10, kind.token
 
 
 def test_far_plate_guards():
@@ -77,9 +87,91 @@ def test_far_plate_guards():
         approx_large_a_far(VX, EvalPoint(Geometry(50.0, 1.0), 10.0))  # a too small
     with pytest.raises(RegimeError):
         approx_large_a_far(VX, EvalPoint(Geometry(1000.0, 1.0), 900.0))  # t too large
-    with pytest.raises(RegimeError):  # position forms also need t >> 2z
-        approx_large_a_far(("parallel", "position"), EvalPoint(Geometry(1000.0, 1.0), 5.0))
+    with pytest.raises(GeometryError):  # an unknown kind before any regime check
+        approx_large_a_far(("sideways", "velocity"), EvalPoint(Geometry(50.0, 1.0), 10.0))
     approx_large_a_far(VX, EvalPoint(Geometry(1000.0, 1.0), 5.0))
+
+
+def test_far_plate_accuracy_over_its_regime():
+    # every kind answers every point of z, t << a, the position kinds before t = 2z too
+    rng = np.random.default_rng(20261018)
+    worst = dict.fromkeys(ALL_KINDS, 0.0)
+    n_points = 0
+    while n_points < 200:
+        z = 10.0 ** rng.uniform(-2.0, 1.0)
+        a = z * 10.0 ** rng.uniform(2.0, 5.0)
+        t = 10.0 ** rng.uniform(math.log10(z) - 2.0, math.log10(0.4 * a))
+        pt = EvalPoint(Geometry(a, z), t)
+        try:
+            exact = {kind: dispersion_exact(kind, pt, window=1e-9).value for kind in ALL_KINDS}
+        except SingularWindowError:
+            continue
+        n_points += 1
+        for kind in ALL_KINDS:
+            rel = abs(approx_large_a_far(kind, pt).value - exact[kind]) / abs(exact[kind])
+            worst[kind] = max(worst[kind], rel)
+    for kind in ALL_KINDS:
+        assert worst[kind] <= 1e-6, (kind.token, worst[kind])
+
+
+@pytest.mark.parametrize("a, z", [(1000.0, 1.0), (200.0, 2.0), (500.0, 0.3)])
+def test_far_plate_error_shrinks_at_order(a, z):
+    # what the second plate's leading law leaves out is O((t/a)**4) for the
+    # velocities and O((t/a)**6) for the positions: 1e4x and 1e6x per decade of t
+    for kind in ALL_KINDS:
+        errs = []
+        for t in (0.4 * a, 0.04 * a):
+            pt = EvalPoint(Geometry(a, z), t)
+            exact = dispersion_exact(kind, pt).value
+            errs.append((abs(approx_large_a_far(kind, pt).value - exact), abs(exact)))
+        (e1, _), (e2, s2) = errs
+        assert e2 <= 1e-14 * s2 or e1 / e2 >= 1e3, (kind.token, e1, e2)
+
+
+def test_far_plate_correction_is_the_second_plates():
+    # the second plate reinforces the normal motion and lifts the negative
+    # parallel dispersions: the route's correction is positive and exact's
+    pt = EvalPoint(Geometry(1000.0, 1.0), 100.0)
+    for kind in ALL_KINDS:
+        single = single_plate_reference(kind, 1.0, 100.0)
+        far = approx_large_a_far(kind, pt).value - single
+        exact = dispersion_exact(kind, pt).value - single
+        assert far > 0.0 and exact > 0.0, kind.token
+        assert far == pytest.approx(exact, rel=1e-2), kind.token
+
+
+def test_wide_gap_lattice_matches_the_trigonometric_sum():
+    # the Hurwitz-zeta lattice of approx_large_a against the closed form
+    # of the full shifted lattice less its two exact images
+    rng = np.random.default_rng(7)
+    zeta4_pair = math.pi**4 / 45.0  # sum over n != 0 of n**-4
+    for _ in range(1000):
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        z = a * rng.uniform(0.01, 0.99)
+        t = min(z, a - z) * 0.4 * 10.0 ** rng.uniform(-3.0, 0.0)
+        pt = EvalPoint(Geometry(a, z), t)
+        shifted = image_sum_quartic(z, a) - z**-4 - (a - z) ** -4
+        for kind in ALL_KINDS:
+            coeff = 0.25 * (0.5 * t) ** (2 if kind.observable == "velocity" else 4)
+            near = single_plate_reference(kind, z, t) + single_plate_reference(kind, a - z, t)
+            lattice = coeff * (shifted + kind.image_sign * zeta4_pair / a**4)
+            assert approx_large_a(kind, pt).value == pytest.approx(near + lattice, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route, a, z, t", [
+    (approx_large_a, 1.0, 0.3, 0.01),
+    (approx_large_a_far, 1000.0, 1.0, 100.0),
+])
+def test_wide_gap_routes_are_scale_covariant(route, a, z, t):
+    # velocities scale as length**-2, positions not at all, at any float scale
+    for kind in ALL_KINDS:
+        base = route(kind, EvalPoint(Geometry(a, z), t)).value
+        assert route(kind, EvalPoint(Geometry(a, z), 0.0)).value == 0.0
+        power = -2 if kind.observable == "velocity" else 0
+        for lam in (1e-100, 1e100, 2.0**-300, 2.0**300):
+            scaled = route(kind, EvalPoint(Geometry(lam * a, lam * z), lam * t)).value
+            assert scaled == pytest.approx(lam**power * base, rel=1e-14), (kind.token, lam)
 
 
 def test_late_time_form_reduces_to_midpoint_form():

@@ -6,11 +6,14 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import pytest
 
-from platevac import ConvergenceError, SingularWindowError, length_to_natural
-from platevac.cli import CSV_HEADER, build_parser, main
+import scipy.integrate
+
+from platevac import ConvergenceError, SingularWindowError, length_to_natural, time_to_natural
+from platevac.cli import CSV_HEADER, _fmt, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -638,3 +641,78 @@ def test_compare_oracle_over_the_image_cap_exit_4(capsys):
                "--oracle", "--n-images", "3000000"])
     assert rc == 4
     assert "cap" in capsys.readouterr().err
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(math.inf) == "inf"
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", "-1"])
+def test_eval_malformed_window_exit_2(capsys, window):
+    rc, out = run_cli(
+        capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
+        f"--window={window}",
+    )
+    assert rc == 2
+    assert "status     domain" in out
+
+
+def test_compare_oracle_quadrature_off_tolerance_exit_4(capsys, monkeypatch):
+    quad = scipy.integrate.quad
+
+    def loose(*args, **kwargs):
+        val, _ = quad(*args, **kwargs)
+        return val, 1.0
+
+    monkeypatch.setattr(scipy.integrate, "quad", loose)
+    rc = main(["compare", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
+               "--oracle"])
+    assert rc == 4
+    assert "exceeds tolerance" in capsys.readouterr().err
+
+
+def test_eval_time_in_seconds(capsys, tmp_path):
+    rc, out = run_cli(
+        capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "2.5e-15s",
+        "--format", "json", "--adjudication", str(tmp_path / "missing.json"),
+    )
+    assert rc == 0
+    assert json.loads(out)["t"] == pytest.approx(time_to_natural(2.5e-15, "s"), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5s", "--t", "0.3"],
+        ["eval", "--quantity", "dv2-normal", "--a", "1x2", "--z", "0.5", "--t", "0.3"],
+        ["eval", "--quantity", "dv2-normal", "--a", "1e", "--z", "0.5", "--t", "0.3"],
+        ["sweep", "--quantity", "dv2-normal", "--start", "0.1", "--stop", "0.3", "--steps", "1",
+         "--a", "1", "--z", "0.5"],
+        ["sweep", "--quantity", "dv2-normal", "--start", "0", "--stop", "0.3", "--scale", "log",
+         "--a", "1", "--z", "0.5"],
+        ["sweep", "--quantity", "dv2-normal", "--var", "z", "--start", "0.3", "--stop", "0.7",
+         "--t", "0.3"],
+    ],
+    ids=["time-unit-on-z", "bad-value", "bad-number", "one-step", "log-from-zero", "no-a"],
+)
+def test_malformed_input_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_text_prints_the_physical_value(capsys):
+    rc, out = run_cli(
+        capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
+        "--particle", "electron",
+    )
+    assert rc == 0
+    assert re.search(r"^physical   \S+ \(v/c\)\^2$", out, re.MULTILINE)
+
+
+def test_physics_on_a_light_cone_reports_no_ratio(capsys):
+    rc, out = run_cli(capsys, "physics", "--a", "1", "--z", "0.3", "--t", "0.6", "--format", "json")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["amplification_ratio"] is None
+    assert "cone" in rec["amplification_note"]

@@ -135,6 +135,9 @@ def test_two_point_symmetry_and_off_diagonal():
     v2 = renormalized_photon_two_point(1, 1, 0.4, 0.1, 0.2, 0.6, 0.3, 1.0).value
     assert v1 == pytest.approx(v2, abs=1e-15)
     assert renormalized_photon_two_point(0, 3, 0.4, 0.0, 0.0, 0.3, 0.6, 1.0).value == 0.0
+    for mu, nu in [(4, 4), (0, 4)]:
+        with pytest.raises(GeometryError):
+            renormalized_photon_two_point(mu, nu, 0.4, 0.0, 0.0, 0.3, 0.6, 1.0)
 
 
 def test_image_sum_tail_estimate_is_honest():

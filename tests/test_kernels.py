@@ -1,5 +1,6 @@
 """Closed-form kernels against frozen spot values and an mpmath reference."""
 
+import functools
 import math
 
 import mpmath
@@ -11,12 +12,21 @@ from hypothesis import strategies as st
 from platevac import (
     GeometryError,
     SingularWindowError,
+    approx_large_t,
+    dispersion_exact,
+    dispersion_via_quadrature,
+    efield_correlator_normal,
+    efield_correlator_parallel,
+    image_position_integral,
+    image_velocity_integral,
     position_kernel_normal,
     position_kernel_parallel,
+    single_plate_reference,
     singularity_report,
     velocity_kernel_normal,
     velocity_kernel_parallel,
 )
+from platevac.quantities import EvalPoint, Geometry
 
 # Exact closed-form values at x = 1, t = 1 (u = 1/2).
 F_PAR_11 = -1.0 / 24.0 - math.log(9.0) / 64.0
@@ -101,6 +111,43 @@ def test_window_width_is_adjustable():
     with pytest.raises(SingularWindowError):
         velocity_kernel_parallel(1.0, t)
     velocity_kernel_parallel(1.0, t, window=1e-9)
+
+
+@pytest.mark.parametrize("window", [-1.0, math.nan, math.inf, -math.inf])
+def test_a_malformed_window_is_a_geometry_error(window):
+    # a negative window would accept every point, a non-finite one compare wrongly
+    pt = EvalPoint(Geometry(1.0, 0.5), 0.3)
+    late = EvalPoint(Geometry(1.0, 0.5), 30.3)
+    calls = [
+        lambda: singularity_report(0.5, 1.0, 0.3, threshold=window),
+        lambda: dispersion_exact("dv2-normal", pt, window=window),
+        lambda: dispersion_via_quadrature("dv2-normal", pt, window=window),
+        lambda: single_plate_reference("dv2-normal", 0.5, 0.3, window=window),
+        lambda: approx_large_t("dv2-normal", late, window=window),
+        lambda: efield_correlator_parallel(0.5, 1.0, 0.3, window=window),
+        lambda: efield_correlator_normal(0.5, 1.0, 0.3, window=window),
+        lambda: image_velocity_integral("normal", 0.5, 0.3, window=window),
+        lambda: image_position_integral("parallel", 0.5, 0.3, window=window),
+    ]
+    calls += [
+        functools.partial(kern, 0.5, 0.3, window=window)
+        for kern in (
+            velocity_kernel_parallel,
+            velocity_kernel_normal,
+            position_kernel_parallel,
+            position_kernel_normal,
+        )
+    ]
+    for call in calls:
+        with pytest.raises(GeometryError, match="singular window"):
+            call()
+
+
+def test_singularity_report_guards_and_repr():
+    with pytest.raises(GeometryError):
+        singularity_report(1.5, 1.0, 0.3)
+    text = repr(singularity_report(0.3, 1.0, 0.61))
+    assert "distance=1.639e-02" in text and "family='shifted'" in text
 
 
 def _nearest_cone(z, a, t, n_scan=2000):

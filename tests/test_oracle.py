@@ -30,7 +30,7 @@ from platevac import (
     write_adjudication,
 )
 from platevac.kernels import horizon, offset_kernel
-from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry
+from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry, ReducedValue
 
 CLOSED = {
     ("parallel", "velocity"): velocity_kernel_parallel,
@@ -233,3 +233,19 @@ def test_black_box_integrals_reject_a_bad_time():
         for t in (math.nan, math.inf, -1.0):
             with pytest.raises(GeometryError):
                 integral(lambda tau: 1.0, t)
+
+
+def test_black_box_integrals_at_zero_time_and_at_an_interior_singularity():
+    for integral in (velocity_integral, position_integral):
+        assert integral(lambda tau: 1.0, 0.0) == 0.0
+    with pytest.raises(ConvergenceError) as info:
+        velocity_integral(lambda tau: abs(tau - 0.3141592653589793) ** -1.5, 1.0)
+    assert info.value.value is not None
+    assert info.value.error_estimate > 0.0
+
+
+def test_dispersion_via_quadrature_point_and_zero_time():
+    with pytest.raises(GeometryError):
+        dispersion_via_quadrature("dv2-normal", (1.0, 0.5, 0.3))
+    got = dispersion_via_quadrature("dv2-normal", EvalPoint(Geometry(1.0, 0.5), 0.0))
+    assert got == ReducedValue(0.0)

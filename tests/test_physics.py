@@ -88,6 +88,13 @@ def test_falling_time_and_thresholds():
         2.8329025997950388e-13, rel=1e-9
     )
     assert displacement_bound(2.0) == pytest.approx(4.0 * ELECTRON.mass_ev, rel=1e-13)
+    for call in (
+        lambda: falling_time(0.0),
+        lambda: separation_threshold(kappa=0.0),
+        lambda: displacement_bound(0.0),
+    ):
+        with pytest.raises(GeometryError):
+            call()
 
 
 def test_amplification_plateau():
