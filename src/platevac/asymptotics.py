@@ -57,7 +57,20 @@ def _wide_gap(kind, geom, t, k):
     theta = geom.z / geom.a
     lattice = 2.0 * zeta(4.0) + kind.image_sign * (zeta(4.0, 1.0 + theta) + zeta(4.0, k - theta))
     near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
-    return ReducedValue(near + float(c[0] * lattice) * (0.5 * t / geom.a) ** m / geom.a ** (4 - m))
+    return ReducedValue(near + float(c[0] * lattice) * _power_law(t, geom.a, m))
+
+
+def _power_law(t, a, m):
+    """(t/2)**m / a**4, in logarithms where a power of a leaves the float range."""
+    try:
+        return (0.5 * t / a) ** m / a ** (4 - m)
+    except (OverflowError, ZeroDivisionError):
+        if t == 0.0:
+            return 0.0
+    try:
+        return math.exp(m * (math.log(t) - math.log(2.0)) - 4.0 * math.log(a))
+    except OverflowError:
+        raise GeometryError(f"image power law at t={t}, a={a} is beyond the float range") from None
 
 
 def approx_large_a(kind, point):

@@ -10,6 +10,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -97,13 +98,14 @@ def _adjudication_block(path):
     return {"path": path, "sha256": digest}
 
 
-# Exit code of each row status; a sweep exits with the first one among its rows.
-_EXIT_CODES = {
-    "ok": 0,
-    "singular": SingularWindowError.exit_code,
-    "convergence": ConvergenceError.exit_code,
-    "domain": GeometryError.exit_code,
+# The status of a row that meets each error, in sweep precedence: a sweep
+# exits with the code of the first status among its rows.
+_ROW_STATUS = {
+    SingularWindowError: "singular",
+    ConvergenceError: "convergence",
+    GeometryError: "domain",  # the value is beyond the float range
 }
+_EXIT_CODES = {"ok": 0, **{status: error.exit_code for error, status in _ROW_STATUS.items()}}
 
 
 def _empty_row(variable, value, regime, status):
@@ -117,32 +119,34 @@ def _eval_row(kind, point, particle, window):
     row = _empty_row("t", point.t, recommend_regime(point), "ok")
     try:
         result = dispersion_exact(kind, point, window=window)
-    except SingularWindowError as exc:
-        row["status"] = "singular"
-        if exc.report is not None:
-            row["sing_dist"] = exc.report.distance
-        return row
-    except ConvergenceError:
-        row["status"] = "convergence"
-        return row
-    except GeometryError:  # the value is beyond the float range
-        row["status"] = "domain"
-        return row
-    row["reduced"] = result.value
-    row["tail"] = result.tail_estimate
-    row["n_used"] = result.n_used
-    if result.singularity is not None:
-        row["sing_dist"] = result.singularity.distance
-    if particle is not None:
-        row["physical"] = physicalize(result.value, kind, particle)
+    except tuple(_ROW_STATUS) as exc:
+        row["status"] = _ROW_STATUS[type(exc)]
+        report = getattr(exc, "report", None)
+    else:
+        row.update(reduced=result.value, tail=result.tail_estimate, n_used=result.n_used)
+        if particle is not None:
+            row["physical"] = physicalize(result.value, kind, particle)
+        report = result.singularity
+    if report is not None:
+        row["sing_dist"] = report.distance
     return row
 
 
-def _emit_csv(rows, stream):
-    writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
+def _where(kind, point):
+    """The fields that open the eval and compare records."""
+    return {"quantity": kind.token, "a": point.geometry.a, "z": point.geometry.z, "t": point.t}
+
+
+def _emit_json(record):
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+def _emit_csv(rows, header=CSV_HEADER):
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(row[key]) for key in CSV_HEADER])
+        writer.writerow([_fmt(row[key]) for key in header])
 
 
 def cmd_eval(args):
@@ -152,25 +156,22 @@ def cmd_eval(args):
     row = _eval_row(kind, point, particle, args.window)
 
     if args.format == "csv":
-        _emit_csv([row], sys.stdout)
+        _emit_csv([row])
     elif args.format == "json":
-        payload = {
-            "quantity": kind.token,
-            "a": point.geometry.a,
-            "z": point.geometry.z,
-            "t": point.t,
-            "reduced": row["reduced"],
-            "tail_estimate": row["tail"],
-            "n_used": row["n_used"],
-            "sing_dist": row["sing_dist"],
-            "regime": row["regime"],
-            "status": row["status"],
-            "physical": row["physical"],
-            "particle": particle.name if particle else None,
-            "adjudication": _adjudication_block(args.adjudication),
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit_json(
+            {
+                **_where(kind, point),
+                "reduced": row["reduced"],
+                "tail_estimate": row["tail"],
+                "n_used": row["n_used"],
+                "sing_dist": row["sing_dist"],
+                "regime": row["regime"],
+                "status": row["status"],
+                "physical": row["physical"],
+                "particle": particle.name if particle else None,
+                "adjudication": _adjudication_block(args.adjudication),
+            }
+        )
     else:
         print(f"quantity   {kind.token}")
         print(f"a, z, t    {_fmt(point.geometry.a)}, {_fmt(point.geometry.z)}, {_fmt(point.t)}")
@@ -202,40 +203,31 @@ def cmd_sweep(args):
     else:
         grid = np.linspace(start, stop, args.steps)
 
-    base = {}
-    for name in ("a", "z"):
-        if name != args.var:
-            raw = getattr(args, name)
-            if raw is None:
-                raise GeometryError(f"sweep over {args.var} requires --{name}")
-            base[name] = _parse_value(raw)
-    t_base = _parse_value(args.t, allow_time=True) if args.t is not None else None
-    if args.var != "t" and t_base is None:
-        raise GeometryError(f"sweep over {args.var} requires --t")
+    # Every flag given is parsed; the swept variable takes its values from the grid.
+    fixed = {}
+    for name in ("a", "z", "t"):
+        raw = getattr(args, name)
+        if raw is not None:
+            fixed[name] = _parse_value(raw, allow_time=name == "t")
+        elif name != args.var:
+            raise GeometryError(f"sweep over {args.var} requires --{name}")
 
     rows = []
-    for value in grid:
-        params = dict(base)
-        t = t_base
-        if args.var == "t":
-            t = float(value)
-        else:
-            params[args.var] = float(value)
+    for value in map(float, grid):
+        params = {**fixed, args.var: value}
         try:
-            point = EvalPoint(Geometry(params["a"], params["z"]), t)
+            point = EvalPoint(Geometry(params["a"], params["z"]), params["t"])
         except GeometryError:
-            rows.append(_empty_row(args.var, float(value), None, "domain"))
+            rows.append(_empty_row(args.var, value, None, "domain"))
             continue
         row = _eval_row(kind, point, particle, args.window)
-        row["variable"] = args.var
-        row["value"] = float(value)
+        row.update(variable=args.var, value=value)
         rows.append(row)
 
     if args.format == "json":
-        json.dump({"quantity": kind.token, "rows": rows}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit_json({"quantity": kind.token, "rows": rows})
     else:
-        _emit_csv(rows, sys.stdout)
+        _emit_csv(rows)
 
     statuses = {r["status"] for r in rows}
     return next(code for status, code in _EXIT_CODES.items() if status in statuses)
@@ -244,61 +236,48 @@ def cmd_sweep(args):
 def cmd_compare(args):
     kind = DispersionKind.from_token(args.quantity)
     point = _point(args)
-    exact = dispersion_exact(kind, point, window=args.window)
-
-    routes = [("exact", exact.value)]
+    routes = {"exact": dispersion_exact(kind, point, window=args.window).value}
     if args.oracle:
-        oracle_val = dispersion_via_quadrature(
+        routes["quadrature"] = dispersion_via_quadrature(
             kind, point, n_images=args.n_images, window=args.window
-        )
-        routes.append(("quadrature", oracle_val.value))
+        ).value
     for name, func in (
         ("large_a", approx_large_a),
         ("large_t", functools.partial(approx_large_t, window=args.window)),
     ):
         try:
-            routes.append((name, func(kind, point).value))
+            routes[name] = func(kind, point).value
         except RegimeError:
             continue
 
-    def _rel(val):
-        return abs(val - exact.value) / abs(exact.value) if exact.value else None
-
-    if args.format == "json":
-        payload = {
-            "quantity": kind.token,
-            "a": point.geometry.a,
-            "z": point.geometry.z,
-            "t": point.t,
-            "routes": [
-                {
-                    "route": name,
-                    "value": val,
-                    "abs_diff_vs_exact": abs(val - exact.value),
-                    "rel_diff_vs_exact": _rel(val),
-                }
-                for name, val in routes
-            ],
+    exact = routes["exact"]
+    rows = [
+        {
+            "route": name,
+            "value": val,
+            "abs_diff_vs_exact": abs(val - exact),
+            "rel_diff_vs_exact": abs(val - exact) / abs(exact) if exact else None,
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        for name, val in routes.items()
+    ]
+    if args.format == "json":
+        _emit_json({**_where(kind, point), "routes": rows})
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["route", "value", "abs_diff_vs_exact", "rel_diff_vs_exact"])
-        for name, val in routes:
-            writer.writerow([name, _fmt(val), _fmt(abs(val - exact.value)), _fmt(_rel(val))])
+        _emit_csv(rows, header=list(rows[0]))
     else:
-        width = max(len(name) for name, _ in routes)
-        for name, val in routes:
+        width = max(map(len, routes))
+        for row in rows:
             print(
-                f"{name:<{width}}  {_fmt(val):<26}  diff {_fmt(abs(val - exact.value))}"
-                f"  rel {_fmt(_rel(val))}"
+                f"{row['route']:<{width}}  {_fmt(row['value']):<26}"
+                f"  diff {_fmt(row['abs_diff_vs_exact'])}  rel {_fmt(row['rel_diff_vs_exact'])}"
             )
     return 0
 
 
 def cmd_physics(args):
     point = _point(args)
+    if point.t == math.inf:  # not to end up as the amplification note below
+        raise GeometryError(f"elapsed time must be finite and nonnegative, got t={point.t}")
     particle = PARTICLES[args.particle or "electron"]
     geom = point.geometry
     z_near = min(geom.z, geom.zbar)
@@ -317,13 +296,12 @@ def cmd_physics(args):
     }
     try:
         report["amplification_ratio"] = amplification_ratio(point)
-    except (SingularWindowError, ConvergenceError) as exc:
+    except PlatevacError as exc:  # on a light cone, or at t = 0 where the ratio is 0/0
         report["amplification_ratio"] = None
         report["amplification_note"] = str(exc)
 
     if args.format == "json":
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit_json(report)
     else:
         print(f"particle               {report['particle']}")
         print(f"effective temperature  {_fmt(report['effective_temperature_K'])} K")
@@ -423,9 +401,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()  # built once: main may be called many times in one process
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except PlatevacError as exc:

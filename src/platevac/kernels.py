@@ -264,9 +264,17 @@ def horizon(a, z, t):
     """Image index beyond which every offset family lies past the light front t/2.
 
     Image terms decay like offset**-4 only beyond it, so no image sum may
-    stop before it.
+    stop before it. GeometryError when that index is beyond the float range.
     """
-    return int(math.ceil((0.5 * t + z) / a)) + 1
+    return _image_index(math.ceil, (0.5 * t + z) / a) + 1
+
+
+def _image_index(rounding, x):
+    """``rounding(x)`` as an int; GeometryError when x is beyond the float range."""
+    try:
+        return int(rounding(x))
+    except OverflowError:
+        raise GeometryError(f"image index {x} is beyond the float range") from None
 
 
 class SingularityReport:
@@ -352,13 +360,13 @@ def _nearest_cone(families, a, t, threshold):
     family (name, shift, n_low); the nearest has n next to (t/2 - shift) / a.
     Ties go to the first family listed, then to the lowest n.
     """
-    best = (math.inf, None, None, None)
+    best = None
     for family, shift, n_low in families:
-        centre = round((0.5 * t - shift) / a)
+        centre = _image_index(round, (0.5 * t - shift) / a)
         for n in range(max(n_low, centre - 1), centre + 2):
             offset = abs(n * a + shift)
             dist = _cone_distance(offset, t)
-            if dist < best[0]:
+            if best is None or dist < best[0]:
                 best = (dist, offset, family, n)
     dist, offset, family, n = best
     return SingularityReport(float(dist), float(offset), float(2.0 * offset), family, n, threshold)

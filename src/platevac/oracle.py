@@ -101,13 +101,17 @@ def _weight(observable, t):
             return (2.0 * (t - tau0), -2.0)
 
     else:
+        try:
+            t3 = t**3
+        except OverflowError:
+            raise GeometryError(f"position weight at t={t} is beyond the float range") from None
 
         def w(tau):
-            return 2.0 * t**3 / 3.0 - tau * t * t + tau**3 / 3.0
+            return 2.0 * t3 / 3.0 - tau * t * t + tau**3 / 3.0
 
         def taylor(tau0):
             return (
-                2.0 * t**3 / 3.0 - tau0 * t * t + tau0**3 / 3.0,
+                2.0 * t3 / 3.0 - tau0 * t * t + tau0**3 / 3.0,
                 tau0 * tau0 - t * t,
                 tau0,
                 1.0 / 3.0,

@@ -92,7 +92,11 @@ def effective_temperature(z, particle=ELECTRON):
     """
     if z <= 0.0:
         raise GeometryError(f"plate distance must be positive, got z={z}")
-    return ALPHA / (math.pi * BOLTZMANN_EV_K * particle.mass_ev * z * z)
+    denominator = math.pi * BOLTZMANN_EV_K * particle.mass_ev * z * z  # 0 when z * z underflows
+    kelvin = ALPHA / denominator if denominator else math.inf
+    if kelvin == math.inf:
+        raise GeometryError(f"effective temperature at z={z} is beyond the float range")
+    return kelvin
 
 
 def falling_time(z0, particle=ELECTRON):
@@ -104,7 +108,10 @@ def falling_time(z0, particle=ELECTRON):
     """
     if z0 <= 0.0:
         raise GeometryError(f"initial distance must be positive, got z0={z0}")
-    return math.sqrt(particle.mass_ev * z0**3 / E_SQUARED)
+    try:
+        return math.sqrt(particle.mass_ev * z0**3 / E_SQUARED)
+    except OverflowError:
+        raise GeometryError(f"fall time from z0={z0} is beyond the float range") from None
 
 
 def separation_threshold(particle=ELECTRON, kappa=1.0):
@@ -128,11 +135,17 @@ def displacement_bound(z, particle=ELECTRON):
 def amplification_ratio(point):
     """Two-plate normal velocity dispersion over its single-plate value.
 
-    Both reduced, same z and t, so the universal prefactor cancels.
+    Both reduced, same z and t, so the universal prefactor cancels. Where
+    the single-plate value is 0, as at t = 0, the ratio is undefined and
+    GeometryError is raised.
     """
     kind = DispersionKind("normal", "velocity")
     plates = dispersion_exact(kind, point).value
     single = single_plate_reference(kind, point.geometry.z, point.t)
+    if single == 0.0:
+        raise GeometryError(
+            f"amplification ratio undefined at t={point.t}: the single-plate value is 0"
+        )
     return plates / single
 
 
@@ -146,39 +159,18 @@ def validity_check(point, particle=ELECTRON, safety=10.0):
     """
     geom, t = point.geometry, point.t
     z_near = min(geom.z, geom.zbar)
-    checks = []
-
-    bound = displacement_bound(z_near, particle)
-    checks.append(
-        {
-            "name": "displacement",
-            "description": "position spread below plate distance: t << m z**2",
-            "limit": bound / safety,
-            "value": t,
-            "ok": t <= bound / safety,
-        }
+    # (name, description, value, limit, whether the value must stay below the limit)
+    table = (
+        ("displacement", "position spread below plate distance: t << m z**2",
+         t, displacement_bound(z_near, particle) / safety, True),
+        ("falling", "image attraction has not pulled the particle in",
+         t, falling_time(z_near, particle) / safety, True),
+        ("separation", "gap wide enough that crossing times fit the fall time",
+         geom.a, separation_threshold(particle) * safety, False),
     )
-
-    fall = falling_time(z_near, particle)
-    checks.append(
-        {
-            "name": "falling",
-            "description": "image attraction has not pulled the particle in",
-            "limit": fall / safety,
-            "value": t,
-            "ok": t <= fall / safety,
-        }
-    )
-
-    threshold = separation_threshold(particle)
-    checks.append(
-        {
-            "name": "separation",
-            "description": "gap wide enough that crossing times fit the fall time",
-            "limit": threshold * safety,
-            "value": geom.a,
-            "ok": geom.a >= threshold * safety,
-        }
-    )
-
+    checks = [
+        dict(name=name, description=description, limit=limit, value=value,
+             ok=value <= limit if below else value >= limit)
+        for name, description, value, limit, below in table
+    ]
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}

@@ -6,13 +6,20 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 
 import pytest
 
 import scipy.integrate
 
-from platevac import ConvergenceError, SingularWindowError, length_to_natural, time_to_natural
+from platevac import (
+    ConvergenceError,
+    SingularWindowError,
+    length_to_natural,
+    single_plate_reference,
+    time_to_natural,
+)
 from platevac.cli import CSV_HEADER, _fmt, build_parser, main
 
 
@@ -716,3 +723,122 @@ def test_physics_on_a_light_cone_reports_no_ratio(capsys):
     rec = json.loads(out)
     assert rec["amplification_ratio"] is None
     assert "cone" in rec["amplification_note"]
+
+
+def _compare_routes(capsys, argv, fmt):
+    """{route: (value, abs diff, rel diff)} as the strings _fmt would print."""
+    rc, out = run_cli(capsys, *argv, "--format", fmt)
+    assert rc == 0
+    if fmt == "json":
+        rows = [list(r.values()) for r in json.loads(out)["routes"]]
+        return {r[0]: tuple(_fmt(x) for x in r[1:]) for r in rows}
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["route", "value", "abs_diff_vs_exact", "rel_diff_vs_exact"]
+        return {r[0]: tuple(r[1:]) for r in rows[1:]}
+    routes = {}
+    for line in out.splitlines():
+        name, value, diff_label, diff, rel_label, *rel = line.split()
+        assert (diff_label, rel_label) == ("diff", "rel")
+        routes[name] = (value, diff, rel[0] if rel else "")
+    return routes
+
+
+@pytest.mark.parametrize(
+    "point, approx", [(("1", "0.5", "0.01"), "large_a"), (("1", "0.5", "1000.5"), "large_t")]
+)
+def test_compare_formats_carry_the_same_routes(capsys, point, approx):
+    a, z, t = point
+    argv = ["compare", "--quantity", "dv2-normal", "--a", a, "--z", z, "--t", t, "--oracle"]
+    by_format = [_compare_routes(capsys, argv, fmt) for fmt in ("json", "csv", "text")]
+    assert list(by_format[0]) == ["exact", "quadrature", approx]
+    assert by_format[0] == by_format[1] == by_format[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_main_repeats_in_process(capsys, tmp_path):
+    evaluate = ["eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
+                "--format", "json", "--adjudication", str(tmp_path / "missing.json")]
+    first = run_cli(capsys, *evaluate)
+    rc, _ = run_cli(capsys, "sweep", "--quantity", "dv2-normal", "--var", "z", "--start", "2",
+                    "--stop", "3", "--steps", "2", "--a", "1", "--t", "0.3")
+    assert rc == 2
+    with pytest.raises(SystemExit):
+        main(["eval", "--quantity", "dv2-normal", "--bogus"])
+    capsys.readouterr()
+    assert run_cli(capsys, *evaluate) == first
+
+
+def test_sweep_parses_a_given_swept_flag(capsys):
+    argv = ["sweep", "--quantity", "dv2-normal", "--var", "z", "--start", "0.1", "--stop", "0.9",
+            "--steps", "3", "--a", "1", "--t", "0.3"]
+    assert main([*argv, "--z", "1x2"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse value '1x2'\n"
+    assert run_cli(capsys, *argv, "--z", "0.4") == run_cli(capsys, *argv)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, rc, expect",
+    [
+        ("eval --quantity dv2-normal --a 1 --z 0.3 --t 5e-324", 0, "sing_dist  inf"),
+        ("eval --quantity dv2-normal --a 1e-200 --z 1e-300 --t 1e300", 2, "status     domain"),
+        ("compare --quantity dv2-normal --a 1e300 --z 2.7 --t 0.3", 0, "large_a"),
+        ("compare --quantity dv2-parallel --a 1e-320 --z 5e-324 --t 0", 0, "large_a  0 "),
+        ("compare --quantity dv2-parallel --a 1e-155 --z 1e-320 --t 0", 0, "large_a  0 "),
+        ("physics --a 1 --z 0.5 --t 0 --format json", 0, '"amplification_ratio": null'),
+        ("physics --a 1 --z 0.5 --t 1e999", 2, "must be finite"),
+        ("physics --a 1e7 --z 1e-200 --t 1", 2, "float range"),
+        ("physics --a 1.5e308 --z 1e300 --t 1", 2, "float range"),
+        ("compare --quantity dx2-parallel --a 1e300 --z 1e7 --t 1e155 --oracle", 2, "float range"),
+    ],
+)
+def test_extreme_inputs_give_a_value_or_a_typed_error(capsys, argv, rc, expect):
+    assert main(argv.split()) == rc
+    captured = capsys.readouterr()
+    assert expect in captured.out + captured.err
+
+
+def test_compare_at_a_huge_separation_is_the_single_plate_value(capsys):
+    rc, out = run_cli(capsys, "compare", "--quantity", "dv2-normal", "--a", "1e300", "--z", "2.7",
+                      "--t", "0.3", "--format", "json")
+    assert rc == 0
+    routes = {r["route"]: r["value"] for r in json.loads(out)["routes"]}
+    single = single_plate_reference("dv2-normal", 2.7, 0.3)
+    assert routes["large_a"] == pytest.approx(single, rel=1e-15)
+    assert routes["exact"] == pytest.approx(single, rel=1e-15)
+
+
+_EXTREMES = ["0", "5e-324", "1e-320", "1e-200", "1e-155", "1e154", "1e300", "1.5e308", "1e999",
+             "1", "0.3", "0.5", "2.7", "1e7"]
+_QUANTITIES = ["dv2-normal", "dv2-parallel", "dx2-normal", "dx2-parallel"]
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(["eval", "compare", "physics", "sweep"])
+    a, z, t = (rng.choice(_EXTREMES) for _ in range(3))
+    point = ["--a", a, "--z", z, "--t", t]
+    if command == "physics":
+        return [command, *point, "--format", rng.choice(["text", "json"])]
+    quantity = ["--quantity", rng.choice(_QUANTITIES)]
+    if command == "sweep":
+        var = rng.choice("azt")
+        bounds = ["--start", rng.choice(_EXTREMES), "--stop", rng.choice(_EXTREMES), "--steps", "3"]
+        return [command, *quantity, "--var", var, *bounds, "--scale",
+                rng.choice(["linear", "log"]), *point]
+    oracle = ["--oracle"] if command == "compare" and rng.random() < 0.3 else []
+    return [command, *quantity, *point, *oracle, "--format", rng.choice(["text", "json", "csv"])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_no_argv_ends_in_a_traceback(capsys):
+    # Seeded draws of a, z and t from zero, subnormals, the edges of the float range and beyond.
+    rng = random.Random(2004)
+    for _ in range(4000):
+        argv = _fuzz_argv(rng)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            rc = exc.code
+        capsys.readouterr()
+        assert rc in (0, 2, 3, 4, 5), argv

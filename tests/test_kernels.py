@@ -150,6 +150,16 @@ def test_singularity_report_guards_and_repr():
     assert "distance=1.639e-02" in text and "family='shifted'" in text
 
 
+def test_singularity_report_at_the_edges_of_the_float_range():
+    # At the smallest subnormal t every relative distance is inf; the scan still reports one.
+    report = singularity_report(0.3, 1.0, 5e-324)
+    assert report.distance == math.inf and not report.is_near
+    assert (report.family, report.n, report.nearest_offset) == ("plain", 1, 1.0)
+    # (t/2) / a overflows: the image index has no float value
+    with pytest.raises(GeometryError, match="float range"):
+        singularity_report(1e-300, 1e-200, 1e300)
+
+
 def _nearest_cone(z, a, t, n_scan=2000):
     best = (math.inf, None)
     offsets = [n * a for n in range(1, n_scan)]

@@ -124,3 +124,15 @@ def test_validity_check_flags():
     narrow = validity_check(EvalPoint(Geometry(tiny_a, tiny_a / 2.0), tiny_a / 100.0))
     names = {c["name"]: c["ok"] for c in narrow["checks"]}
     assert names["separation"] is False
+
+
+def test_scales_beyond_the_float_range_are_geometry_errors():
+    with pytest.raises(GeometryError, match="float range"):
+        effective_temperature(1e-200)  # z * z underflows
+    with pytest.raises(GeometryError, match="float range"):
+        effective_temperature(5e-161)  # the temperature overflows
+    with pytest.raises(GeometryError, match="float range"):
+        falling_time(1e300)
+    # at t = 0 both dispersions vanish and their ratio is undefined
+    with pytest.raises(GeometryError, match="undefined"):
+        amplification_ratio(EvalPoint(Geometry(1.0, 0.5), 0.0))
