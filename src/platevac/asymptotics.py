@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import spence, zeta
 
 from .dispersions import single_plate_reference
-from .errors import GeometryError, RegimeError
+from .errors import GeometryError, RegimeError, in_float_range
 from .kernels import _SERIES, SINGULAR_WINDOW, checked_report, singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -35,16 +35,14 @@ def image_sum_quartic(z, a):
     """Closed form of sum over all integers n of 1 / (n a + z)**4.
 
     Equals (pi / (a sin(pi z/a)))**4 (2 + cos(2 pi z/a)) / 3, formed from
-    z sinc(z/a) = a sin(pi z/a) / pi so that it is 0 or subnormal below
-    the float range; above it, GeometryError.
+    1 / (z sinc(z/a)) = pi / (a sin(pi z/a)) so that it is 0 or subnormal
+    below the float range; above it, GeometryError.
     """
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    try:
-        w4 = (z * float(np.sinc(z / a))) ** -4
-    except (OverflowError, ZeroDivisionError):
-        raise GeometryError(f"lattice sum at z={z}, a={a} is beyond the float range") from None
-    return w4 * (2.0 + math.cos(2.0 * math.pi * z / a)) / 3.0
+    r = 1.0 / z / float(np.sinc(z / a))
+    value = r * r * r * r * (2.0 + math.cos(2.0 * math.pi * z / a)) / 3.0
+    return in_float_range(value, f"lattice sum at z={z}, a={a}")
 
 
 def _wide_gap(kind, geom, t, k):
@@ -57,20 +55,10 @@ def _wide_gap(kind, geom, t, k):
     theta = geom.z / geom.a
     lattice = 2.0 * zeta(4.0) + kind.image_sign * (zeta(4.0, 1.0 + theta) + zeta(4.0, k - theta))
     near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
-    return ReducedValue(near + float(c[0] * lattice) * _power_law(t, geom.a, m))
-
-
-def _power_law(t, a, m):
-    """(t/2)**m / a**4, in logarithms where a power of a leaves the float range."""
-    try:
-        return (0.5 * t / a) ** m / a ** (4 - m)
-    except (OverflowError, ZeroDivisionError):
-        if t == 0.0:
-            return 0.0
-    try:
-        return math.exp(m * (math.log(t) - math.log(2.0)) - 4.0 * math.log(a))
-    except OverflowError:
-        raise GeometryError(f"image power law at t={t}, a={a} is beyond the float range") from None
+    # (t/2)**m / a**4 is the square of (t/2a)**(m/2) / a**(2 - m/2), where t/2a <= 1/5
+    root = (0.5 * t / geom.a) ** (m // 2) / geom.a ** (2 - m // 2)
+    value = near + float(c[0] * lattice) * root * root
+    return ReducedValue(in_float_range(value, "wide-gap value"))
 
 
 def approx_large_a(kind, point):
@@ -198,23 +186,26 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     if tau < REGIME_MARGIN:
         raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")
     checked_report(singularity_report(geom.z, a, t, threshold=window), t)
+    # a sin(pi theta) = pi z sinc(theta), whose factors stay above 0 when theta underflows
+    sinc = float(np.sinc(theta))
     if kind.axis == "normal":
-        plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + math.sin(math.pi * theta) ** -2)
-        value = plateau if kind.observable == "velocity" else plateau * t * t / 2.0
+        # (pi/2a)**2 / 3 + (pi / (2a sin(pi theta)))**2, each root times t/sqrt(2) for positions
+        scale = 1.0 if kind.observable == "velocity" else t / math.sqrt(2.0)
+        p, q = math.pi / 2.0 / a * scale, 0.5 / geom.z / sinc * scale
+        value = p * p / 3.0 + q * q
     elif kind.observable == "velocity":
         value = (
-            math.pi / (8.0 * a * t) * _cone_contrast(_cot, tau, theta)
-            - 1.0 / (3.0 * t * t)
-            + _cone_contrast(_log_2sin, tau, theta) / (4.0 * t * t)
+            math.pi / 8.0 / t / a * _cone_contrast(_cot, tau, theta)
+            - (1.0 / 3.0 - _cone_contrast(_log_2sin, tau, theta) / 4.0) / t / t
         )
     else:
         value = (
-            -math.log(math.pi * t / (2.0 * a * math.sin(math.pi * theta))) / 3.0
+            -math.log(0.5 * t / geom.z / sinc) / 3.0
             + 1.0 / 18.0
             + _cone_contrast(_log_2sin, tau, theta) / 4.0
-            - a / (4.0 * math.pi * t) * _cone_contrast(_clausen2, tau, theta)
+            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, tau, theta)
         )
-    return ReducedValue(value)
+    return ReducedValue(in_float_range(value, "late-time law"))
 
 
 def midpoint_extremal(kind, a, t):

@@ -76,6 +76,8 @@ def _parse_value(text, *, allow_time=False):
         value = float(number)
     except ValueError:
         raise GeometryError(f"cannot parse number in {text!r}") from None
+    if not math.isfinite(value):
+        raise GeometryError(f"number must be finite, got {text!r}")
     if not unit:
         return value
     if unit == "s":
@@ -137,8 +139,17 @@ def _where(kind, point):
     return {"quantity": kind.token, "a": point.geometry.a, "z": point.geometry.z, "t": point.t}
 
 
+def _json_safe(obj):
+    """``obj`` with each float that is not finite as None, since strict JSON has no inf or nan."""
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _emit_json(record):
-    json.dump(record, sys.stdout, indent=2)
+    json.dump(_json_safe(record), sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -276,8 +287,6 @@ def cmd_compare(args):
 
 def cmd_physics(args):
     point = _point(args)
-    if point.t == math.inf:  # not to end up as the amplification note below
-        raise GeometryError(f"elapsed time must be finite and nonnegative, got t={point.t}")
     particle = PARTICLES[args.particle or "electron"]
     geom = point.geometry
     z_near = min(geom.z, geom.zbar)

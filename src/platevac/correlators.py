@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ConvergenceError, GeometryError, SingularWindowError
+from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
 from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, checked_report, horizon
 from .kernels import singularity_report
 from .quantities import Geometry, ReducedValue
@@ -63,8 +63,10 @@ _K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 4, 1)
 
 def _correlator_term(kvec, x, dt):
     _image_report(x, abs(dt), SINGULAR_WINDOW)
-    x = np.float64(abs(x))
-    return float(kvec(4.0 * x * x, abs(dt)))
+    x, dt = abs(x), abs(dt)
+    h = max(x, 0.5 * dt)  # K has degree -4, so K(4 x**2, dt) = K(4 (x/h)**2, dt/h) / h**4
+    xh = x / h
+    return in_float_range(kvec(4.0 * xh * xh, dt / h) / h / h / h / h, "image term")
 
 
 def correlator_term_parallel(x, dt):
@@ -103,10 +105,7 @@ def _hurwitz_tail(total, series, step, q, weights):
     zq = zeta(2.0 * k + s0, q)
     # zeta underflows to 0 for large k and q, where q**k may overflow.
     qk = q ** np.where(zq > 0.0, k, 0.0)
-    try:
-        scale = (h / step) ** m / step ** (s0 - m)
-    except OverflowError:  # step**(s0-m) beyond the float range: every term is 0
-        scale = 0.0
+    scale = np.float64(h / step) ** m / np.float64(step) ** (s0 - m)
     terms = (c[:, None] * weights * scale) * u ** (2.0 * k) * (qk * zq * qk)
     rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
     bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1)
@@ -127,19 +126,17 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
         raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
-    base = np.arange(1, N + 1, dtype=float) * a
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        base = np.arange(1, N + 1, dtype=float) * a
         if d == 0.0:  # one column of weight 2: half the kernel work of the pair at +/-d
             plain, shifts, weights = 2.0 * fvec(base), [0.0], [2.0]
         else:
             plain, shifts, weights = fvec(base + d) + fvec(base - d), [d, -d], [1.0, 1.0]
         vals = plain + sign * (fvec(base + z) + fvec(base - z))
         total = sign * float(fvec(np.array([z]))[0]) + float(np.sum(vals))
-    if not math.isfinite(total):
-        raise GeometryError(f"image sum is {total}: the value is beyond the float range")
-    q = N + 1.0 + np.array([*shifts, z, -z]) / a
-    value, tail = _hurwitz_tail(total, series, a, q, np.array([*weights, sign, sign]))
-    return value, tail, N
+        q = N + 1.0 + np.array([*shifts, z, -z]) / a
+        value, tail = _hurwitz_tail(total, series, a, q, np.array([*weights, sign, sign]))
+    return in_float_range(value, "image sum"), tail, N
 
 
 def _efield(kvec, series, sign, z, a, dt, window):
@@ -184,14 +181,8 @@ def empty_space_efield(dt):
         raise GeometryError(f"time difference must be finite, got dt={dt}")
     if dt == 0.0:
         raise SingularWindowError("empty-space correlator diverges at dt = 0")
-    try:
-        dt4 = dt**4
-    except OverflowError:  # dt**4 above the float range: the value is subnormal or 0
-        return (1.0 / (math.pi * dt * dt)) ** 2
-    value = 1.0 / (math.pi * math.pi * dt4) if dt4 else math.inf
-    if value == math.inf:
-        raise GeometryError(f"empty-space correlator at dt={dt} is beyond the float range")
-    return value
+    value = 1.0 / (math.pi * math.pi) / dt / dt / dt / dt
+    return in_float_range(value, f"empty-space correlator at dt={dt}")
 
 
 def minkowski_two_point(mu, nu, dt, dx, dy, dz):

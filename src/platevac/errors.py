@@ -3,6 +3,8 @@
 Each error maps to a stable CLI exit code; see :mod:`platevac.cli`.
 """
 
+import math
+
 
 class PlatevacError(Exception):
     """Base class for all library errors."""
@@ -45,3 +47,10 @@ class RegimeError(PlatevacError):
     """An asymptotic formula was requested outside its regime of validity."""
 
     exit_code = 5
+
+
+def in_float_range(value, what):
+    """``value`` if it is finite, else GeometryError: ``what`` is beyond the float range."""
+    if not math.isfinite(value):
+        raise GeometryError(f"{what} is beyond the float range")
+    return value

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import GeometryError, SingularWindowError
+from .errors import GeometryError, SingularWindowError, in_float_range
 
 # Default relative half-width of the excluded window around each light cone.
 SINGULAR_WINDOW = 1e-6
@@ -180,17 +180,14 @@ _SCALED = {
 }
 
 
-def _image_values(scaled, per_x2, x, t):
-    """Closed kernel of images at distances x > 0: scaled(t/2x), over x**2 if per_x2."""
-    v = scaled(t / (2.0 * x))
-    return v / (x * x) if per_x2 else v
-
-
 def _kernel_at(scaled, per_x2, x, t, window):
     if _image_report(x, t, window) is None:
         return 0.0
-    # one image in Python floats: a float in gives a float out
-    return _image_values(lambda u: float(scaled(u)), per_x2, abs(x), t)
+    x = abs(x)
+    u = in_float_range(t / x * 0.5, "ratio t/x")
+    with np.errstate(over="ignore"):  # u*u may overflow on the way to a finite value
+        v = float(scaled(u))
+    return in_float_range(v / x / x if per_x2 else v, "kernel value")
 
 
 def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -257,7 +254,12 @@ def offset_kernel(kind, t):
     """
     key = (kind.axis, kind.observable)
     scaled, per_x2 = _SCALED[key]
-    return (lambda x: _image_values(scaled, per_x2, x, t)), (*_SERIES[key], 0.5 * t)
+
+    def fvec(x):
+        v = scaled(t / (2.0 * x))
+        return v / (x * x) if per_x2 else v
+
+    return fvec, (*_SERIES[key], 0.5 * t)
 
 
 def horizon(a, z, t):
@@ -266,15 +268,7 @@ def horizon(a, z, t):
     Image terms decay like offset**-4 only beyond it, so no image sum may
     stop before it. GeometryError when that index is beyond the float range.
     """
-    return _image_index(math.ceil, (0.5 * t + z) / a) + 1
-
-
-def _image_index(rounding, x):
-    """``rounding(x)`` as an int; GeometryError when x is beyond the float range."""
-    try:
-        return int(rounding(x))
-    except OverflowError:
-        raise GeometryError(f"image index {x} is beyond the float range") from None
+    return math.ceil(in_float_range((0.5 * t + z) / a, "image index")) + 1
 
 
 class SingularityReport:
@@ -362,7 +356,7 @@ def _nearest_cone(families, a, t, threshold):
     """
     best = None
     for family, shift, n_low in families:
-        centre = _image_index(round, (0.5 * t - shift) / a)
+        centre = round(in_float_range((0.5 * t - shift) / a, "image index"))
         for n in range(max(n_low, centre - 1), centre + 2):
             offset = abs(n * a + shift)
             dist = _cone_distance(offset, t)

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.integrate
 
 from .correlators import _N_MAX, _grouped_image_sum, _k_normal, _k_parallel
-from .errors import ConvergenceError, GeometryError
+from .errors import ConvergenceError, GeometryError, in_float_range
 from .kernels import (
     SINGULAR_WINDOW,
     _SCALED,
@@ -101,13 +101,11 @@ def _weight(observable, t):
             return (2.0 * (t - tau0), -2.0)
 
     else:
-        try:
-            t3 = t**3
-        except OverflowError:
-            raise GeometryError(f"position weight at t={t} is beyond the float range") from None
+        # numpy cubes: inf beyond the float range rather than OverflowError
+        t3 = np.float64(t) ** 3
 
         def w(tau):
-            return 2.0 * t3 / 3.0 - tau * t * t + tau**3 / 3.0
+            return 2.0 * t3 / 3.0 - tau * t * t + np.float64(tau) ** 3 / 3.0
 
         def taylor(tau0):
             return (
@@ -180,24 +178,24 @@ def _image_sum(axis, observable, x, c, t):
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
-    w, _ = _weight(observable, t)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w, _ = _weight(observable, t)
+        split = x < t
+        tau0 = 2.0 * x[split]
+        closed = float(np.dot(c[split], _finite_part_image(axis, observable, x[split], t)))
+        # Mirror-pole coefficients with the image weights folded in, highest order first.
+        mirror = [c[split] * bk for bk in reversed(_laurent(axis, tau0)[1])]
+        c_raw = c[~split]
+        x2_raw = 4.0 * x[~split] ** 2
 
-    split = x < t
-    tau0 = 2.0 * x[split]
-    closed = float(np.dot(c[split], _finite_part_image(axis, observable, x[split], t)))
-    # Mirror-pole coefficients with the image weights folded in, highest order first.
-    mirror = [c[split] * bk for bk in reversed(_laurent(axis, tau0)[1])]
-    c_raw = c[~split]
-    x2_raw = 4.0 * x[~split] ** 2
+        def smooth(tau):
+            r = 1.0 / (tau + tau0)
+            acc = mirror[0]
+            for bk in mirror[1:]:
+                acc = acc * r + bk
+            return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _RAW[axis](x2_raw, tau)))
 
-    def smooth(tau):
-        r = 1.0 / (tau + tau0)
-        acc = mirror[0]
-        for bk in mirror[1:]:
-            acc = acc * r + bk
-        return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _RAW[axis](x2_raw, tau)))
-
-    return closed + _quad(smooth, 0.0, t)
+        return in_float_range(closed + _quad(smooth, 0.0, t), "image integral")
 
 
 def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
@@ -210,8 +208,9 @@ def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
 
 def _weighted_integral(observable, kernel, t):
     _check_t(t)
-    w, _ = _weight(observable, t)
-    return _quad(lambda tau: w(tau) * kernel(tau), 0.0, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, _ = _weight(observable, t)
+        return in_float_range(_quad(lambda tau: w(tau) * kernel(tau), 0.0, t), "weighted integral")
 
 
 def velocity_integral(kernel, t):
@@ -284,8 +283,9 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
 
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
-    na = np.arange(1.0, n_images + 1) * a
-    offsets = np.concatenate(([z], na, na + z, na - z))
+    with np.errstate(over="ignore"):
+        na = np.arange(1.0, n_images + 1) * a
+        offsets = np.concatenate(([z], na, na + z, na - z))
     weights = np.concatenate(([sign], np.full(na.size, 2.0), np.full(2 * na.size, sign)))
     total = _image_sum(axis, obs, offsets, weights, t)
     last = n_images * a + np.array([0.0, z, -z])

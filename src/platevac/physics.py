@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .dispersions import dispersion_exact, single_plate_reference
-from .errors import GeometryError
-from .quantities import DispersionKind
+from .errors import GeometryError, in_float_range
+from .kernels import checked_report, singularity_report
+from .quantities import DispersionKind, EvalPoint, Geometry
 
 # CODATA 2018.
 ALPHA = 7.2973525693e-3
@@ -29,8 +30,8 @@ class Particle:
     mass_ev: float
 
     def __post_init__(self):
-        if self.mass_ev <= 0.0:
-            raise GeometryError(f"particle mass must be positive, got {self.mass_ev}")
+        if not (0.0 < self.mass_ev < math.inf):
+            raise GeometryError(f"particle mass must be positive and finite, got {self.mass_ev}")
 
 
 ELECTRON = Particle("electron", 510998.95)
@@ -55,7 +56,7 @@ def length_to_natural(value, unit):
         raise GeometryError(
             f"unknown length unit {unit!r}; expected one of {sorted(_LENGTH_UNITS_M)}"
         ) from None
-    return meters / HBARC_EV_M
+    return in_float_range(meters / HBARC_EV_M, f"length {value} {unit}")
 
 
 def natural_to_meters(value):
@@ -66,7 +67,7 @@ def time_to_natural(value, unit):
     """Convert a time in seconds to natural units (1/eV)."""
     if unit != "s":
         raise GeometryError(f"unknown time unit {unit!r}; expected 's'")
-    return value * SPEED_OF_LIGHT_M_S / HBARC_EV_M
+    return in_float_range(value * SPEED_OF_LIGHT_M_S / HBARC_EV_M, f"time {value} s")
 
 
 def physicalize(value, kind, particle):
@@ -77,11 +78,10 @@ def physicalize(value, kind, particle):
     and computed from geometry in natural units.
     """
     kind = DispersionKind.coerce(kind)
-    pref = 4.0 * ALPHA / (math.pi * particle.mass_ev**2)
-    out = pref * float(value)
+    out = float(value) / particle.mass_ev / particle.mass_ev * (4.0 * ALPHA / math.pi)
     if kind.observable == "position":
         out *= HBARC_EV_M**2
-    return out
+    return in_float_range(out, "physical value")
 
 
 def effective_temperature(z, particle=ELECTRON):
@@ -92,26 +92,20 @@ def effective_temperature(z, particle=ELECTRON):
     """
     if z <= 0.0:
         raise GeometryError(f"plate distance must be positive, got z={z}")
-    denominator = math.pi * BOLTZMANN_EV_K * particle.mass_ev * z * z  # 0 when z * z underflows
-    kelvin = ALPHA / denominator if denominator else math.inf
-    if kelvin == math.inf:
-        raise GeometryError(f"effective temperature at z={z} is beyond the float range")
-    return kelvin
+    kelvin = ALPHA / math.pi / BOLTZMANN_EV_K / particle.mass_ev / z / z
+    return in_float_range(kelvin, f"effective temperature at z={z}")
 
 
 def falling_time(z0, particle=ELECTRON):
     """Classical image-attraction fall time from rest at distance z0.
 
-    sqrt(m z0**3 / e**2) in natural units; the image force is
+    z0 sqrt(m z0 / e**2) in natural units; the image force is
     -e**2 / (4 z)**2 ~ treated at its initial magnitude, so this sets the
     scale on which the particle reaches the plate.
     """
     if z0 <= 0.0:
         raise GeometryError(f"initial distance must be positive, got z0={z0}")
-    try:
-        return math.sqrt(particle.mass_ev * z0**3 / E_SQUARED)
-    except OverflowError:
-        raise GeometryError(f"fall time from z0={z0} is beyond the float range") from None
+    return in_float_range(z0 * math.sqrt(particle.mass_ev * z0 / E_SQUARED), "fall time")
 
 
 def separation_threshold(particle=ELECTRON, kappa=1.0):
@@ -122,26 +116,30 @@ def separation_threshold(particle=ELECTRON, kappa=1.0):
     """
     if kappa <= 0.0:
         raise GeometryError(f"kappa must be positive, got {kappa}")
-    return 8.0 * kappa * kappa * E_SQUARED / particle.mass_ev
+    return in_float_range(8.0 * E_SQUARED / particle.mass_ev * kappa * kappa, "separation threshold")
 
 
 def displacement_bound(z, particle=ELECTRON):
     """Largest time with position spread safely below z: t <= m z**2."""
     if z <= 0.0:
         raise GeometryError(f"plate distance must be positive, got z={z}")
-    return particle.mass_ev * z * z
+    return in_float_range(particle.mass_ev * z * z, f"displacement bound at z={z}")
 
 
 def amplification_ratio(point):
     """Two-plate normal velocity dispersion over its single-plate value.
 
-    Both reduced, same z and t, so the universal prefactor cancels. Where
-    the single-plate value is 0, as at t = 0, the ratio is undefined and
-    GeometryError is raised.
+    Both reduced, same z and t, so the universal prefactor cancels; both
+    are taken at the point scaled exactly by the power of two that brings
+    a into [1/2, 1). Where the single-plate value is 0, as at t = 0, the
+    ratio is undefined and GeometryError is raised.
     """
     kind = DispersionKind("normal", "velocity")
-    plates = dispersion_exact(kind, point).value
-    single = single_plate_reference(kind, point.geometry.z, point.t)
+    geom, e = point.geometry, -math.frexp(point.geometry.a)[1]
+    checked_report(singularity_report(geom.z, geom.a, point.t), point.t)  # errors name this t
+    z, t = math.ldexp(geom.z, e), math.ldexp(point.t, e)
+    plates = dispersion_exact(kind, EvalPoint(Geometry(math.ldexp(geom.a, e), z), t)).value
+    single = single_plate_reference(kind, z, t)
     if single == 0.0:
         raise GeometryError(
             f"amplification ratio undefined at t={point.t}: the single-plate value is 0"
@@ -157,6 +155,8 @@ def validity_check(point, particle=ELECTRON, safety=10.0):
     fall time from the nearer plate. The separation itself must exceed
     the fall-time threshold. Returns a JSON-friendly dict.
     """
+    if not (0.0 < safety < math.inf):
+        raise GeometryError(f"safety factor must be positive and finite, got {safety}")
     geom, t = point.geometry, point.t
     z_near = min(geom.z, geom.zbar)
     # (name, description, value, limit, whether the value must stay below the limit)
@@ -169,8 +169,8 @@ def validity_check(point, particle=ELECTRON, safety=10.0):
          geom.a, separation_threshold(particle) * safety, False),
     )
     checks = [
-        dict(name=name, description=description, limit=limit, value=value,
-             ok=value <= limit if below else value >= limit)
+        dict(name=name, description=description, limit=in_float_range(limit, f"{name} limit"),
+             value=value, ok=value <= limit if below else value >= limit)
         for name, description, value, limit, below in table
     ]
     return {"checks": checks, "ok": all(c["ok"] for c in checks)}

@@ -66,8 +66,8 @@ class EvalPoint:
     t: float
 
     def __post_init__(self):
-        if not (self.t >= 0.0):
-            raise GeometryError(f"elapsed time must be nonnegative, got t={self.t}")
+        if not (0.0 <= self.t < math.inf):
+            raise GeometryError(f"elapsed time must be finite and nonnegative, got t={self.t}")
 
     @property
     def gamma(self):

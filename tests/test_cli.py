@@ -825,14 +825,18 @@ def _fuzz_argv(rng):
         var = rng.choice("azt")
         bounds = ["--start", rng.choice(_EXTREMES), "--stop", rng.choice(_EXTREMES), "--steps", "3"]
         return [command, *quantity, "--var", var, *bounds, "--scale",
-                rng.choice(["linear", "log"]), *point]
+                rng.choice(["linear", "log"]), *point, "--format", rng.choice(["csv", "json"])]
     oracle = ["--oracle"] if command == "compare" and rng.random() < 0.3 else []
     return [command, *quantity, *point, *oracle, "--format", rng.choice(["text", "json", "csv"])]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def test_no_argv_ends_in_a_traceback(capsys):
     # Seeded draws of a, z and t from zero, subnormals, the edges of the float range and beyond.
+    # Warnings are errors, and every JSON output must parse as strict JSON.
     rng = random.Random(2004)
     for _ in range(4000):
         argv = _fuzz_argv(rng)
@@ -840,5 +844,21 @@ def test_no_argv_ends_in_a_traceback(capsys):
             rc = main(argv)
         except SystemExit as exc:  # argparse rejected the argv
             rc = exc.code
-        capsys.readouterr()
+        out = capsys.readouterr().out
         assert rc in (0, 2, 3, 4, 5), argv
+        if "json" in argv and out:
+            json.loads(out, parse_constant=_reject_constant)
+
+
+def test_json_is_strict_and_command_line_numbers_are_finite(capsys):
+    rc, out = run_cli(capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.3",
+                      "--t", "5e-324", "--format", "json")
+    assert rc == 0
+    assert json.loads(out, parse_constant=_reject_constant)["sing_dist"] is None  # inf in text
+    sweep = ["sweep", "--quantity", "dv2-normal", "--start", "1e999", "--stop", "1e999",
+             "--a", "1", "--z", "0.5", "--format", "json"]
+    for argv in (sweep, ["eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5",
+                         "--t=-1e999", "--format", "json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be finite" in captured.err

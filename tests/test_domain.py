@@ -1,0 +1,278 @@
+"""Whole-domain gate: every numeric export gives a finite value or a typed error.
+
+Lengths are drawn log-uniform over 1e-300..1e300; z/a uniform, log-uniform
+down to 1e-300 and within 1e-16 of 1. Under warnings as errors (the suite's
+pytest setting), each call returns a finite float (a ReducedValue with a
+finite value and tail) or raises a PlatevacError. Times are capped in units
+of a where a route's cost grows with t/a: 50 for the image sums, 5 for the
+oracle.
+"""
+
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import platevac as pv
+from platevac import (
+    ALL_KINDS,
+    ELECTRON,
+    EvalPoint,
+    Geometry,
+    GeometryError,
+    Particle,
+    PlatevacError,
+    ReducedValue,
+)
+
+_GATE = settings(derandomize=True, deadline=None, max_examples=150)
+
+_LENGTHS = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_SIGNED = st.tuples(_LENGTHS, st.sampled_from((1.0, -1.0))).map(lambda p: p[0] * p[1])
+_Z_OVER_A = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0**e),
+    st.floats(-16.0, 0.0, exclude_max=True).map(lambda e: 1.0 - 10.0**e),
+)
+_KINDS = st.sampled_from(ALL_KINDS)
+_AXES = st.sampled_from(("parallel", "normal"))
+_PARTICLES = st.one_of(
+    st.sampled_from(sorted(pv.PARTICLES.values(), key=lambda p: p.name)),
+    _LENGTHS.map(lambda m: ("drawn", m)),
+)
+
+# Exports that take no numbers: the errors, constants, tables and report writers.
+_NOT_NUMERIC = {
+    "ALL_KINDS", "ALPHA", "ELECTRON", "PARTICLES", "PROTON", "SINGULAR_WINDOW",
+    "ConvergenceError", "GeometryError", "PlatevacError", "RegimeError", "SingularWindowError",
+    "DispersionKind", "QuadratureSpec", "ReducedValue", "SingularityReport",
+    "certification_report",
+}
+# The exports the gates below call, each under its public name.
+_GATED = {
+    "velocity_kernel_parallel", "velocity_kernel_normal", "position_kernel_parallel",
+    "position_kernel_normal", "correlator_term_parallel", "correlator_term_normal",
+    "single_plate_reference", "image_velocity_integral", "image_position_integral",
+    "efield_correlator_parallel", "efield_correlator_normal", "image_sum_quartic", "Geometry",
+    "EvalPoint", "dispersion_exact", "amplification_ratio", "recommend_regime",
+    "singularity_report", "renormalized_photon_two_point", "dispersion_via_quadrature",
+    "midpoint_extremal", "approx_large_t", "approx_large_a", "approx_large_a_far",
+    "empty_space_efield", "minkowski_two_point", "Particle", "effective_temperature",
+    "falling_time", "displacement_bound", "separation_threshold", "physicalize",
+    "length_to_natural", "time_to_natural", "natural_to_meters", "validity_check",
+    "velocity_integral", "position_integral",
+}
+
+
+def test_the_gates_cover_every_export_that_takes_numbers():
+    assert _GATED | _NOT_NUMERIC == set(pv.__all__)
+
+
+def _finite_or_typed(func, *args):
+    """func(*args) checked to be finite; None when it raises a PlatevacError."""
+    try:
+        out = func(*args)
+    except PlatevacError:
+        return None
+    assert math.isfinite(float(out)), (func.__name__, args, out)
+    if isinstance(out, ReducedValue):
+        assert math.isfinite(out.tail_estimate), (func.__name__, args, out)
+    return out
+
+
+def _particle(drawn):
+    return Particle(*drawn) if isinstance(drawn, tuple) else drawn
+
+
+def _point(a, z_over_a, t_over_a):
+    return EvalPoint(Geometry(a, a * z_over_a), a * t_over_a)
+
+
+@_GATE
+@given(x=_SIGNED, t=st.one_of(_LENGTHS, st.floats(-4.0, 4.0).map(lambda e: 10.0**e)),
+       relative=st.booleans(), kind=_KINDS, axis=_AXES)
+def test_single_image_routes(x, t, relative, kind, axis):
+    if relative:  # t in units of |x|, often near the light cone
+        t *= abs(x)
+    for func in (pv.velocity_kernel_parallel, pv.velocity_kernel_normal,
+                 pv.position_kernel_parallel, pv.position_kernel_normal,
+                 pv.correlator_term_parallel, pv.correlator_term_normal):
+        _finite_or_typed(func, x, t)
+    _finite_or_typed(pv.single_plate_reference, kind, abs(x), t)
+    if not relative or t <= 5.0 * abs(x):
+        _finite_or_typed(pv.image_velocity_integral, axis, x, t)
+        _finite_or_typed(pv.image_position_integral, axis, x, t)
+
+
+@_GATE
+@given(a=_LENGTHS, z_over_a=_Z_OVER_A, t_over_a=st.floats(0.0, 50.0), kind=_KINDS)
+def test_image_sums(a, z_over_a, t_over_a, kind):
+    z, t = a * z_over_a, a * t_over_a
+    for func in (pv.efield_correlator_parallel, pv.efield_correlator_normal):
+        _finite_or_typed(func, z, a, t)
+    _finite_or_typed(pv.image_sum_quartic, z, a)
+    try:
+        point = _point(a, z_over_a, t_over_a)
+    except GeometryError:
+        return
+    _finite_or_typed(pv.dispersion_exact, kind, point)
+    _finite_or_typed(pv.amplification_ratio, point)
+    assert pv.recommend_regime(point) in ("large_a", "intermediate", "large_t")
+    try:
+        report = pv.singularity_report(point.geometry.z, a, point.t)
+    except PlatevacError:
+        return
+    assert report.distance >= 0.0  # inf at t = 0 and where t is below the float range's reach
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(a=_LENGTHS, z_over_a=_Z_OVER_A, zp_over_a=_Z_OVER_A, dt_over_a=st.floats(0.0, 50.0),
+       dx_over_a=st.floats(-20.0, 20.0), mu=st.integers(0, 3), nu=st.integers(0, 3))
+def test_photon_two_point(a, z_over_a, zp_over_a, dt_over_a, dx_over_a, mu, nu):
+    _finite_or_typed(pv.renormalized_photon_two_point, mu, nu, a * dt_over_a, a * dx_over_a,
+                     0.5 * a * dx_over_a, a * z_over_a, a * zp_over_a, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(a=_LENGTHS, z_over_a=_Z_OVER_A, t_over_a=st.floats(0.0, 5.0), kind=_KINDS)
+def test_oracle(a, z_over_a, t_over_a, kind):
+    try:
+        point = _point(a, z_over_a, t_over_a)
+    except GeometryError:
+        return
+    _finite_or_typed(pv.dispersion_via_quadrature, kind, point)
+
+
+@_GATE
+@given(a=_LENGTHS, z_over_a=_Z_OVER_A, late=st.floats(1.0, 6.0), early=st.floats(-6.0, 0.0),
+       kind=_KINDS)
+def test_asymptotic_routes(a, z_over_a, late, early, kind):
+    _finite_or_typed(pv.midpoint_extremal, kind, a, a * 10.0**late)
+    try:
+        late_point = _point(a, z_over_a, 10.0**late)
+        early_point = _point(a, z_over_a, 0.4 * min(z_over_a, 1.0 - z_over_a) * 10.0**early)
+    except GeometryError:
+        return
+    _finite_or_typed(pv.approx_large_t, kind, late_point)
+    for func in (pv.approx_large_a, pv.approx_large_a_far):
+        _finite_or_typed(func, kind, early_point)
+
+
+@_GATE
+@given(parts=st.tuples(_SIGNED, _SIGNED, _SIGNED, _SIGNED), mu=st.integers(0, 3),
+       nu=st.integers(0, 3))
+def test_free_space_parts(parts, mu, nu):
+    _finite_or_typed(pv.empty_space_efield, parts[0])
+    _finite_or_typed(pv.minkowski_two_point, mu, nu, *parts)
+
+
+@_GATE
+@given(length=_LENGTHS, value=_SIGNED, drawn=_PARTICLES, kind=_KINDS, kappa=_LENGTHS,
+       unit=st.sampled_from(("m", "cm", "mm", "um", "nm", "A")))
+def test_physical_scales(length, value, drawn, kind, kappa, unit):
+    particle = _particle(drawn)
+    for func in (pv.effective_temperature, pv.falling_time, pv.displacement_bound):
+        _finite_or_typed(func, length, particle)
+    _finite_or_typed(pv.separation_threshold, particle, kappa)
+    _finite_or_typed(pv.physicalize, value, kind, particle)
+    _finite_or_typed(pv.length_to_natural, length, unit)
+    _finite_or_typed(pv.time_to_natural, length, "s")
+    _finite_or_typed(pv.natural_to_meters, value)
+
+
+@_GATE
+@given(a=_LENGTHS, z_over_a=_Z_OVER_A, t_over_a=st.floats(0.0, 50.0), drawn=_PARTICLES,
+       safety=st.one_of(st.sampled_from((0.0, -1.0)),
+                        st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+def test_validity_check(a, z_over_a, t_over_a, drawn, safety):
+    try:
+        report = pv.validity_check(_point(a, z_over_a, t_over_a), _particle(drawn), safety)
+    except PlatevacError:
+        return
+    for check in report["checks"]:
+        assert math.isfinite(check["value"]) and math.isfinite(check["limit"]), report
+
+
+@_GATE
+@given(t=_LENGTHS)
+def test_weighted_integrals(t):
+    _finite_or_typed(pv.velocity_integral, lambda tau: 1.0 / (1.0 + tau * tau), t)
+    _finite_or_typed(pv.position_integral, lambda tau: 1.0, t)
+
+
+_KERNELS = (
+    (pv.velocity_kernel_parallel, 2), (pv.velocity_kernel_normal, 2),
+    (pv.position_kernel_parallel, 0), (pv.position_kernel_normal, 0),
+    (pv.correlator_term_parallel, 4), (pv.correlator_term_normal, 4),
+)
+
+
+def _normal(value):
+    return sys.float_info.min <= abs(value) < math.inf
+
+
+def _normal_value(func, *args):
+    """func(*args) if it is a normal float; None if it raises, is 0 or is subnormal."""
+    try:
+        value = func(*args)
+    except PlatevacError:
+        return None
+    return value if _normal(value) else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(x=_SIGNED, t_over_x=st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+       k=st.integers(-1000, 1000), case=st.sampled_from(_KERNELS))
+def test_single_images_scale_with_their_dimension(x, t_over_x, k, case):
+    # At (2**k x, 2**k t) a value of dimension length**-p is 2**(-p k) times the one at (x, t),
+    # wherever the scaling is exact and both values are normal floats.
+    func, p = case
+    t = abs(x) * t_over_x
+    try:
+        xs, ts = math.ldexp(x, k), math.ldexp(t, k)
+    except OverflowError:
+        return
+    if not all(map(_normal, (x, t, xs, ts))):
+        return
+    here, there = _normal_value(func, x, t), _normal_value(func, xs, ts)
+    if here is None or there is None:
+        return
+    assert there == pytest.approx(math.ldexp(here, -p * k), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "func, args, expected",
+    [
+        (pv.velocity_kernel_normal, (1e-200, 0.3), GeometryError),
+        (pv.approx_large_t, ("dv2-normal", EvalPoint(Geometry(1.0, 1e-200), 100.5)), GeometryError),
+        (pv.correlator_term_parallel, (1e200, 0.3), -0.0),
+        (pv.displacement_bound, (1e200,), GeometryError),
+        (pv.length_to_natural, (1e303, "m"), GeometryError),
+        (pv.time_to_natural, (1e301, "s"), GeometryError),
+        (pv.separation_threshold, (ELECTRON, 1e160), GeometryError),
+    ],
+)
+def test_extreme_finite_inputs_give_a_value_or_a_float_range_error(func, args, expected):
+    if expected is GeometryError:
+        with pytest.raises(GeometryError, match="float range"):
+            func(*args)
+    else:
+        assert func(*args) == expected
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])
+def test_the_amplification_ratio_is_scale_free(k):
+    # the two dispersions it divides underflow to subnormals from a ~ 1e154 on
+    here = EvalPoint(Geometry(1.0, 0.3), 0.7)
+    there = EvalPoint(Geometry(math.ldexp(1.0, k), math.ldexp(0.3, k)), math.ldexp(0.7, k))
+    assert pv.amplification_ratio(there) == pv.amplification_ratio(here)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_points_and_particles_must_be_finite(bad):
+    with pytest.raises(GeometryError, match="finite"):
+        EvalPoint(Geometry(1.0, 0.5), bad)
+    with pytest.raises(GeometryError):
+        Particle("drawn", bad)
