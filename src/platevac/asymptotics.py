@@ -92,19 +92,23 @@ def approx_large_a_far(kind, point):
     return _wide_gap(kind, geom, t, 1)
 
 
-def _cone_contrast(f, tau, theta):
+def _cone_contrast(f, t, a, z):
     """Plain-family light-cone term minus the shifted family's.
 
     The plain images n a cross their light cones at integer tau = t/(2a),
     the shifted images n a -/+ z at tau = n +/- theta; ``f`` has period pi
-    and is evaluated at pi times the phase. Reducing the phase mod 1 first
-    keeps it exact when tau is large, where pi * tau would lose digits.
+    and is evaluated at pi times the phase. Each phase is the distance
+    t/2 - (n a + shift) to the family's nearest cone, over a: the cone
+    :func:`platevac.kernels.singularity_report` measures with the same
+    arithmetic. It keeps its digits when tau is large, where pi * tau would
+    lose them, and it is 0 only where the report's distance is 0.
     """
 
-    def at(x):
-        return f(math.pi * math.fmod(x, 1.0))
+    def at(shift):
+        n = round((0.5 * t - shift) / a)
+        return f(math.pi * ((0.5 * t - (n * a + shift)) / a))
 
-    return 2.0 * at(tau) - at(tau - theta) - at(tau + theta)
+    return 2.0 * at(0.0) - at(z) - at(-z)
 
 
 def _cot(x):
@@ -195,15 +199,15 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
         value = p * p / 3.0 + q * q
     elif kind.observable == "velocity":
         value = (
-            math.pi / 8.0 / t / a * _cone_contrast(_cot, tau, theta)
-            - (1.0 / 3.0 - _cone_contrast(_log_2sin, tau, theta) / 4.0) / t / t
+            math.pi / 8.0 / t / a * _cone_contrast(_cot, t, a, geom.z)
+            - (1.0 / 3.0 - _cone_contrast(_log_2sin, t, a, geom.z) / 4.0) / t / t
         )
     else:
         value = (
             -math.log(0.5 * t / geom.z / sinc) / 3.0
             + 1.0 / 18.0
-            + _cone_contrast(_log_2sin, tau, theta) / 4.0
-            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, tau, theta)
+            + _cone_contrast(_log_2sin, t, a, geom.z) / 4.0
+            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, t, a, geom.z)
         )
     return ReducedValue(in_float_range(value, "late-time law"))
 

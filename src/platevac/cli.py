@@ -211,8 +211,11 @@ def cmd_sweep(args):
         if start <= 0.0 or stop <= 0.0:
             raise GeometryError("log sweep needs positive bounds")
         grid = np.geomspace(start, stop, args.steps)
-    else:
+    elif math.isfinite(stop - start):
         grid = np.linspace(start, stop, args.steps)
+    else:  # stop - start is beyond the float range; weigh the two ends instead
+        s = np.linspace(0.0, 1.0, args.steps)
+        grid = start * (1.0 - s) + stop * s
 
     # Every flag given is parsed; the swept variable takes its values from the grid.
     fixed = {}

@@ -79,27 +79,41 @@ def _small_u_series(coef, u):
     return np.polyval(coef[_G_SERIES_TERMS - 1 :: -1], w) * w * w
 
 
+def _piecewise(u, *pieces):
+    """Each (mask, f) of ``pieces`` gives f(u[mask]) where its mask holds; the masks
+    partition u. A piece no element takes costs nothing, and one every element
+    takes is evaluated on u itself, so an array in one branch is not copied.
+    """
+    out = np.empty_like(u)
+    for mask, f in pieces:
+        if mask.all():
+            return f(u)
+        if mask.any():
+            out[mask] = f(u[mask])
+    return out
+
+
+def _vel_parallel_closed(u):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rational = u * u / (8.0 * (u * u - 1.0))
+    return rational - u * _lam(u) / 8.0
+
+
+def _vel_parallel_inverse(u):
+    # Large u: the two pieces cancel to O(u**-2); sum the difference series
+    # F_par = sum_{k>=1} k / (4 (2k+1)) u**(-2k) instead.
+    w = 1.0 / (u * u)
+    acc = np.zeros_like(u)
+    for k in range(_INV_SERIES_TERMS, 0, -1):
+        acc = acc * w + k / (4.0 * (2.0 * k + 1.0))
+    return acc * w
+
+
 def _vel_parallel_scaled(u):
     """F_par(u); ndarray in, ndarray out."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
     big = u >= _U_LARGE
-
-    us = u[~big]
-    lam = _lam(us)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rational = us * us / (8.0 * (us * us - 1.0))
-    out[~big] = rational - us * lam / 8.0
-
-    # Large u: the two pieces cancel to O(u**-2); sum the difference series
-    # F_par = sum_{k>=1} k / (4 (2k+1)) u**(-2k) instead.
-    ub = u[big]
-    w = 1.0 / (ub * ub)
-    acc = np.zeros_like(ub)
-    for k in range(_INV_SERIES_TERMS, 0, -1):
-        acc = acc * w + k / (4.0 * (2.0 * k + 1.0))
-    out[big] = acc * w
-    return out
+    return _piecewise(u, (~big, _vel_parallel_closed), (big, _vel_parallel_inverse))
 
 
 def _vel_normal_scaled(u):
@@ -108,41 +122,46 @@ def _vel_normal_scaled(u):
     return u * _lam(u) / 4.0
 
 
+def _pos_parallel_closed(u):
+    return (u * u - u * u * u * _lam(u) + _log_abs_one_minus_u2(u)) / 6.0
+
+
+def _pos_parallel_inverse(u):
+    # Large u: u**2 - u**3 artanh(1/u) = -1/3 - sum_{k>=1} u**(-2k)/(2k+3)
+    # and ln(u**2-1) = 2 ln u - sum_{k>=1} u**(-2k)/k.
+    w = 1.0 / (u * u)
+    acc = np.zeros_like(u)
+    for k in range(_INV_SERIES_TERMS, 0, -1):
+        acc = acc * w + 1.0 / (2.0 * k + 3.0) + 1.0 / k
+    return (2.0 * np.log(u) - 1.0 / 3.0 - acc * w) / 6.0
+
+
 def _pos_parallel_scaled(u):
     """G_par(u); series below the cut, closed form between, inverse series above."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
     small = u < _G_SERIES_CUT
     big = u >= _U_LARGE
-    mid = ~(small | big)
+    return _piecewise(
+        u,
+        (~(small | big), _pos_parallel_closed),
+        (small, lambda u: _small_u_series(_SERIES[("parallel", "position")][0], u)),
+        (big, _pos_parallel_inverse),
+    )
 
-    out[small] = _small_u_series(_SERIES[("parallel", "position")][0], u[small])
 
-    um = u[mid]
-    out[mid] = (um * um - um**3 * _lam(um) + _log_abs_one_minus_u2(um)) / 6.0
-
-    # Large u: u**2 - u**3 artanh(1/u) = -1/3 - sum_{k>=1} u**(-2k)/(2k+3)
-    # and ln(u**2-1) = 2 ln u - sum_{k>=1} u**(-2k)/k.
-    ub = u[big]
-    w = 1.0 / (ub * ub)
-    acc = np.zeros_like(ub)
-    for k in range(_INV_SERIES_TERMS, 0, -1):
-        acc = acc * w + 1.0 / (2.0 * k + 3.0) + 1.0 / k
-    out[big] = (2.0 * np.log(ub) - 1.0 / 3.0 - acc * w) / 6.0
-    return out
+def _pos_normal_closed(u):
+    return (u * u + 2.0 * u * u * u * _lam(u) + _log_abs_one_minus_u2(u)) / 6.0
 
 
 def _pos_normal_scaled(u):
     """G_norm(u); series below the cut, stable closed form everywhere else."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
     small = u < _G_SERIES_CUT
-
-    out[small] = _small_u_series(_SERIES[("normal", "position")][0], u[small])
-
-    ub = u[~small]
-    out[~small] = (ub * ub + 2.0 * ub**3 * _lam(ub) + _log_abs_one_minus_u2(ub)) / 6.0
-    return out
+    return _piecewise(
+        u,
+        (~small, _pos_normal_closed),
+        (small, lambda u: _small_u_series(_SERIES[("normal", "position")][0], u)),
+    )
 
 
 def _check_t(t):
@@ -180,13 +199,36 @@ _SCALED = {
 }
 
 
-def _kernel_at(scaled, per_x2, x, t, window):
+# From u = t/2x = _U_FAR on, w = (2x/t)**2 <= 1e-200 is nil against 1 and each kernel
+# is the first term of its inverse series in w, formed from x and t without u**2 or
+# u**3, which leave the float range (or take w below it) long before the value does:
+# F_par/x**2 = w/12/x**2 = 1/(3 t**2), F_norm/x**2 = 1/(4 x**2), G_par = (ln u - 1/6)/3
+# and G_norm = u**2/2 + ln(u)/3 + 1/9, with ln u = ln t - ln 2x.
+_U_FAR = 1e100
+
+
+def _ln_u(x, t):
+    return math.log(t) - math.log(2.0 * x)
+
+
+_FAR = {
+    ("parallel", "velocity"): lambda x, t: 1.0 / 3.0 / t / t,
+    ("normal", "velocity"): lambda x, t: 0.25 / x / x,
+    ("parallel", "position"): lambda x, t: (_ln_u(x, t) - 1.0 / 6.0) / 3.0,
+    ("normal", "position"): lambda x, t: t / x * (t / x) / 8.0 + _ln_u(x, t) / 3.0 + 1.0 / 9.0,
+}
+
+
+def _kernel_at(key, x, t, window):
+    """The kernel _SCALED[key] at one image x and time t, under the window rule."""
     if _image_report(x, t, window) is None:
         return 0.0
     x = abs(x)
-    u = in_float_range(t / x * 0.5, "ratio t/x")
-    with np.errstate(over="ignore"):  # u*u may overflow on the way to a finite value
-        v = float(scaled(u))
+    u = t / x * 0.5
+    if u >= _U_FAR:
+        return in_float_range(_FAR[key](x, t), "kernel value")
+    scaled, per_x2 = _SCALED[key]
+    v = float(scaled(u))
     return in_float_range(v / x / x if per_x2 else v, "kernel value")
 
 
@@ -215,7 +257,7 @@ def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
         If ``t`` is within ``window * t`` of the light cone, or on it; the
         error carries the :class:`SingularityReport`.
     """
-    return _kernel_at(*_SCALED[("parallel", "velocity")], x, t, window)
+    return _kernel_at(("parallel", "velocity"), x, t, window)
 
 
 def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -224,7 +266,7 @@ def velocity_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns
     F_norm(t / 2|x|) / x**2, which is strictly positive for t > 0.
     """
-    return _kernel_at(*_SCALED[("normal", "velocity")], x, t, window)
+    return _kernel_at(("normal", "velocity"), x, t, window)
 
 
 def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -233,7 +275,7 @@ def position_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_par(t / 2|x|).
     """
-    return _kernel_at(*_SCALED[("parallel", "position")], x, t, window)
+    return _kernel_at(("parallel", "position"), x, t, window)
 
 
 def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
@@ -242,7 +284,7 @@ def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     Same contract as :func:`velocity_kernel_parallel`; returns the
     dimensionless G_norm(t / 2|x|).
     """
-    return _kernel_at(*_SCALED[("normal", "position")], x, t, window)
+    return _kernel_at(("normal", "position"), x, t, window)
 
 
 def offset_kernel(kind, t):

@@ -7,6 +7,7 @@ import pytest
 
 from platevac import (
     GeometryError,
+    PlatevacError,
     RegimeError,
     SingularWindowError,
     approx_large_a,
@@ -239,6 +240,24 @@ def test_late_time_rejects_light_cones():
     with pytest.raises(SingularWindowError):
         approx_large_t(VX, near)
     assert math.isfinite(approx_large_t(VX, near, window=1e-9).value)
+
+
+def test_late_time_one_ulp_off_a_cone_is_a_value_or_a_typed_error():
+    # With window=0 the point t = nextafter(2na) is admitted. There t/(2a) often rounds to
+    # the integer n, where cot(pi tau) and ln|2 sin(pi tau)| would be undefined; the cone
+    # terms take their phase from the cone distance instead.
+    rng = np.random.default_rng(15)
+    rounded = 0
+    for _ in range(2000):
+        a, n = rng.uniform(0.5, 10.0), int(rng.integers(100, 1000))
+        point = EvalPoint(Geometry(a, 0.3 * a), math.nextafter(2.0 * n * a, math.inf))
+        rounded += math.fmod(point.gamma, 1.0) == 0.0
+        for kind in ALL_KINDS:
+            try:
+                assert math.isfinite(approx_large_t(kind, point, window=0.0).value)
+            except PlatevacError:
+                pass
+    assert rounded > 0
 
 
 @pytest.mark.parametrize("t", [100.5, 333.5, 1000.5])

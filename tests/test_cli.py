@@ -862,3 +862,15 @@ def test_json_is_strict_and_command_line_numbers_are_finite(capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_between_the_ends_of_the_float_range(capsys):
+    # stop - start overflows; the grid is formed without that difference and without warnings
+    rc, out = run_cli(capsys, "sweep", "--quantity", "dv2-normal", "--var", "t",
+                      "--start=-1.5e308", "--stop", "1.5e308", "--steps", "3",
+                      "--a", "1", "--z", "0.5")
+    rows = parse_csv(out)
+    assert [float(r["value"]) for r in rows] == [-1.5e308, 0.0, 1.5e308]
+    assert [r["status"] for r in rows] == ["domain", "ok", "singular"]
+    assert rc == 0

@@ -11,6 +11,7 @@ oracle.
 import math
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,37 @@ def test_extreme_finite_inputs_give_a_value_or_a_float_range_error(func, args, e
             func(*args)
     else:
         assert func(*args) == expected
+
+
+def _mp_single_image(func, x, t):
+    """The closed form of a single-image kernel in 700-digit arithmetic."""
+    with mpmath.workdps(700):
+        x, t = mpmath.mpf(x), mpmath.mpf(t)
+        u = t / (2 * x)
+        lam, log = mpmath.atanh(1 / u), mpmath.log(u * u - 1)
+        return float({
+            pv.velocity_kernel_parallel: (u * u / (8 * (u * u - 1)) - u * lam / 8) / (x * x),
+            pv.velocity_kernel_normal: u * lam / 4 / (x * x),
+            pv.position_kernel_parallel: (u * u - u**3 * lam + log) / 6,
+            pv.position_kernel_normal: (u * u + 2 * u**3 * lam + log) / 6,
+        }[func])
+
+
+@pytest.mark.parametrize(
+    "func, x, t",
+    [
+        (pv.velocity_kernel_parallel, 1e-300, 1e10),  # u = t/2x beyond the float range
+        (pv.position_kernel_parallel, 1e-300, 1e10),
+        (pv.velocity_kernel_normal, 1e-20, 1e300),
+        (pv.velocity_kernel_parallel, 1e-200, 1.0),  # u in range, u**2 beyond it
+        (pv.position_kernel_normal, 1e-110, 1.0),  # u**3 beyond it
+        (pv.position_kernel_parallel, 1e-100, 2.0),  # u = 1e100, where the far forms begin
+        (pv.position_kernel_normal, 1e-100, 2.0),
+    ],
+)
+def test_single_images_where_u_leaves_the_float_range(func, x, t):
+    assert func(x, t) == pytest.approx(_mp_single_image(func, x, t), rel=4e-16, abs=0.0)
+    assert func(-x, t) == func(x, t)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])
