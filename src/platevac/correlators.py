@@ -47,6 +47,58 @@ _PHOTON_CONE_WINDOW = 1e-10
 # glibc's 128 KB mmap threshold. 2,048 and 8,192 measured slower.
 _BLOCK = 4096
 
+# Past _N_RULE shells an image sum takes explicitly only the shells where its
+# kernel is not smooth on the scale of a: the first _W and the _W either side of
+# the light cone. Each stretch between is its integral plus Gregory end
+# corrections of order _GREGORY (DLMF 2.10); the integral takes _NODES-node
+# Gauss-Legendre panels graded by ratio 2 toward x = 0 and the cone, and its
+# bound is _RULE_FACTOR times the first omitted Gregory term plus the panels'
+# difference from the _NODES_LOW-node rule. The rule costs less than the walk
+# from N ~ 2,000 (offset kernels) to N ~ 10,000 (raw and photon kernels);
+# _N_RULE = 3 _BLOCK keeps every sum of up to three blocks on the walk.
+_N_RULE = 3 * _BLOCK
+_W = 48
+_GREGORY = 10
+_NODES, _NODES_LOW = 16, 10
+_RULE_FACTOR = 2.0
+
+
+def _gregory_weights(q):
+    """Gregory end weights of order q, and the weights of the first omitted term.
+
+    For every polynomial f of degree < q, sum_{n=0}^{M} f(n) = int_0^M f +
+    sum_{j<q} omega_j (f(j) + f(M-j)): at each end the correction is
+    sum_{k=1}^{q} G_k Delta^{k-1} f(0), with G_k the Taylor coefficients of
+    x / log(1 + x), and the first omitted term is G_{q+1} Delta^q f(0). Both
+    are returned as weights on f(0), ..., f(q).
+    """
+    g = [1.0]
+    for n in range(1, q + 2):
+        g.append(-sum((-1) ** m * g[n - m] / (m + 1) for m in range(1, n + 1)))
+
+    def delta(k):  # Delta^k f(0) = sum_j (-1)**(k-j) C(k, j) f(j)
+        return np.array([(-1) ** (k - j) * math.comb(k, j) for j in range(q + 1)], dtype=float)
+
+    return sum(g[k] * delta(k - 1) for k in range(1, q + 1)), g[q + 1] * delta(q)
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by Newton's method
+    on the Legendre recurrence (no eigensolver, so no LAPACK is loaded for it)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_OMEGA, _OMITTED = _gregory_weights(_GREGORY)
+_GAUSS = _gauss_legendre(_NODES)
+_GAUSS_LOW = _gauss_legendre(_NODES_LOW)
+
 
 # The raw kernels take x2 = (2x)**2, so a caller can square its offsets once.
 def _k_parallel(x2, dt):
@@ -90,7 +142,7 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal, x, dt)
 
 
-def _hurwitz_tail(total, series, step, q, weights):
+def _hurwitz_tail(total, series, step, q, weights, bound=0.0):
     """Add to ``total`` the images x = (q[f] + n) step, n >= 0, of each family f.
 
     Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, s0, p, h) =
@@ -101,8 +153,9 @@ def _hurwitz_tail(total, series, step, q, weights):
     |c_{k+1}/c_k| <= ((k+2)/(k+1))**p, each term is at most rho_k =
     ((k+2)/(k+1))**p (h/(q[f] step))**2 < 1 times the one before, so what
     follows term k is at most |term k| rho_k/(1 - rho_k). The value carries
-    every term; the tail estimate is that bound at the first k where it is at
-    most _TAIL_TARGET |value|.
+    every term; the tail estimate is that bound plus ``bound``, the error
+    bound ``total`` carries, at the first k where it is at most _TAIL_TARGET
+    |value|.
     """
     c, m, s0, p, h = series
     k = _K[:, None]
@@ -113,7 +166,7 @@ def _hurwitz_tail(total, series, step, q, weights):
     scale = np.float64(h / step) ** m / np.float64(step) ** (s0 - m)
     terms = (c[:, None] * weights * scale) * u ** (2.0 * k) * (qk * zq * qk)
     rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
-    bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1)
+    bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1) + bound
     value = total + float(np.sum(terms))
     met = np.flatnonzero(bounds <= _TAIL_TARGET * abs(value))
     return value, float(bounds[met[0] if met.size else -1])
@@ -124,11 +177,16 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
 
     ``fvec`` maps an array of positive offsets, of any shape, elementwise to
     image values and ``series`` is its large-offset series (see
-    :func:`_hurwitz_tail`). Pairs up to max(_N_MIN, 2 horizon_n) are explicit,
-    so every later offset exceeds t; they are summed _BLOCK shells at a time,
-    with one fvec call on each (families x block) array of offsets. Callers
-    reject a point on a light cone, so a non-finite sum is beyond the float
-    range, which numpy need not warn of. Returns (value, tail_estimate, n_used).
+    :func:`_hurwitz_tail`), whose last entry h = t/2 places the light cone.
+    Every |shift| is below a, and horizon_n is the one of
+    :func:`platevac.kernels.horizon` for h and the largest shift. Shells 1..N,
+    N = max(_N_MIN, 2 horizon_n), are summed directly, so every later offset
+    exceeds t and is left to the zeta tail. Up to N = _N_RULE they are summed
+    _BLOCK shells at a time, one fvec call on each (families x block) array
+    of offsets; past it by :func:`_rule_sum`, in one fvec call, and the tail
+    estimate adds that rule's bound. Callers reject a point on a light cone,
+    so a non-finite sum is beyond the float range, which numpy need not warn
+    of. Returns (value, tail_estimate, n_used = N).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
@@ -137,12 +195,84 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
     plain = [(0.0, 2.0)] if d == 0.0 else [(d, 1.0), (-d, 1.0)]
     shifts, weights = np.array([*plain, (z, sign), (-z, sign)]).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = sign * float(fvec(np.array([z]))[0])
-        for n in range(1, N + 1, _BLOCK):
-            base = np.arange(n, min(n + _BLOCK, N + 1), dtype=float) * a
-            total += float(weights @ fvec(base + shifts[:, None]).sum(axis=1))
-        value, tail = _hurwitz_tail(total, series, a, N + 1.0 + shifts / a, weights)
+        if N > _N_RULE:
+            total, bound = _rule_sum(fvec, sign, a, z, series[-1], N, shifts, weights)
+        else:
+            total, bound = sign * float(fvec(np.array([z]))[0]), 0.0
+            for n in range(1, N + 1, _BLOCK):
+                base = np.arange(n, min(n + _BLOCK, N + 1), dtype=float) * a
+                total += float(weights @ fvec(base + shifts[:, None]).sum(axis=1))
+        value, tail = _hurwitz_tail(total, series, a, N + 1.0 + shifts / a, weights, bound)
     return in_float_range(value, "image sum"), tail, N
+
+
+def _graded(sigma, near, far):
+    """Panel edges from ``near`` to ``far``, graded away from the singular point ``sigma``:
+    sigma + (near - sigma) r**j, j = 0..k, with the fewest panels whose ratio r is at most 2,
+    so that no panel is longer than its distance from sigma."""
+    ratio = (far - sigma) / (near - sigma)
+    k = math.ceil(math.log2(ratio))
+    edges = sigma + (near - sigma) * ratio ** (np.arange(k + 1) / k)
+    edges[0], edges[-1] = near, far
+    return edges
+
+
+def _rule_sum(fvec, sign, a, z, h, N, shifts, weights):
+    """sign f(z) + the families' shells 1..N by the quadrature rule: (sum, bound).
+
+    Shell n of the family (s, w) of ``shifts`` and ``weights`` is w f(n a + s).
+    With c the shell next to the cone x = h, shells 1.._W and c-_W..c+_W are
+    explicit: every family's cone lies within 1.5 shells of c, and x = 0 within
+    one of shell 0. Over the stretches between, n0..n1 = _W+1..c-_W-1 and
+    c+_W+1..N, f is smooth on the scale of the distance to x = 0 and x = h, so
+
+        sum_{n=n0}^{n1} f(n a + s) = (1/a) int_{n0 a + s}^{n1 a + s} f + Gregory end terms.
+
+    Each such integral is the one over n0 a..n1 a, common to all families, plus
+    the end pieces n1 a..n1 a + s and minus n0 a..n0 a + s. The common integral
+    therefore enters once, times the families' total weight, which is 0 for the
+    alternating lattices. It takes _NODES-node Gauss-Legendre panels graded by
+    ratio 2 toward x = 0 and x = h and split halfway; each end piece is one
+    panel. Every point goes through one fvec call, and the sum is one dot
+    product. The bound is _RULE_FACTOR times the sum of the weighted families'
+    first omitted Gregory term at each stretch end and of each panel's
+    difference from the _NODES_LOW-node rule.
+    """
+    c = round(h / a)
+    explicit = np.r_[1 : _W + 1, c - _W : c + _W + 1]
+    # The stretch ends, the direction from each into its stretch, and its Gregory samples.
+    ends = np.array([_W + 1.0, c - _W - 1.0, c + _W + 1.0, float(N)])
+    inward = np.array([1.0, -1.0, 1.0, -1.0])
+    samples = ends[:, None] + inward[:, None] * np.arange(_GREGORY + 1.0)
+    # Panels (lo, hi, weight): the common integral's unless its weight is 0, then one
+    # end piece from n a to n a + s per stretch end and shifted family.
+    common = float(np.sum(weights))
+    edges = [_graded(0.0, ends[0] * a, 0.5 * h), _graded(h, ends[1] * a, 0.5 * h)[::-1],
+             _graded(h, ends[2] * a, N * a)] if common else []
+    s, w = shifts[shifts != 0.0], weights[shifts != 0.0]
+    lo = np.concatenate([*(e[:-1] for e in edges), np.repeat(ends * a, s.size)])
+    hi = np.concatenate([*(e[1:] for e in edges), (ends[:, None] * a + s).ravel()])
+    pieces = (-inward[:, None] * w).ravel()
+    panel_weight = np.concatenate([np.full(lo.size - pieces.size, common), pieces]) / a
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes, w_high = _GAUSS
+    nodes_low, w_low = _GAUSS_LOW
+    x = np.concatenate([[z], (explicit * a + shifts[:, None]).ravel(),
+                        (samples * a + shifts[:, None, None]).ravel(),
+                        (mid[:, None] + half[:, None] * nodes).ravel(),
+                        (mid[:, None] + half[:, None] * nodes_low).ravel()])
+    coef = np.concatenate([[sign], np.repeat(weights, explicit.size),
+                           np.outer(weights, np.tile(_OMEGA, 4)).ravel(),
+                           np.outer(panel_weight * half, w_high).ravel()])
+    v = fvec(x)
+    total = float(coef @ v[: coef.size])
+    start = 1 + weights.size * explicit.size
+    v_samples = v[start : start + weights.size * samples.size].reshape(-1, *samples.shape)
+    v_high = v[start + weights.size * samples.size : coef.size].reshape(-1, _NODES)
+    v_low = v[coef.size :].reshape(-1, _NODES_LOW)
+    gregory = np.abs(weights @ (v_samples @ _OMITTED)).sum()
+    panels = np.abs(panel_weight * half * (v_high @ w_high - v_low @ w_low)).sum()
+    return total, _RULE_FACTOR * float(gregory + panels)
 
 
 def _efield(kvec, series, sign, z, a, dt, window):

@@ -24,7 +24,12 @@ from .quantities import DispersionKind, EvalPoint, ReducedValue
 
 
 def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
-    """Exact reduced dispersion by direct image summation.
+    """Exact reduced dispersion by image summation.
+
+    The image shells up to twice the horizon are summed one by one up to
+    12,288 of them; past that, only those next to x = 0 and the light cone
+    are, and the smooth stretches between are integrated with Gregory end
+    corrections. The rest is a Hurwitz zeta series.
 
     Parameters
     ----------
@@ -38,8 +43,9 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     Returns
     -------
     ReducedValue
-        Reduced dispersion with tail estimate, image count and the
-        singularity report for the point.
+        Reduced dispersion with its tail estimate (the zeta series' and the
+        integration rule's bounds), the shells covered before the zeta
+        series, and the singularity report for the point.
 
     Raises
     ------

@@ -292,14 +292,22 @@ def offset_kernel(kind, t):
 
     Returns (fvec, (*series, h)): fvec maps an offset array to image values,
     and with h = t/2 an image past the light front is the _SERIES entry's
-    sum_k c_k h**(2k+m) x**-(2k+s0).
+    sum_k c_k h**(2k+m) x**-(2k+s0). An image with u = t/2x past _U_FAR,
+    which only a lattice's n = 0 image next to a plate reaches, takes the
+    single-image form of :data:`_FAR`.
     """
     key = (kind.axis, kind.observable)
     scaled, per_x2 = _SCALED[key]
 
     def fvec(x):
-        v = scaled(t / (2.0 * x))
-        return v / (x * x) if per_x2 else v
+        u = t / (2.0 * x)
+        v = scaled(u)
+        if per_x2:
+            v = v / (x * x)
+        if u.max() >= _U_FAR:
+            far = u >= _U_FAR
+            v[far] = [_FAR[key](float(xi), t) for xi in x[far]]
+        return v
 
     return fvec, (*_SERIES[key], 0.5 * t)
 

@@ -140,10 +140,12 @@ class ReducedValue:
     value : float
         The reduced dispersion or correlator value.
     tail_estimate : float
-        Bound on the truncated image tail, same units as ``value``.
-        Zero for closed-form results.
+        Bound on the truncated image tail, same units as ``value``; past
+        12,288 shells it includes the bound of the integration rule for
+        the smooth stretches. Zero for closed-form results.
     n_used : int
-        Number of image pairs summed. Zero for closed-form results.
+        Number of image shells the sum covers before its zeta tail, each
+        summed one by one up to 12,288. Zero for closed-form results.
     singularity : object or None
         The :class:`platevac.kernels.SingularityReport` for the point,
         when one was computed.

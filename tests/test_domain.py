@@ -294,6 +294,28 @@ def test_single_images_where_u_leaves_the_float_range(func, x, t):
     assert func(-x, t) == func(x, t)
 
 
+_KERNEL_OF = {
+    "dv2-parallel": pv.velocity_kernel_parallel, "dv2-normal": pv.velocity_kernel_normal,
+    "dx2-parallel": pv.position_kernel_parallel, "dx2-normal": pv.position_kernel_normal,
+}
+
+
+@pytest.mark.parametrize("z_over_a", [1e-50, 1e-120, 1e-160, 1e-300])
+@pytest.mark.parametrize("kind", sorted(_KERNEL_OF))
+def test_dispersions_next_to_a_plate(kind, z_over_a):
+    # At a = t = 1 the lattice's n = 0 image is the whole sum to double precision: the
+    # other images add O(z**2) along the plates and O(1) against 1/z**2 along the normal.
+    # Past u = t/2z = 1e100 it is evaluated as a single image is.
+    point = EvalPoint(Geometry(1.0, z_over_a), 1.0)
+    sign = -1.0 if kind.endswith("parallel") else 1.0
+    image = sign * _mp_single_image(_KERNEL_OF[kind], z_over_a, 1.0)
+    if math.isinf(image):
+        with pytest.raises(GeometryError, match="float range"):
+            pv.dispersion_exact(kind, point)
+    else:
+        assert pv.dispersion_exact(kind, point).value == pytest.approx(image, rel=4e-16, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])
 def test_the_amplification_ratio_is_scale_free(k):
     # the two dispersions it divides underflow to subnormals from a ~ 1e154 on

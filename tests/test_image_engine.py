@@ -1,4 +1,5 @@
-"""The image-lattice engine: blocked sums, bounded memory, 2-D kernels, its call shape."""
+"""The image-lattice engine: blocked sums, the quadrature rule past them, bounded memory and
+cost, 2-D kernels, its call shape."""
 
 import inspect
 import math
@@ -6,10 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from platevac import ALL_KINDS, EvalPoint, Geometry, correlators, dispersion_exact
-from platevac.correlators import _grouped_image_sum
-from platevac.kernels import _K, _SCALED, offset_kernel
+from platevac.correlators import _N_RULE, _TAIL_TARGET, _grouped_image_sum, _k_normal, _k_parallel
+from platevac.kernels import _K, _SCALED, _nearest_cone, horizon, offset_kernel
 from platevac.quantities import DispersionKind
 
 _EPS = np.finfo(float).eps
@@ -27,6 +30,22 @@ def _plain_sum(fvec, sign, a, z, N, d):
     terms = np.concatenate([sign * fvec(np.array([z])), *rows, sign * fvec(base + z),
                             sign * fvec(base - z)])
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def _sensitivity(fvec, sign, a, z, N, d, h):
+    """Sum of |f| + |x f'(x)| over the same images, weights taken in modulus: rounding an
+    offset x to a float moves its term by up to eps |x f'(x)|, and the rule and the walk
+    round theirs differently. f' is a central difference with a step 1e-4 of the distance
+    to x = 0 or to the cone x = h, whichever is nearer."""
+    base = np.arange(1, N + 1, dtype=float) * a
+    plain = [(0.0, 2.0)] if d == 0.0 else [(d, 1.0), (-d, 1.0)]
+    total = 0.0
+    for x, weight in [(np.array([z]), sign)] + [(base + s, w) for s, w in (*plain, (z, sign),
+                                                                           (-z, sign))]:
+        step = 1e-4 * np.minimum(x, np.abs(x - h))
+        x_df = x * (fvec(x + step) - fvec(x - step)) / (2.0 * step)
+        total += abs(weight) * float(np.sum(np.abs(fvec(x)) + np.abs(x_df)))
+    return total
 
 
 def _photon_like(x):
@@ -90,3 +109,56 @@ def test_the_call_shape_the_layer_counters_read():
         assert len(result) == 3
         assert result[2] == max(8, 2 * args[5])
         assert math.isfinite(result[0]) and math.isfinite(result[1])
+
+
+def _lattice(name, t, a, z, zp):
+    """(fvec, sign, shift, d, families for the cone scan) of a lattice the engine sums at time t:
+    its plain offsets are n a +/- d, its shifted ones n a +/- shift."""
+    if name == "photon":  # 1/(A - 4 x**2) at A = t**2, as renormalized_photon_two_point sums it
+        c, d = 0.5 * (z + zp), 0.5 * (z - zp)
+        families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
+        return (lambda x: 1.0 / (t * t - 4.0 * x * x)), -1.0, c, d, families
+    families = (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1))
+    if name in ("efield-parallel", "efield-normal"):
+        kvec, sign = (_k_parallel, -1.0) if name == "efield-parallel" else (_k_normal, 1.0)
+        return (lambda x: kvec(4.0 * x * x, t)), sign, z, 0.0, families
+    kind = DispersionKind.coerce(name)
+    return offset_kernel(kind, t)[0], kind.image_sign, z, 0.0, families
+
+
+@seed(20041201)
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(ALL_KINDS + ("efield-parallel", "efield-normal", "photon")),
+       a=st.sampled_from((0.5, 1.0, 2.0)), t_over_a=st.floats(4.0, 5.4).map(lambda p: 10.0**p),
+       z_over_a=st.floats(0.01, 0.99), zp_over_a=st.floats(0.01, 0.99))
+def test_the_quadrature_rule_matches_the_walk_within_its_bound(name, a, t_over_a, z_over_a,
+                                                               zp_over_a):
+    t = a * t_over_a
+    fvec, sign, shift, d, families = _lattice(name, t, a, a * z_over_a, a * zp_over_a)
+    assume(_nearest_cone(families, a, t, 0.0).distance >= 1e-9)
+    # Zero series coefficients: the value is the sum over shells 1..N and the tail is the
+    # rule's own bound. The last entry, h = t/2, places the cones.
+    series = (*_NO_TAIL[:-1], 0.5 * t)
+    value, bound, n = _grouped_image_sum(fvec, sign, a, shift, series, horizon(a, shift, t), d)
+    walk = _plain_sum(fvec, sign, a, shift, n, d)[0]
+    sensitivity = _sensitivity(fvec, sign, a, shift, n, d, 0.5 * t)
+    assert abs(value - walk) <= bound + 4.0 * _EPS * sensitivity
+    assert bound <= _TAIL_TARGET * abs(value)
+    assert (bound > 0.0) == (n > _N_RULE)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_late_lattice_costs_a_few_thousand_kernel_points(kind):
+    # At t = 1e6 a the walk passed 3,000,012 offsets to fvec, one per image.
+    a, z, t = 1.0, 0.3123, 1e6 + 0.37
+    fvec, series = offset_kernel(kind, t)
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return fvec(x)
+
+    _, _, n_used = _grouped_image_sum(counted, kind.image_sign, a, z, series, horizon(a, z, t))
+    assert n_used == 1_000_004
+    assert sum(sizes) < 5_000
+    assert len(sizes) == 1
