@@ -47,6 +47,12 @@ _U_LARGE = 4.0
 _G_SERIES_TERMS = 24
 _INV_SERIES_TERMS = 16
 
+# Inverse-series coefficients of the parallel kernels in w = u**-2, highest
+# power first for np.polyval: k / (4 (2k+1)) and 1/(2k+3) + 1/k, k = 16..1.
+_K_INV = np.arange(_INV_SERIES_TERMS, 0, -1.0)
+_VEL_PAR_INV = _K_INV / (4.0 * (2.0 * _K_INV + 1.0))
+_POS_PAR_INV = 1.0 / (2.0 * _K_INV + 3.0) + 1.0 / _K_INV
+
 # Large-offset series (c_k, m, s0, p) of each scaled kernel, keyed like _SCALED:
 # at u = t/2x < 1 an image is sum_k c_k (t/2)**(2k+m) x**-(2k+s0), s0 = 4, with
 # |c_{k+1}/c_k| < ((k+2)/(k+1))**p = 1. The position kernels' small-u branches sum
@@ -103,10 +109,7 @@ def _vel_parallel_inverse(u):
     # Large u: the two pieces cancel to O(u**-2); sum the difference series
     # F_par = sum_{k>=1} k / (4 (2k+1)) u**(-2k) instead.
     w = 1.0 / (u * u)
-    acc = np.zeros_like(u)
-    for k in range(_INV_SERIES_TERMS, 0, -1):
-        acc = acc * w + k / (4.0 * (2.0 * k + 1.0))
-    return acc * w
+    return np.polyval(_VEL_PAR_INV, w) * w
 
 
 def _vel_parallel_scaled(u):
@@ -130,10 +133,7 @@ def _pos_parallel_inverse(u):
     # Large u: u**2 - u**3 artanh(1/u) = -1/3 - sum_{k>=1} u**(-2k)/(2k+3)
     # and ln(u**2-1) = 2 ln u - sum_{k>=1} u**(-2k)/k.
     w = 1.0 / (u * u)
-    acc = np.zeros_like(u)
-    for k in range(_INV_SERIES_TERMS, 0, -1):
-        acc = acc * w + 1.0 / (2.0 * k + 3.0) + 1.0 / k
-    return (2.0 * np.log(u) - 1.0 / 3.0 - acc * w) / 6.0
+    return (2.0 * np.log(u) - 1.0 / 3.0 - np.polyval(_POS_PAR_INV, w) * w) / 6.0
 
 
 def _pos_parallel_scaled(u):

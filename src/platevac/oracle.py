@@ -1,8 +1,8 @@
-"""Independent quadrature route to the dispersions.
+"""Independent route to the dispersions from the raw image integrands.
 
 The closed-form kernels in :mod:`platevac.kernels` are time integrals of
 the two raw rational integrands of :mod:`platevac.correlators`. This module
-recomputes those integrals by adaptive quadrature, without touching the
+recomputes those integrals from the raw integrands, without touching the
 closed forms, so the two routes certify each other:
 
     velocity(x, t) = 2 * integral_0^t (t - tau) K(x, tau) dtau
@@ -11,17 +11,20 @@ closed forms, so the two routes certify each other:
 
 with K the raw parallel or normal integrand, which has poles of order 2
 or 3 at tau = +-tau0, tau0 = 2x. A dispersion is a weighted sum of these
-integrals over the image lattice, and the whole sum is integrated at
-once. Every image whose pole lies below 2t (offset below t, where the
-exact route sums its images explicitly) is split exactly into its
-Laurent part S at +tau0 plus the mirror-pole remainder R. S times the
-polynomial weight integrates in closed form: past the light cone
-(tau0 < t) that is the Hadamard finite part, with divergent boundary
-terms dropped and the 1/(tau - tau0) piece a principal value; before it
-(t < tau0 < 2t) it is an ordinary integral. Every R and the raw
-integrands of the farther images are smooth on [0, t]; summed into one
-integrand, they take a single adaptive quadrature; a second one, of the
-last image group alone, gives the tail estimate.
+integrals over the image lattice. Every image whose pole lies below 2t
+(offset below t, where the exact route sums its images explicitly) is
+integrated in closed form: K is exactly the sum of its principal parts at
++tau0 and -tau0 and the weight is a polynomial, so w * K expands into
+powers of (tau -+ tau0) with polynomial antiderivatives. Past the light
+cone (tau0 < t) the +tau0 powers take the Hadamard finite part, with
+divergent boundary terms dropped and the 1/(tau - tau0) piece a principal
+value; before it, and at -tau0, they are ordinary integrals. This uses
+only K's Laurent coefficients, never the kernels' F(u), G(u) or branches,
+so it is as independent of them as a quadrature of the same parts. The
+raw integrands of the farther images, whose poles lie at least t beyond
+[0, t], are summed into one integrand and take a single adaptive
+quadrature; a second one, of the last image group alone, gives the tail
+estimate.
 """
 
 import hashlib
@@ -29,7 +32,6 @@ import json
 import warnings
 
 import numpy as np
-import scipy.integrate
 
 from .correlators import _N_MAX, _grouped_image_sum, _k_normal, _k_parallel
 from .errors import ConvergenceError, GeometryError, in_float_range
@@ -121,6 +123,8 @@ def _weight(observable, t):
 def _quad(f, lo, hi):
     if hi <= lo:
         return 0.0
+    import scipy.integrate  # deferred: most processes never integrate
+
     spec = QuadratureSpec
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
@@ -136,66 +140,56 @@ def _quad(f, lo, hi):
     return val
 
 
-def _fp_power(p, t, tau0):
-    """Integral_0^t (tau - tau0)**p dtau, as a finite part if tau0 lies in (0, t).
-
-    Endpoint antiderivative differences. With the pole inside, the
-    divergent boundary terms at tau0 cancel (odd p) or are dropped (even
-    p) by the Hadamard prescription, and p = -1 is the principal-value
-    logarithm; with the pole beyond t the same differences are the
-    ordinary integral.
-    """
-    if p == -1:
-        return np.log(np.abs(t - tau0) / tau0)
-    return ((t - tau0) ** (p + 1) - (-tau0) ** (p + 1)) / (p + 1)
-
-
 def _finite_part_image(axis, observable, x, t):
-    """Closed-form weighted integral over [0, t] of each image's Laurent part at +2x.
+    """Closed-form integral_0^t w(tau) K(x, tau) dtau of each image at distance x < t.
 
-    The weight is a polynomial, so w * S expands exactly into powers of
-    (tau - tau0), each integrated by :func:`_fp_power`. Vectorised over
-    the image distances x.
+    K is exactly its principal parts at +-tau0, tau0 = 2x, and w * K expands
+    exactly into a_k w_j (tau -+ tau0)**(j - k), with a_k the Laurent
+    coefficients and w_j the Taylor coefficients of w at the pole. Each
+    power integrates by its antiderivative, (tau -+ tau0)**(p + 1) / (p + 1)
+    or log|tau -+ tau0|, differenced over [0, t]: with +tau0 inside (0, t)
+    that is the Hadamard finite part, p = -1 being the principal value.
+    One numpy pass over (terms x images); the terms are added one by one
+    in a fixed order, since combining the coefficients of each power first
+    loses digits to cancellation near a plate.
     """
-    tau0 = 2.0 * x
+    tau0 = 2.0 * np.asarray(x, dtype=float)
     _, taylor = _weight(observable, t)
-    a, _ = _laurent(axis, tau0)
-    wj = taylor(tau0)
-    total = 0.0
-    for k, ak in enumerate(a, start=1):
-        for j, wcoef in enumerate(wj):
-            total = total + ak * wcoef * _fp_power(j - k, t, tau0)
-    return total
+    pole = np.stack((tau0, -tau0))
+    laurent = np.array(_laurent(axis, tau0))  # (pole, k, image)
+    wj = np.stack(np.broadcast_arrays(*taylor(pole)), axis=1)  # (pole, j, image)
+    q = np.arange(wj.shape[1]) - np.arange(laurent.shape[1])[:, None]  # p + 1 = j - k + 1
+    q = q[None, :, :, None]
+    end, start = t - pole[:, None, None, :], -pole[:, None, None, :]
+    fp = np.where(
+        q == 0,
+        np.log(np.abs(end) / np.abs(start)),
+        (end**q - start**q) / np.where(q == 0, 1, q),
+    )
+    terms = laurent[:, :, None, :] * wj[:, None, :, :] * fp
+    return terms.sum(axis=(0, 1, 2))
 
 
 def _image_sum(axis, observable, x, c, t):
     """sum_i c_i integral_0^t w(tau) K(x_i, tau) dtau over images at distances x_i > 0.
 
-    Images with x_i < t contribute their Laurent part at +2 x_i in closed
-    form; their mirror-pole remainders and the raw integrands of the
-    other images are summed into one integrand, smooth on [0, t], which a
-    single adaptive quadrature integrates. Callers reject a t near a cone.
+    Images with x_i < t are integrated in closed form by
+    :func:`_finite_part_image`; the raw integrands of the others are
+    summed into one integrand, smooth on [0, t], which a single adaptive
+    quadrature integrates. With no image at x_i >= t there is no
+    quadrature. Callers reject a t near a cone.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
+    near = x < t
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w, _ = _weight(observable, t)
-        split = x < t
-        tau0 = 2.0 * x[split]
-        closed = float(np.dot(c[split], _finite_part_image(axis, observable, x[split], t)))
-        # Mirror-pole coefficients with the image weights folded in, highest order first.
-        mirror = [c[split] * bk for bk in reversed(_laurent(axis, tau0)[1])]
-        c_raw = c[~split]
-        x2_raw = 4.0 * x[~split] ** 2
-
-        def smooth(tau):
-            r = 1.0 / (tau + tau0)
-            acc = mirror[0]
-            for bk in mirror[1:]:
-                acc = acc * r + bk
-            return w(tau) * (np.dot(acc, r) + np.dot(c_raw, _RAW[axis](x2_raw, tau)))
-
-        return in_float_range(closed + _quad(smooth, 0.0, t), "image integral")
+        total = float(np.dot(c[near], _finite_part_image(axis, observable, x[near], t)))
+        if not near.all():
+            w, _ = _weight(observable, t)
+            c_far = c[~near]
+            x2_far = 4.0 * x[~near] ** 2
+            total += _quad(lambda tau: w(tau) * np.dot(c_far, _RAW[axis](x2_far, tau)), 0.0, t)
+        return in_float_range(total, "image integral")
 
 
 def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
@@ -234,33 +228,35 @@ def position_integral(kernel, t):
 
 
 def image_velocity_integral(axis, x, t, *, window=SINGULAR_WINDOW):
-    """Quadrature route to the closed-form velocity kernel of one image."""
+    """One image's velocity kernel from its raw integrand: closed form if x < t, else quadrature."""
     return _image_integral(axis, "velocity", x, t, window=window)
 
 
 def image_position_integral(axis, x, t, *, window=SINGULAR_WINDOW):
-    """Quadrature route to the closed-form position kernel of one image."""
+    """One image's position kernel from its raw integrand: closed form if x < t, else quadrature."""
     return _image_integral(axis, "position", x, t, window=window)
 
 
 def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WINDOW):
-    """Reduced dispersion from a quadrature of the summed raw image integrands.
+    """Reduced dispersion from the summed raw image integrands.
 
-    Independent of the closed-form kernels. The default image count is
+    Independent of the closed-form kernels: images with offset below t
+    are integrated in closed form from their Laurent parts, the others by
+    one quadrature of their summed raw integrands. The default image count is
     the per-axis pinned count or twice the horizon, whichever is larger:
     up to twice the horizon the images still have t/2x above 1/2 and
     decay slowly, so a sum stopped at the horizon is off by its tail,
     and twice the horizon is where the exact route's explicit shells
     stop too. An explicit ``n_images`` below the horizon raises
     GeometryError; a count above 2,000,000, the image sums' cap, raises
-    ConvergenceError before any array is built. Every image group is
-    integrated as one sum (see the module docstring). The returned tail
-    estimate bounds what the truncation leaves out by integral comparison
-    of the offset**-4 group decay, scaled from the last group's 2|plain|
-    + |up| + |down|: past t/2 each of its raw integrands keeps one sign
-    on [0, t], so a second quadrature of their unsigned sum is that
-    magnitude. That makes two adaptive quadratures per call, whatever
-    the image count.
+    ConvergenceError before any array is built (see the module docstring
+    for the split). The returned tail estimate bounds what the truncation
+    leaves out by integral comparison of the offset**-4 group decay,
+    scaled from the last group's 2|plain| + |up| + |down|: past t/2 each
+    of its raw integrands keeps one sign on [0, t], so the integral of
+    their unsigned sum is that magnitude. That makes at most two adaptive
+    quadratures per call, whatever the image count: none for a group with
+    no image at or beyond t.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):

@@ -26,6 +26,7 @@ from platevac import (
     velocity_kernel_normal,
     velocity_kernel_parallel,
 )
+from platevac import kernels
 from platevac.quantities import EvalPoint, Geometry
 
 # Exact closed-form values at x = 1, t = 1 (u = 1/2).
@@ -264,3 +265,23 @@ def test_parallel_kernels_past_the_inverse_series_switch():
         g = position_kernel_parallel(1.0, 2.0 * u)
         assert abs(f - float(f_par)) <= 8.0 * eps * abs(float(f_par)), u
         assert abs(g - float(g_par)) <= 8.0 * eps * abs(float(g_par)), u
+
+
+def test_inverse_series_match_their_horner_loops():
+    # Both series sum by np.polyval on precomputed coefficients. The velocity
+    # series adds the same terms in the same order as a hand Horner loop; the
+    # position series now adds each step's two coefficients before the step.
+    rng = np.random.default_rng(3)
+    u = np.concatenate(
+        (4.0 + rng.exponential(10.0, 50_000), np.exp(rng.uniform(np.log(4.0), np.log(1e12), 50_000)))
+    )
+    w = 1.0 / (u * u)
+    vel = np.zeros_like(u)
+    pos = np.zeros_like(u)
+    for k in range(kernels._INV_SERIES_TERMS, 0, -1):
+        vel = vel * w + k / (4.0 * (2.0 * k + 1.0))
+        pos = pos * w + 1.0 / (2.0 * k + 3.0) + 1.0 / k
+    assert np.array_equal(kernels._vel_parallel_inverse(u), vel * w)
+    pos = (2.0 * np.log(u) - 1.0 / 3.0 - pos * w) / 6.0
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(kernels._pos_parallel_inverse(u), pos, rtol=4.0 * eps, atol=0.0)

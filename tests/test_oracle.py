@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from platevac import (
     velocity_kernel_parallel,
     write_adjudication,
 )
+from platevac import oracle
 from platevac.kernels import horizon, offset_kernel
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -90,6 +94,63 @@ def test_image_integrals_on_both_sides_of_the_cone(x, u):
     for (axis, obs), closed in CLOSED.items():
         integral = image_velocity_integral if obs == "velocity" else image_position_integral
         assert integral(axis, x, t) == pytest.approx(closed(x, t), rel=1e-10)
+
+
+def test_laurent_principal_parts_are_the_whole_integrand():
+    # the closed-form images rest on K being exactly its principal parts at +-tau0
+    tau0 = 1.3
+    tau = np.array([0.0, 0.4, 1.1, 2.0, 5.0])
+    for axis in ("parallel", "normal"):
+        a, b = oracle._laurent(axis, tau0)
+        parts = sum(
+            ak * (tau - tau0) ** -k + bk * (tau + tau0) ** -k
+            for k, (ak, bk) in enumerate(zip(a, b), start=1)
+        )
+        assert parts == pytest.approx(oracle._RAW[axis](tau0**2, tau), rel=1e-13)
+
+
+@pytest.mark.parametrize("x", [0.05, 0.7, 3.0])
+def test_image_integrals_integrate_only_images_at_or_beyond_t(monkeypatch, x):
+    # x < t (u = t/2x > 1/2) is closed form, with no quadrature; x >= t takes one
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    near = np.concatenate((np.geomspace(0.55, 30.0, 40), [0.999, 1.001]))
+    near = near[np.abs(near - 1.0) >= 1e-3]
+    for (axis, obs), closed in CLOSED.items():
+        integral = image_velocity_integral if obs == "velocity" else image_position_integral
+        for u in (0.1, 0.3, 0.5):
+            calls.clear()
+            integral(axis, x, 2.0 * x * u)
+            assert len(calls) == 1
+        for u in near:
+            t = 2.0 * x * u
+            calls.clear()
+            got = integral(axis, x, t)
+            assert len(calls) == 0
+            assert got == pytest.approx(closed(x, t), rel=1e-10)
+
+
+def test_scipy_integrate_is_loaded_on_the_first_quadrature_only():
+    script = (
+        "import sys, platevac, platevac.cli\n"
+        "from platevac.quantities import EvalPoint, Geometry\n"
+        "point = EvalPoint(Geometry(1.0, 0.5), 0.3)\n"
+        "platevac.dispersion_exact('dv2-normal', point)\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "platevac.dispersion_via_quadrature('dv2-normal', point)\n"
+        "print(before, 'scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_image_integral_guards():
