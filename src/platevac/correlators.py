@@ -1,21 +1,26 @@
-"""Electric-field correlators between two plates via image sums.
+"""Electric-field correlators and the photon two-point function between two plates.
 
 The renormalized photon two-point function between conducting plates at
 z = 0 and z = a is a lattice of image terms: offsets z + z' + 2na summed
 over all integers n with a reflected tensor factor, plus offsets
 z - z' + 2na summed over n != 0 with the flat tensor factor; halved, they
-are the families n a +/- (z+z')/2 and n a +/- (z-z')/2. Double time
-derivatives of it give the equal-position electric-field correlators that
-drive the Brownian motion; those reduce to image sums of the two raw
+are the families n a +/- (z+z')/2 and n a +/- (z-z')/2. It is summed image
+by image up to a range fixed by the geometry, past which each offset
+family's remainder is a series of Hurwitz zeta values; the dispersions
+and the oracle share that grouped sum.
+
+Double time derivatives of it give the equal-position electric-field
+correlators that drive the Brownian motion: image sums of the two raw
 kernels
 
     K_par(x, dt)  = (dt**2 + 4 x**2) / (dt**2 - 4 x**2)**3
     K_norm(x, dt) = 1 / (dt**2 - 4 x**2)**2
 
-over the same offset families n a and n a +/- z used everywhere else.
-
-Every image sum is explicit up to a range fixed by the geometry, past
-which each offset family's remainder is a series of Hurwitz zeta values.
+over the offset families n a and n a +/- z used everywhere else. Each
+family is a whole lattice m a + delta, whose sum of either kernel is an
+h-derivative (h = dt/2) of sum_m 1/(x**2 - h**2), a difference of two
+cotangents (DLMF 4.22), so the correlators are in closed form and cost
+the same at any dt/a.
 """
 
 import math
@@ -109,13 +114,6 @@ def _k_parallel(x2, dt):
 def _k_normal(x2, dt):
     d = dt * dt - x2
     return 1.0 / (d * d)
-
-
-# Large-offset series (c_k, m, s0, p) of the raw kernels: for x > dt/2,
-# K = sum_k c_k (dt/2)**(2k+m) x**-(2k+s0) with m = 0 and s0 = 4, and
-# |c_{k+1} / c_k| = ((k+2)/(k+1))**p.
-_K_PARALLEL_SERIES = (-((_K + 1.0) ** 2) / 16.0, 0, 4, 2)
-_K_NORMAL_SERIES = ((_K + 1.0) / 16.0, 0, 4, 1)
 
 
 def _correlator_term(kvec, x, dt):
@@ -275,15 +273,159 @@ def _rule_sum(fvec, sign, a, z, h, N, shifts, weights):
     return total, _RULE_FACTOR * float(gregory + panels)
 
 
-def _efield(kvec, series, sign, z, a, dt, window):
+# The E-field correlators sum the raw kernels in closed form. With h = dt/2, an offset x
+# enters as K_norm = 1/(16 (x**2 - h**2)**2) or K_par = -(x**2 + h**2)/(16 (x**2 - h**2)**3),
+# and the sums of both over x = m a + delta, all integers m, are h-derivatives of the
+# Mittag-Leffler sum (DLMF 4.22)
+#
+#     sum_m 1/(x**2 - h**2) = (pi/a)**2 sinc(2 eps) / P,   P = sin(A) sin(B),
+#
+# with sinc(y) = sin(y)/y, eps = pi h/a, theta = pi delta/a and A, B = theta -/+ eps.
+# Below h = _PLAIN_CUT a the plain family (delta = 0 without its m = 0 term, which
+# cancels against it) is instead the even series (2/a**4) sum_k c_k (h/a)**2k zeta(2k+4),
+# c_k = k + 1 (normal) or (k + 1)**2 (parallel), whose _PLAIN_TERMS terms reach eps.
+_PLAIN_CUT = 1.0 / math.pi
+_PLAIN_TERMS = 24
+_KP = np.arange(_PLAIN_TERMS, dtype=float)
+# Keyed by the shifted family's sign, highest power first for _horner.
+_PLAIN_SERIES = {
+    1.0: [float(c) for c in ((_KP + 1.0) * zeta(2.0 * _KP + 4.0))[::-1]],
+    -1.0: [float(c) for c in ((_KP + 1.0) ** 2 * zeta(2.0 * _KP + 4.0))[::-1]],
+}
+# g(y) = (1 - sinc y)/y**2 = sum_k (-1)**k y**2k/(2k+3)!, summed below y = 2 in 12 terms.
+_G_SERIES = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(11, -1, -1)]
+# A closed-form value's tail estimate bounds its own rounding: _ROUNDING eps times the sum
+# of the moduli of its terms. Against a 60-digit reference the error reached 8.4 eps
+# times that sum over 36,000 evaluations, t/a up to 1e13 and cone distances to 1e-15.
+_ROUNDING = 16.0
+_EPS = 2.0**-52
+
+
+# On one float, np.polyval and np.sinc cost microseconds each, 28 to 38 times these.
+def _horner(coef, w):
+    value = 0.0
+    for c in coef:
+        value = value * w + c
+    return value
+
+
+def _sinc_pi(x):
+    """sin(pi x) / (pi x)."""
+    return math.sin(math.pi * x) / (math.pi * x) if x else 1.0
+
+
+def _fold(x, a):
+    """(sign, y) with sin(pi x/a) = sign sin(pi y/a) and |y| <= a/2, for |x| <= a.
+
+    Taking a off x is exact there (Sterbenz), and its odd multiple of a gives the
+    sign, which reducing modulo pi alone would lose.
+    """
+    if x > 0.5 * a:
+        return -1.0, x - a
+    if x < -0.5 * a:
+        return -1.0, x + a
+    return 1.0, x
+
+
+def _phase(x, a):
+    """The phase pi x/a as (sign, y) of _fold, exactly: math.remainder modulo 2a is exact.
+
+    Where 2a overflows, |x| <= a already and math.remainder returns x.
+    """
+    return _fold(math.remainder(x, 2.0 * a), a)
+
+
+def _phase_sum(p, q, a):
+    """(sign, r) with sign sin(pi r/a) the sine of the sum of the phases p and q and
+    |r| <= a/2 up to rounding. The sum is kept as an exact pair (two-sum) and folded
+    by the exact _fold, so r is the reduced phase rounded once: a phase next to a
+    multiple of pi keeps its digits however many half-periods it spans."""
+    u, v = p[1], q[1]
+    hi = u + v
+    v_part = hi - u
+    lo = (u - (hi - v_part)) + (v - v_part)
+    sign, hi = _fold(hi, a)
+    return p[0] * q[0] * sign, hi + lo
+
+
+def _eps_terms(h, a):
+    """Phase and terms of eps = pi h/a, which both lattices of one correlator share:
+    (_phase(h, a), a sin(eps)/pi, sinc(eps), sinc(2 eps), g, 2 eps) with
+    g = (1 - sinc(2 eps))/(2 eps)**2."""
+    p_e = _phase(h, a)
+    sin_e = p_e[0] * p_e[1] * _sinc_pi(p_e[1] / a)
+    if not h:
+        return p_e, sin_e, 1.0, 1.0, _G_SERIES[-1], 0.0
+    s_2e, r_2e = _phase_sum(p_e, p_e, a)
+    sinc_2e = s_2e * r_2e * _sinc_pi(r_2e / a) / (2.0 * h)
+    y = 2.0 * math.pi * (h / a)
+    g = _horner(_G_SERIES, y * y) if y < 2.0 else (1.0 - sinc_2e) / y / y
+    return p_e, sin_e, sin_e / h, sinc_2e, g, y
+
+
+def _closed_lattice(delta, a, sign, eps_terms):
+    """(sum, sum of moduli of its terms) over x = m a + delta, all integers m, of
+    1/(x**2 - h**2)**2 (sign = 1) or (x**2 + h**2)/(x**2 - h**2)**3 (sign = -1),
+    with ``eps_terms`` = _eps_terms(h, a).
+
+    With N = sinc(2 eps), S = sinc(eps) and g = (1 - N)/(2 eps)**2 they are
+
+        (pi/a)**4 [cos(theta)**2 S**2 + 2 g P] / P**2,
+        (pi/a)**4 {N [cos(theta)**2 (sin(theta)**2 + sin(eps)**2) / P + 2 g eps**2] / P**2
+                   + (S**2/2 - g) / P},
+
+    which do not cancel as h -> 0 (g -> 1/6 is summed as its series). Both are formed
+    from q = (pi/a)**2 / P and the lengths a sin(phase)/pi, so that a value leaves the
+    float range where it does, not before. Every phase, cos(theta) = sin(theta + pi/2)
+    included, is a reduced sum of the exact phases of delta and h.
+    """
+    p_e, sin_e, sinc_e, sinc_2e, g, y = eps_terms
+    p_t = _phase(delta, a)
+    s_a, r_a = _phase_sum(p_t, (p_e[0], -p_e[1]), a)
+    s_b, r_b = _phase_sum(p_t, p_e, a)
+    q_a, q_b = s_a / (r_a * _sinc_pi(r_a / a)), s_b / (r_b * _sinc_pi(r_b / a))  # pi/(a sin A)
+    q = q_a * q_b
+    r_c = _phase_sum(p_t, (1.0, 0.5 * a), a)[1]
+    cos2 = (math.pi / a * r_c * _sinc_pi(r_c / a)) ** 2
+    pi_a2 = (math.pi / a) * (math.pi / a)
+    if sign > 0.0:
+        terms = (cos2 * sinc_e * sinc_e * q * q, 2.0 * g * pi_a2 * q)
+    else:
+        sin_t = p_t[1] * _sinc_pi(p_t[1] / a)  # a sin(theta) / pi, up to its sign
+        # (sin(theta)**2 + sin(eps)**2) / P
+        ratio = (sin_t * q_a) * (sin_t * q_b) + (sin_e * q_a) * (sin_e * q_b)
+        terms = (sinc_2e * q * q * (cos2 * ratio + 0.5 * g * y * y),
+                 pi_a2 * (0.5 * sinc_e * sinc_e - g) * q)
+    return terms[0] + terms[1], abs(terms[0]) + abs(terms[1])
+
+
+def _efield(sign, z, a, dt, window):
+    """The E-field correlator whose shifted family enters with ``sign``, in closed form.
+
+    16 pi**2 times it is the shifted lattice plus sign times the plain family, which
+    is the full lattice at delta = 0 less its m = 0 term, sign/h**4, or below
+    h = _PLAIN_CUT a its series.
+    """
     Geometry(a, z)  # rejects a placement the dispersions reject
     dt = abs(dt)
     report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
-    value, tail, n_used = _grouped_image_sum(
-        lambda x: kvec(4.0 * x * x, dt), sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt)
-    )
-    pi2 = math.pi * math.pi
-    return ReducedValue(value / pi2, tail / pi2, n_used, report)
+    h = 0.5 * dt
+    eps_terms = _eps_terms(h, a)
+    total, moduli = _closed_lattice(z, a, sign, eps_terms)
+    if h < _PLAIN_CUT * a:
+        inv_a2 = 1.0 / a / a
+        plain = 2.0 * _horner(_PLAIN_SERIES[sign], (h / a) * (h / a)) * inv_a2 * inv_a2
+        total += sign * plain
+        moduli += plain
+    else:
+        full, full_moduli = _closed_lattice(0.0, a, sign, eps_terms)
+        inv_h2 = 1.0 / h / h
+        total += sign * full - inv_h2 * inv_h2
+        moduli += full_moduli + inv_h2 * inv_h2
+    scale = 16.0 * math.pi * math.pi
+    value = in_float_range(total / scale, "E-field correlator")
+    tail = in_float_range(_ROUNDING * _EPS * (moduli / scale), "E-field rounding bound")
+    return ReducedValue(value, tail, 0, report)
 
 
 def efield_correlator_parallel(z, a, dt, *, window=SINGULAR_WINDOW):
@@ -291,9 +433,11 @@ def efield_correlator_parallel(z, a, dt, *, window=SINGULAR_WINDOW):
 
     Image sum of the parallel raw kernel: the plain offsets n a enter
     twice, the shifted offsets n a +/- z enter with a minus sign, all
-    divided by pi**2. ``dt = 0`` is allowed (coincidence limit).
+    divided by pi**2. ``dt = 0`` is allowed (coincidence limit). The sum
+    is in closed form, so ``n_used`` is 0 and ``tail_estimate`` bounds
+    the closed form's rounding.
     """
-    return _efield(_k_parallel, _K_PARALLEL_SERIES, -1.0, z, a, dt, window)
+    return _efield(-1.0, z, a, dt, window)
 
 
 def efield_correlator_normal(z, a, dt, *, window=SINGULAR_WINDOW):
@@ -302,7 +446,7 @@ def efield_correlator_normal(z, a, dt, *, window=SINGULAR_WINDOW):
     Same structure as :func:`efield_correlator_parallel` but with the
     normal raw kernel and the shifted offsets entering with a plus sign.
     """
-    return _efield(_k_normal, _K_NORMAL_SERIES, 1.0, z, a, dt, window)
+    return _efield(1.0, z, a, dt, window)
 
 
 def empty_space_efield(dt):

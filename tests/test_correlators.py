@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
+from test_image_engine import _sensitivity
 
 from platevac import (
     GeometryError,
@@ -15,7 +18,26 @@ from platevac import (
     empty_space_efield,
     minkowski_two_point,
     renormalized_photon_two_point,
+    singularity_report,
 )
+from platevac.correlators import _grouped_image_sum, _k_normal, _k_parallel
+from platevac.kernels import _K, horizon
+
+_EPS = np.finfo(float).eps
+# (correlator, raw kernel, shifted-family sign, large-offset series (c_k, m, s0, p) of the
+# raw kernel: K = sum_k c_k (dt/2)**2k x**-(2k+4), |c_{k+1}/c_k| <= ((k+2)/(k+1))**p).
+_EFIELDS = {
+    "parallel": (efield_correlator_parallel, _k_parallel, -1.0, (-((_K + 1.0) ** 2) / 16, 0, 4, 2)),
+    "normal": (efield_correlator_normal, _k_normal, 1.0, ((_K + 1.0) / 16, 0, 4, 1)),
+}
+
+
+def _image_lattice(name, z, a, dt):
+    """pi**2 times the correlator as the engine's image lattice: (value, tail, sensitivity)."""
+    _, kvec, sign, series = _EFIELDS[name]
+    fvec = lambda x: kvec(4.0 * x * x, dt)  # noqa: E731
+    value, tail, n = _grouped_image_sum(fvec, sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt))
+    return value, tail, _sensitivity(fvec, sign, a, z, n, 0.0, 0.5 * dt)
 
 
 def test_infinite_separation_is_a_geometry_error():
@@ -140,10 +162,44 @@ def test_two_point_symmetry_and_off_diagonal():
             renormalized_photon_two_point(mu, nu, 0.4, 0.0, 0.0, 0.3, 0.6, 1.0)
 
 
+@pytest.mark.parametrize("name", sorted(_EFIELDS))
+@seed(20041202)
+@settings(max_examples=30, deadline=None)
+@given(a=st.sampled_from((0.5, 1.0, 2.0)), t_over_a=st.floats(-6.0, 5.4).map(lambda p: 10.0**p),
+       z_over_a=st.floats(0.001, 0.999))
+@example(a=1.0, t_over_a=0.0, z_over_a=0.3)
+@example(a=1.0, t_over_a=1e-6, z_over_a=0.3)
+@example(a=2.0, t_over_a=1e-3, z_over_a=0.97)
+@example(a=0.5, t_over_a=0.03, z_over_a=0.01)
+@example(a=1.0, t_over_a=1e-3, z_over_a=0.9999)  # phases next to pi keep their digits
+def test_closed_form_matches_the_image_lattice(name, a, t_over_a, z_over_a):
+    # Both sides carry a bound: the lattice its tail and quadrature rule, the closed form
+    # its own rounding. 4 eps S allows for the offsets' rounding next to a cone.
+    z, dt = a * z_over_a, a * t_over_a
+    assume(singularity_report(z, a, dt).distance >= 1e-9)
+    lattice, tail, sensitivity = _image_lattice(name, z, a, dt)
+    got = _EFIELDS[name][0](z, a, dt, window=1e-9)
+    pi2 = math.pi**2
+    assert abs(pi2 * got.value - lattice) <= tail + pi2 * got.tail_estimate + 4.0 * _EPS * sensitivity
+    assert got.n_used == 0
+
+
+@pytest.mark.parametrize("name", sorted(_EFIELDS))
+@pytest.mark.parametrize("z_over_a", [0.0625, 0.125, 0.375])
+def test_late_correlators_are_mirror_symmetric(name, z_over_a):
+    # z and a - z (exact in binary here) are one geometry seen from either plate.
+    a, dt = 1.0, 1e4 + 0.37
+    func = _EFIELDS[name][0]
+    near, far = func(a * z_over_a, a, dt), func(a - a * z_over_a, a, dt)
+    sensitivity = _image_lattice(name, a * z_over_a, a, dt)[2] / math.pi**2
+    allowed = near.tail_estimate + far.tail_estimate + 4.0 * _EPS * sensitivity
+    assert abs(near.value - far.value) <= allowed
+
+
 def test_image_sum_tail_estimate_is_honest():
     # The tail bound at this point is checked against an mpmath reference in
     # test_image_tails; here only the explicit range.
-    assert efield_correlator_parallel(0.37, 1.0, 0.21).n_used >= 8
+    assert efield_correlator_parallel(0.37, 1.0, 0.21).n_used == 0
 
 
 @pytest.mark.parametrize("dt, dx", [(math.inf, 0.0), (math.nan, 0.0), (0.3, math.nan), (0.3, math.inf)])

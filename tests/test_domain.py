@@ -316,6 +316,68 @@ def test_dispersions_next_to_a_plate(kind, z_over_a):
         assert pv.dispersion_exact(kind, point).value == pytest.approx(image, rel=4e-16, abs=0.0)
 
 
+def _mp_efield(sign, z, a, dt):
+    """The E-field correlator as its image lattice summed by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        z, a, h = mpmath.mpf(z), mpmath.mpf(a), mpmath.mpf(dt) / 2
+        if sign > 0:
+            kernel = lambda x: 1 / (16 * (x * x - h * h) ** 2)  # noqa: E731
+        else:
+            kernel = lambda x: -(x * x + h * h) / (16 * (x * x - h * h) ** 3)  # noqa: E731
+        plain = 2 * mpmath.nsum(lambda n: kernel(n * a), [1, mpmath.inf])
+        shifted = mpmath.nsum(lambda m: kernel(m * a + z), [-mpmath.inf, mpmath.inf])
+        return float((plain + sign * shifted) / mpmath.pi**2)
+
+
+@pytest.mark.parametrize("z, a, dt", [(5e152, 1e153, 0.3), (5e299, 1e300, 0.3), (0.5, 1e300, 0.3),
+                                      (8e307, 1.7e308, 1.7e308)])
+@pytest.mark.parametrize("sign, func", [(-1, pv.efield_correlator_parallel),
+                                        (1, pv.efield_correlator_normal)])
+def test_efield_correlators_at_a_huge_gap(sign, func, z, a, dt):
+    # Next to z = a/2 the value, about a**-4, underflows to 0; at z = 0.5 it is the n = 0
+    # image. At a = 1.7e308 the phases and 2 pi dt/a are formed without leaving the range.
+    expected = _mp_efield(sign, z, a, dt)
+    got = func(z, a, dt)
+    assert abs(got.value - expected) <= got.tail_estimate
+    assert (got.value == 0.0) == (expected == 0.0)
+
+
+def _mp_efield_closed(sign, z, a, dt):
+    """The E-field correlator from h-derivatives of the cotangent form of
+    sum_m 1/((m a + delta)**2 - h**2), h = dt/2, at 60 digits."""
+    with mpmath.workdps(60):
+        z, a, h = mpmath.mpf(z), mpmath.mpf(a), mpmath.mpf(dt) / 2
+
+        def lattice(delta):
+            def f(k):
+                arg = mpmath.pi / a
+                return arg / (2 * k) * (mpmath.cot(arg * (delta - k)) - mpmath.cot(arg * (delta + k)))
+
+            d1, d2 = mpmath.diff(f, h, 1), mpmath.diff(f, h, 2)
+            # sum 1/(x**2 - h**2)**2 and sum (x**2 + h**2)/(x**2 - h**2)**3
+            return d1 / (2 * h) if sign > 0 else d1 / (4 * h) + d2 / 4
+
+        return float((lattice(z) + sign * lattice(0) - 1 / h**4) / (16 * mpmath.pi**2))
+
+
+@pytest.mark.parametrize("z, a, dt, window", [(0.3, 1.0, 2e12 + 0.37, 1e-14),
+                                              (0.7, 1.1, 3e13 + 1.1, 1e-15),
+                                              (0.49999951, 1.0, 2.0 * 1000.49999953, 1e-12),
+                                              (0.4999999993, 1.0, 2.0 * 1000.4999999991, 1e-14)])
+@pytest.mark.parametrize("sign, func", [(-1, pv.efield_correlator_parallel),
+                                        (1, pv.efield_correlator_normal)])
+def test_efield_correlators_keep_their_phases(sign, func, z, a, dt, window):
+    # At t/a ~ 1e13 each phase spans ~1e13 half-periods; a reduction that rounds n a or
+    # z - n a loses about eps t/a of it, up to 1e-4 of the value here. In the last two,
+    # z and t/2 lie next to a/2 modulo a: cos(pi z/a) and cos(pi t/2a) lose digits unless
+    # they too are reduced phases, and z + t/2 lands 2e-9 a from a cone, which only the
+    # exact sum of the two reduced phases resolves.
+    expected = _mp_efield_closed(sign, z, a, dt)
+    got = func(z, a, dt, window=window)
+    assert abs(got.value - expected) <= got.tail_estimate
+    assert got.n_used == 0
+
+
 @pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])
 def test_the_amplification_ratio_is_scale_free(k):
     # the two dispersions it divides underflow to subnormals from a ~ 1e154 on

@@ -153,6 +153,23 @@ def test_scipy_integrate_is_loaded_on_the_first_quadrature_only():
     assert out.stdout.split() == ["False", "True"]
 
 
+def test_library_calls_load_neither_mpmath_nor_sympy():
+    # mpmath is a test extra and sympy is not declared at all.
+    script = (
+        "import sys, platevac, platevac.cli\n"
+        "from platevac.quantities import EvalPoint, Geometry\n"
+        "platevac.dispersion_exact('dv2-normal', EvalPoint(Geometry(1.0, 0.3), 100.37))\n"
+        "platevac.efield_correlator_parallel(0.3, 1.0, 100.37)\n"
+        "platevac.efield_correlator_normal(0.3, 1.0, 0.21)\n"
+        "print(*(name in sys.modules for name in ('mpmath', 'sympy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_image_integral_guards():
     with pytest.raises(GeometryError):
         image_velocity_integral("diagonal", 1.0, 0.5)
