@@ -21,9 +21,11 @@ import math
 import numpy as np
 from scipy.special import spence, zeta
 
+from .correlators import _checked_phases, _closed_lattice, _eps_terms, _phase, _sinc_pi
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError, in_float_range
-from .kernels import _SERIES, SINGULAR_WINDOW, checked_report, singularity_report
+from .kernels import _SERIES, SINGULAR_WINDOW
+from .kernels import singularity_report  # unused here; bench/tracing.py wraps it by this name
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
 # Regime margin: large-a wants t at most 1/REGIME_MARGIN of the nearest
@@ -34,14 +36,14 @@ REGIME_MARGIN = 5.0
 def image_sum_quartic(z, a):
     """Closed form of sum over all integers n of 1 / (n a + z)**4.
 
-    Equals (pi / (a sin(pi z/a)))**4 (2 + cos(2 pi z/a)) / 3, formed from
-    1 / (z sinc(z/a)) = pi / (a sin(pi z/a)) so that it is 0 or subnormal
-    below the float range; above it, GeometryError.
+    The E-field's lattice sum of 1/(x**2 - h**2)**2 at h = 0, (pi/a)**4
+    (cos(p)**2 + sin(p)**2 / 3) / sin(p)**4 at p = pi z/a from the exactly
+    reduced phase of z: it keeps its digits next to either plate, and is 0
+    or subnormal below the float range; above it, GeometryError.
     """
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    r = 1.0 / z / float(np.sinc(z / a))
-    value = r * r * r * r * (2.0 + math.cos(2.0 * math.pi * z / a)) / 3.0
+    value = _closed_lattice(z, a, 1.0, _eps_terms(0.0, a))[0]
     return in_float_range(value, f"lattice sum at z={z}, a={a}")
 
 
@@ -92,23 +94,16 @@ def approx_large_a_far(kind, point):
     return _wide_gap(kind, geom, t, 1)
 
 
-def _cone_contrast(f, t, a, z):
+def _cone_contrast(f, phases, a):
     """Plain-family light-cone term minus the shifted family's.
 
     The plain images n a cross their light cones at integer tau = t/(2a),
-    the shifted images n a -/+ z at tau = n +/- theta; ``f`` has period pi
-    and is evaluated at pi times the phase. Each phase is the distance
-    t/2 - (n a + shift) to the family's nearest cone, over a: the cone
-    :func:`platevac.kernels.singularity_report` measures with the same
-    arithmetic. It keeps its digits when tau is large, where pi * tau would
-    lose them, and it is 0 only where the report's distance is 0.
+    the shifted images n a -/+ z at tau = n +/- theta. ``phases`` are those
+    of :func:`platevac.correlators._checked_phases`, each y with |y| <= a/2
+    exact at any tau; ``f`` has period pi and is evaluated at pi y / a.
     """
-
-    def at(shift):
-        n = round((0.5 * t - shift) / a)
-        return f(math.pi * ((0.5 * t - (n * a + shift)) / a))
-
-    return 2.0 * at(0.0) - at(z) - at(-z)
+    plain, minus, plus = (f(math.pi * (y / a)) for _, y in phases)
+    return 2.0 * plain - minus - plus
 
 
 def _cot(x):
@@ -186,28 +181,28 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     """
     kind = DispersionKind.coerce(kind)
     geom, t = point.geometry, point.t
-    a, theta, tau = geom.a, geom.z / geom.a, point.gamma
+    a, tau = geom.a, point.gamma
     if tau < REGIME_MARGIN:
         raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")
-    checked_report(singularity_report(geom.z, a, t, threshold=window), t)
-    # a sin(pi theta) = pi z sinc(theta), whose factors stay above 0 when theta underflows
-    sinc = float(np.sinc(theta))
+    phases = _checked_phases(geom.z, a, t, window)[1]
+    sign, y = _phase(geom.z, a)
+    length = sign * y * _sinc_pi(y / a)  # a sin(pi theta) / pi, above 0 where theta underflows
     if kind.axis == "normal":
         # (pi/2a)**2 / 3 + (pi / (2a sin(pi theta)))**2, each root times t/sqrt(2) for positions
         scale = 1.0 if kind.observable == "velocity" else t / math.sqrt(2.0)
-        p, q = math.pi / 2.0 / a * scale, 0.5 / geom.z / sinc * scale
+        p, q = math.pi / 2.0 / a * scale, 0.5 / length * scale
         value = p * p / 3.0 + q * q
     elif kind.observable == "velocity":
         value = (
-            math.pi / 8.0 / t / a * _cone_contrast(_cot, t, a, geom.z)
-            - (1.0 / 3.0 - _cone_contrast(_log_2sin, t, a, geom.z) / 4.0) / t / t
+            math.pi / 8.0 / t / a * _cone_contrast(_cot, phases, a)
+            - (1.0 / 3.0 - _cone_contrast(_log_2sin, phases, a) / 4.0) / t / t
         )
     else:
         value = (
-            -math.log(0.5 * t / geom.z / sinc) / 3.0
+            -math.log(0.5 * t / length) / 3.0
             + 1.0 / 18.0
-            + _cone_contrast(_log_2sin, t, a, geom.z) / 4.0
-            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, t, a, geom.z)
+            + _cone_contrast(_log_2sin, phases, a) / 4.0
+            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, phases, a)
         )
     return ReducedValue(in_float_range(value, "late-time law"))
 

@@ -30,7 +30,7 @@ from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
 from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, checked_report, horizon
-from .kernels import singularity_report
+from .kernels import SingularityReport, singularity_report
 from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -301,7 +301,7 @@ _ROUNDING = 16.0
 _EPS = 2.0**-52
 
 
-# On one float, np.polyval and np.sinc cost microseconds each, 28 to 38 times these.
+# On one float, numpy's polyval and sinc cost microseconds each, 28 to 38 times these.
 def _horner(coef, w):
     value = 0.0
     for c in coef:
@@ -346,6 +346,21 @@ def _phase_sum(p, q, a):
     lo = (u - (hi - v_part)) + (v - v_part)
     sign, hi = _fold(hi, a)
     return p[0] * q[0] * sign, hi + lo
+
+
+def _checked_phases(z, a, t, window):
+    """The window rule at time t, and the phases of t/2 against each image family's nearest
+    cone: (report, phases), the phases t/2, t/2 - z and t/2 + z as (sign, y) of _phase.
+    Reduced modulo a exactly, a phase is 0 only on a cone, which the report's float
+    distance may read a rounding off: there it raises with the report at distance 0."""
+    report = checked_report(singularity_report(z, a, t, threshold=window), t)
+    p_h, p_z = _phase(0.5 * t, a), _phase(z, a)
+    phases = (p_h, _phase_sum(p_h, (p_z[0], -p_z[1]), a), _phase_sum(p_h, p_z, a))
+    if t > 0.0 and 0.0 in (y for _, y in phases):
+        on_cone = SingularityReport(0.0, report.nearest_offset, report.nearest_time,
+                                    report.family, report.n, window)
+        checked_report(on_cone, t)
+    return report, phases
 
 
 def _eps_terms(h, a):
@@ -408,7 +423,7 @@ def _efield(sign, z, a, dt, window):
     """
     Geometry(a, z)  # rejects a placement the dispersions reject
     dt = abs(dt)
-    report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
+    report = _checked_phases(z, a, dt, window)[0]
     h = 0.5 * dt
     eps_terms = _eps_terms(h, a)
     total, moduli = _closed_lattice(z, a, sign, eps_terms)

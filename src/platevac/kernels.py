@@ -219,17 +219,24 @@ _FAR = {
 }
 
 
+def _image_values(key, x, t):
+    """The kernel _SCALED[key] at the offsets x > 0 (an ndarray), inf beyond the float
+    range. Past u = _U_FAR, where the scaled forms overflow, each image takes _FAR's form."""
+    scaled, per_x2 = _SCALED[key]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = t / x * 0.5
+        v = scaled(u) / x / x if per_x2 else scaled(u)
+    far = u >= _U_FAR
+    v[far] = [_FAR[key](float(xi), t) for xi in x[far]]
+    return v
+
+
 def _kernel_at(key, x, t, window):
     """The kernel _SCALED[key] at one image x and time t, under the window rule."""
     if _image_report(x, t, window) is None:
         return 0.0
-    x = abs(x)
-    u = t / x * 0.5
-    if u >= _U_FAR:
-        return in_float_range(_FAR[key](x, t), "kernel value")
-    scaled, per_x2 = _SCALED[key]
-    v = float(scaled(u))
-    return in_float_range(v / x / x if per_x2 else v, "kernel value")
+    v = _image_values(key, np.array([abs(float(x))]), t)[0]
+    return in_float_range(float(v), "kernel value")
 
 
 def velocity_kernel_parallel(x, t, *, window=SINGULAR_WINDOW):
@@ -290,26 +297,14 @@ def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
 def offset_kernel(kind, t):
     """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
 
-    Returns (fvec, (*series, h)): fvec maps an offset array to image values,
-    and with h = t/2 an image past the light front is the _SERIES entry's
-    sum_k c_k h**(2k+m) x**-(2k+s0). An image with u = t/2x past _U_FAR,
-    which only a lattice's n = 0 image next to a plate reaches, takes the
-    single-image form of :data:`_FAR`.
+    Returns (fvec, (*series, h)): fvec maps an offset array to image values
+    by :func:`_image_values`, the arithmetic of a single image, so a
+    lattice's n = 0 image is :func:`_kernel_at`'s value, past u = _U_FAR
+    next to a plate included; with h = t/2 an image past the light front is
+    the _SERIES entry's sum_k c_k h**(2k+m) x**-(2k+s0).
     """
     key = (kind.axis, kind.observable)
-    scaled, per_x2 = _SCALED[key]
-
-    def fvec(x):
-        u = t / (2.0 * x)
-        v = scaled(u)
-        if per_x2:
-            v = v / (x * x)
-        if u.max() >= _U_FAR:
-            far = u >= _U_FAR
-            v[far] = [_FAR[key](float(xi), t) for xi in x[far]]
-        return v
-
-    return fvec, (*_SERIES[key], 0.5 * t)
+    return (lambda x: _image_values(key, x, t)), (*_SERIES[key], 0.5 * t)
 
 
 def horizon(a, z, t):

@@ -10,6 +10,7 @@ oracle.
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -300,20 +301,29 @@ _KERNEL_OF = {
 }
 
 
-@pytest.mark.parametrize("z_over_a", [1e-50, 1e-120, 1e-160, 1e-300])
+@pytest.mark.parametrize("z_over_a, t", [
+    pytest.param(1e-50, 1.0, id="1e-50"),
+    pytest.param(1e-120, 1.0, id="1e-120"),
+    pytest.param(1e-160, 1.0, id="1e-160"),
+    pytest.param(1e-300, 1.0, id="1e-300"),
+    # t << a, where z**2 is below the normal floats: (2z)**2 has a few bits or none
+    pytest.param(1.6176922489491105e-162, 6.7312787295871e-67, id="1.6e-162-t6.7e-67"),
+    pytest.param(1e-160, 1e-100, id="1e-160-t1e-100"),
+])
 @pytest.mark.parametrize("kind", sorted(_KERNEL_OF))
-def test_dispersions_next_to_a_plate(kind, z_over_a):
-    # At a = t = 1 the lattice's n = 0 image is the whole sum to double precision: the
-    # other images add O(z**2) along the plates and O(1) against 1/z**2 along the normal.
-    # Past u = t/2z = 1e100 it is evaluated as a single image is.
-    point = EvalPoint(Geometry(1.0, z_over_a), 1.0)
+def test_dispersions_next_to_a_plate(kind, z_over_a, t):
+    # At a = 1 and t <= 1 the lattice's n = 0 image is the whole sum to double precision:
+    # the other images add O(z**2) along the plates and O(1) against 1/z**2 along the
+    # normal. It takes the single-image path, so it is single_plate_reference exactly.
+    point = EvalPoint(Geometry(1.0, z_over_a), t)
     sign = -1.0 if kind.endswith("parallel") else 1.0
-    image = sign * _mp_single_image(_KERNEL_OF[kind], z_over_a, 1.0)
+    image = sign * _mp_single_image(_KERNEL_OF[kind], z_over_a, t)
     if math.isinf(image):
         with pytest.raises(GeometryError, match="float range"):
             pv.dispersion_exact(kind, point)
     else:
         assert pv.dispersion_exact(kind, point).value == pytest.approx(image, rel=4e-16, abs=0.0)
+        assert pv.dispersion_exact(kind, point).value == pv.single_plate_reference(kind, z_over_a, t)
 
 
 def _mp_efield(sign, z, a, dt):
@@ -376,6 +386,85 @@ def test_efield_correlators_keep_their_phases(sign, func, z, a, dt, window):
     got = func(z, a, dt, window=window)
     assert abs(got.value - expected) <= got.tail_estimate
     assert got.n_used == 0
+
+
+def _mp_late_law(kind, a, z, t):
+    """The late-time law of approx_large_t at 60 digits, its phases formed from the
+    float inputs exactly."""
+    with mpmath.workdps(60):
+        a, z, t = mpmath.mpf(a), mpmath.mpf(z), mpmath.mpf(t)
+        x, theta = mpmath.pi * t / (2 * a), mpmath.pi * z / a
+
+        def contrast(f):
+            return 2 * f(x) - f(x - theta) - f(x + theta)
+
+        def log_2sin(y):
+            return mpmath.log(abs(2 * mpmath.sin(y)))
+
+        plateau = (mpmath.pi / (2 * a)) ** 2 * (mpmath.mpf(1) / 3 + mpmath.csc(theta) ** 2)
+        if kind == "dv2-normal":
+            law = plateau
+        elif kind == "dx2-normal":
+            law = plateau * t * t / 2
+        elif kind == "dv2-parallel":
+            law = (mpmath.pi / (8 * a * t) * contrast(mpmath.cot) - 1 / (3 * t * t)
+                   + contrast(log_2sin) / (4 * t * t))
+        else:
+            law = (-mpmath.log(mpmath.pi * t / (2 * a * mpmath.sin(theta))) / 3
+                   + mpmath.mpf(1) / 18 + contrast(log_2sin) / 4
+                   - a / (4 * mpmath.pi * t) * contrast(lambda y: mpmath.clsin(2, 2 * y)))
+        return float(law)
+
+
+_EPS = 2.0**-52
+
+
+@pytest.mark.parametrize("a, z, t, window", [(1.0, 0.3, 1e6 + 0.6 + 1e-7, 1e-14),
+                                             (1.0, 0.3, 1e9 + 0.6 + 1e-5, 1e-15),
+                                             (1.0, 0.3, 2e12 + 0.603, 1e-16),
+                                             (1.1, 0.7, 3e13 + 1.1, 1e-15)])
+@pytest.mark.parametrize("kind", sorted(_KERNEL_OF))
+def test_late_laws_keep_their_phases(kind, a, z, t, window):
+    # As in the E-field correlators, each phase t/2 and t/2 -/+ z is reduced modulo a
+    # exactly. Rounding n a instead loses about eps t/a of a phase next to a cone, up to
+    # 3e-2 of the dv2-parallel law at t/a = 2e12.
+    got = pv.approx_large_t(kind, EvalPoint(Geometry(a, z), t), window=window).value
+    assert got == pytest.approx(_mp_late_law(kind, a, z, t), rel=8 * _EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("z, a", [(1.0 - 1e-12, 1.0), (0.7 - 1e-10, 0.7)])
+def test_lattice_closed_forms_next_to_the_far_plate(z, a):
+    # sin(pi z/a) formed from z/a next to 1 keeps only the digits of 1 - z/a, 1e-4 of the
+    # value at a - z = 1e-12 a; the reduced phase z - a is exact.
+    with mpmath.workdps(50):
+        p = mpmath.pi * mpmath.mpf(z) / mpmath.mpf(a)
+        quartic = (mpmath.pi / a) ** 4 * (mpmath.cot(p) ** 2 + mpmath.mpf(1) / 3) / mpmath.sin(p) ** 2
+    assert pv.image_sum_quartic(z, a) == pytest.approx(float(quartic), rel=4 * _EPS, abs=0.0)
+    point = EvalPoint(Geometry(a, z), 1000.37 * a)
+    for kind in ("dv2-normal", "dx2-normal"):
+        expected = _mp_late_law(kind, a, z, point.t)
+        assert pv.approx_large_t(kind, point).value == pytest.approx(expected, rel=4 * _EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("window", [0.0, 1e-17])
+@pytest.mark.parametrize("a, z, t", [(1.580852151603986, 0.0704546928538603, 2097151.9999998556),
+                                     (1.2343307025762966, 0.2751457083717259, 2097151.9999997627),
+                                     (1.7800763142277345, 1.0938880301004785, 2097151.9999998037),
+                                     (1.9355868950784179, 1.1021923064336967, 2097151.9999997907)])
+def test_exact_cones_the_float_scan_misses_are_rejected(a, z, t, window):
+    # t/2 = n a -/+ z exactly, while the scan's rounded offset reads t one ulp off that cone.
+    report = pv.singularity_report(z, a, t, window)
+    assert not report.is_near
+    half, n = Fraction(t) / 2, report.n
+    assert half in (n * Fraction(a) - Fraction(z), n * Fraction(a) + Fraction(z))
+    for func in (pv.efield_correlator_parallel, pv.efield_correlator_normal):
+        with pytest.raises(pv.SingularWindowError) as caught:
+            func(z, a, t, window=window)
+        assert caught.value.report.distance == 0.0
+    for kind in ALL_KINDS:
+        with pytest.raises(pv.SingularWindowError) as caught:
+            pv.approx_large_t(kind, EvalPoint(Geometry(a, z), t), window=window)
+        assert (caught.value.report.family, caught.value.report.n) == (report.family, n)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])

@@ -12,6 +12,7 @@ import io
 from pathlib import Path
 
 import platevac
+import platevac.cli  # the tracer wraps platevac.cli.main; ``import platevac`` alone does not load it
 from platevac import EvalPoint, Geometry
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -36,6 +37,9 @@ def test_tracer_records_a_span_for_every_traced_name():
         platevac.renormalized_photon_two_point(2, 2, 3.7, 0.1, 0.2, 0.3, 0.4, 1.0)
         platevac.approx_large_t("dv2-normal", EvalPoint(Geometry(1.0, 0.5), 1000.5))
         platevac.dispersion_via_quadrature("dv2-normal", point)
+        before = len(tracer.spans)
+        platevac.velocity_kernel_parallel(0.3, 0.2)
+        single_image = [span[0] for span in tracer.spans[before:]]
         with contextlib.redirect_stdout(io.StringIO()):
             rc = platevac.cli.main(
                 ["eval", "--quantity", "dv2-parallel", "--a", "1", "--z", "0.3", "--t", "2.7"]
@@ -58,6 +62,8 @@ def test_tracer_records_a_span_for_every_traced_name():
         "oracle.dispersion_via_quadrature",
         "oracle.quad",
     }
+    # A single image shares the lattices' evaluator, which reads _SCALED at call time.
+    assert "kernels.scaled" in single_image
     # The photon function sums through the grouped image sum.
     by_index = dict(enumerate(tracer.spans))
     assert any(
