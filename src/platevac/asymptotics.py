@@ -21,11 +21,11 @@ import math
 import numpy as np
 from scipy.special import spence, zeta
 
-from .correlators import _checked_phases, _closed_lattice, _eps_terms, _phase, _sinc_pi
+from .correlators import _closed_lattice, _eps_terms, _sine
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError, in_float_range
-from .kernels import _SERIES, SINGULAR_WINDOW
-from .kernels import singularity_report  # unused here; bench/tracing.py wraps it by this name
+from .kernels import _SERIES, SINGULAR_WINDOW, _phase, _phase_sum, checked_report
+from .kernels import singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
 # Regime margin: large-a wants t at most 1/REGIME_MARGIN of the nearest
@@ -43,7 +43,7 @@ def image_sum_quartic(z, a):
     """
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
-    value = _closed_lattice(z, a, 1.0, _eps_terms(0.0, a))[0]
+    value = _closed_lattice(*[_phase(z, a)] * 3, a, 1.0, _eps_terms((1.0, 0.0), 0.0, a))[0]
     return in_float_range(value, f"lattice sum at z={z}, a={a}")
 
 
@@ -94,29 +94,29 @@ def approx_large_a_far(kind, point):
     return _wide_gap(kind, geom, t, 1)
 
 
-def _cone_contrast(f, phases, a):
-    """Plain-family light-cone term minus the shifted family's.
+def _cone_contrast(phases, a):
+    """Delta[Cl_2(2x)]: the plain family's light-cone term less the shifted family's.
 
     The plain images n a cross their light cones at integer tau = t/(2a),
-    the shifted images n a -/+ z at tau = n +/- theta. ``phases`` are those
-    of :func:`platevac.correlators._checked_phases`, each y with |y| <= a/2
-    exact at any tau; ``f`` has period pi and is evaluated at pi y / a.
+    the shifted images n a -/+ z at tau = n +/- theta. Cl_2(2x) =
+    Im Li_2(exp(2ix)), of period pi, is taken at pi y/a for the ``phases``
+    of :func:`platevac.kernels.singularity_report`. This second difference
+    cancels as theta -> 0 or pi; the cot and log contrasts are products.
     """
-    plain, minus, plus = (f(math.pi * (y / a)) for _, y in phases)
-    return 2.0 * plain - minus - plus
+    x = np.array([math.pi * (y / a) for _, y in phases])
+    plain, minus, plus = np.imag(spence(1.0 - np.exp(2j * x)))
+    return float(2.0 * plain - minus - plus)
 
 
-def _cot(x):
-    return math.cos(x) / math.sin(x)
-
-
-def _log_2sin(x):
-    return math.log(2.0 * abs(math.sin(x)))
-
-
-def _clausen2(x):
-    """Clausen function Cl_2(2x) = Im Li_2(exp(2ix)), period pi in x."""
-    return float(np.imag(spence(1.0 - np.exp(2j * x))))
+def _cot_log_contrasts(phases, theta, a):
+    """Delta[cot] = -2 cos(x) sin(theta)**2 / (sin(x) sin(x - theta) sin(x + theta)) and
+    Delta[ln|2 sin|] = ln|sin(x)**2 / (sin(x - theta) sin(x + theta))| at x = pi tau,
+    given theta = a sin(pi theta)/pi; every sine the _sine of an exact phase,
+    cos(x) = sin(x + pi/2) included."""
+    s_x, s_minus, s_plus = (_sine(p, a) for p in phases)
+    cos_x = _sine(_phase_sum(phases[0], (1.0, 0.5 * a), a), a)
+    cot = -2.0 * (cos_x / s_x) * (theta / s_minus) * (theta / s_plus)
+    return cot, math.log(abs(s_x / s_minus)) + math.log(abs(s_x / s_plus))
 
 
 def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
@@ -184,26 +184,20 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     a, tau = geom.a, point.gamma
     if tau < REGIME_MARGIN:
         raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")
-    phases = _checked_phases(geom.z, a, t, window)[1]
-    sign, y = _phase(geom.z, a)
-    length = sign * y * _sinc_pi(y / a)  # a sin(pi theta) / pi, above 0 where theta underflows
+    phases = checked_report(singularity_report(geom.z, a, t, threshold=window), t).phases
+    length = _sine(_phase(geom.z, a), a)  # a sin(pi theta) / pi, above 0 where theta underflows
     if kind.axis == "normal":
         # (pi/2a)**2 / 3 + (pi / (2a sin(pi theta)))**2, each root times t/sqrt(2) for positions
         scale = 1.0 if kind.observable == "velocity" else t / math.sqrt(2.0)
         p, q = math.pi / 2.0 / a * scale, 0.5 / length * scale
         value = p * p / 3.0 + q * q
-    elif kind.observable == "velocity":
-        value = (
-            math.pi / 8.0 / t / a * _cone_contrast(_cot, phases, a)
-            - (1.0 / 3.0 - _cone_contrast(_log_2sin, phases, a) / 4.0) / t / t
-        )
     else:
-        value = (
-            -math.log(0.5 * t / length) / 3.0
-            + 1.0 / 18.0
-            + _cone_contrast(_log_2sin, phases, a) / 4.0
-            - a / t / (4.0 * math.pi) * _cone_contrast(_clausen2, phases, a)
-        )
+        cot, log = _cot_log_contrasts(phases, length, a)
+        if kind.observable == "velocity":
+            value = math.pi / 8.0 / t / a * cot - (1.0 / 3.0 - log / 4.0) / t / t
+        else:
+            value = (-math.log(0.5 * t / length) / 3.0 + 1.0 / 18.0 + log / 4.0
+                     - a / t / (4.0 * math.pi) * _cone_contrast(phases, a))
     return ReducedValue(in_float_range(value, "late-time law"))
 
 

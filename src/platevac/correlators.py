@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
-from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, checked_report, horizon
-from .kernels import SingularityReport, singularity_report
+from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, _phase, _phase_sum
+from .kernels import checked_report, horizon, singularity_report
 from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -314,74 +314,29 @@ def _sinc_pi(x):
     return math.sin(math.pi * x) / (math.pi * x) if x else 1.0
 
 
-def _fold(x, a):
-    """(sign, y) with sin(pi x/a) = sign sin(pi y/a) and |y| <= a/2, for |x| <= a.
-
-    Taking a off x is exact there (Sterbenz), and its odd multiple of a gives the
-    sign, which reducing modulo pi alone would lose.
-    """
-    if x > 0.5 * a:
-        return -1.0, x - a
-    if x < -0.5 * a:
-        return -1.0, x + a
-    return 1.0, x
+def _sine(phase, a):
+    """a sin(pi y/a)/pi with the sign of the phase (sign, y): a length, of either sign."""
+    return phase[0] * phase[1] * _sinc_pi(phase[1] / a)
 
 
-def _phase(x, a):
-    """The phase pi x/a as (sign, y) of _fold, exactly: math.remainder modulo 2a is exact.
-
-    Where 2a overflows, |x| <= a already and math.remainder returns x.
-    """
-    return _fold(math.remainder(x, 2.0 * a), a)
-
-
-def _phase_sum(p, q, a):
-    """(sign, r) with sign sin(pi r/a) the sine of the sum of the phases p and q and
-    |r| <= a/2 up to rounding. The sum is kept as an exact pair (two-sum) and folded
-    by the exact _fold, so r is the reduced phase rounded once: a phase next to a
-    multiple of pi keeps its digits however many half-periods it spans."""
-    u, v = p[1], q[1]
-    hi = u + v
-    v_part = hi - u
-    lo = (u - (hi - v_part)) + (v - v_part)
-    sign, hi = _fold(hi, a)
-    return p[0] * q[0] * sign, hi + lo
-
-
-def _checked_phases(z, a, t, window):
-    """The window rule at time t, and the phases of t/2 against each image family's nearest
-    cone: (report, phases), the phases t/2, t/2 - z and t/2 + z as (sign, y) of _phase.
-    Reduced modulo a exactly, a phase is 0 only on a cone, which the report's float
-    distance may read a rounding off: there it raises with the report at distance 0."""
-    report = checked_report(singularity_report(z, a, t, threshold=window), t)
-    p_h, p_z = _phase(0.5 * t, a), _phase(z, a)
-    phases = (p_h, _phase_sum(p_h, (p_z[0], -p_z[1]), a), _phase_sum(p_h, p_z, a))
-    if t > 0.0 and 0.0 in (y for _, y in phases):
-        on_cone = SingularityReport(0.0, report.nearest_offset, report.nearest_time,
-                                    report.family, report.n, window)
-        checked_report(on_cone, t)
-    return report, phases
-
-
-def _eps_terms(h, a):
-    """Phase and terms of eps = pi h/a, which both lattices of one correlator share:
-    (_phase(h, a), a sin(eps)/pi, sinc(eps), sinc(2 eps), g, 2 eps) with
+def _eps_terms(p_e, h, a):
+    """Terms of eps = pi h/a from its phase p_e = _phase(h, a), which both lattices of one
+    correlator share: (a sin(eps)/pi, sinc(eps), sinc(2 eps), g, 2 eps) with
     g = (1 - sinc(2 eps))/(2 eps)**2."""
-    p_e = _phase(h, a)
-    sin_e = p_e[0] * p_e[1] * _sinc_pi(p_e[1] / a)
+    sin_e = _sine(p_e, a)
     if not h:
-        return p_e, sin_e, 1.0, 1.0, _G_SERIES[-1], 0.0
-    s_2e, r_2e = _phase_sum(p_e, p_e, a)
-    sinc_2e = s_2e * r_2e * _sinc_pi(r_2e / a) / (2.0 * h)
+        return sin_e, 1.0, 1.0, _G_SERIES[-1], 0.0
+    sinc_2e = _sine(_phase_sum(p_e, p_e, a), a) / (2.0 * h)
     y = 2.0 * math.pi * (h / a)
     g = _horner(_G_SERIES, y * y) if y < 2.0 else (1.0 - sinc_2e) / y / y
-    return p_e, sin_e, sin_e / h, sinc_2e, g, y
+    return sin_e, sin_e / h, sinc_2e, g, y
 
 
-def _closed_lattice(delta, a, sign, eps_terms):
+def _closed_lattice(p_t, p_a, p_b, a, sign, eps_terms):
     """(sum, sum of moduli of its terms) over x = m a + delta, all integers m, of
     1/(x**2 - h**2)**2 (sign = 1) or (x**2 + h**2)/(x**2 - h**2)**3 (sign = -1),
-    with ``eps_terms`` = _eps_terms(h, a).
+    with ``eps_terms`` = _eps_terms of h and p_t, p_a, p_b the phases (sign, y) of
+    delta, delta - h and delta + h.
 
     With N = sinc(2 eps), S = sinc(eps) and g = (1 - N)/(2 eps)**2 they are
 
@@ -394,19 +349,15 @@ def _closed_lattice(delta, a, sign, eps_terms):
     float range where it does, not before. Every phase, cos(theta) = sin(theta + pi/2)
     included, is a reduced sum of the exact phases of delta and h.
     """
-    p_e, sin_e, sinc_e, sinc_2e, g, y = eps_terms
-    p_t = _phase(delta, a)
-    s_a, r_a = _phase_sum(p_t, (p_e[0], -p_e[1]), a)
-    s_b, r_b = _phase_sum(p_t, p_e, a)
-    q_a, q_b = s_a / (r_a * _sinc_pi(r_a / a)), s_b / (r_b * _sinc_pi(r_b / a))  # pi/(a sin A)
+    sin_e, sinc_e, sinc_2e, g, y = eps_terms
+    q_a, q_b = 1.0 / _sine(p_a, a), 1.0 / _sine(p_b, a)  # pi/(a sin A), pi/(a sin B)
     q = q_a * q_b
-    r_c = _phase_sum(p_t, (1.0, 0.5 * a), a)[1]
-    cos2 = (math.pi / a * r_c * _sinc_pi(r_c / a)) ** 2
+    cos2 = (math.pi / a * _sine(_phase_sum(p_t, (1.0, 0.5 * a), a), a)) ** 2
     pi_a2 = (math.pi / a) * (math.pi / a)
     if sign > 0.0:
         terms = (cos2 * sinc_e * sinc_e * q * q, 2.0 * g * pi_a2 * q)
     else:
-        sin_t = p_t[1] * _sinc_pi(p_t[1] / a)  # a sin(theta) / pi, up to its sign
+        sin_t = _sine(p_t, a)  # a sin(theta) / pi
         # (sin(theta)**2 + sin(eps)**2) / P
         ratio = (sin_t * q_a) * (sin_t * q_b) + (sin_e * q_a) * (sin_e * q_b)
         terms = (sinc_2e * q * q * (cos2 * ratio + 0.5 * g * y * y),
@@ -423,17 +374,18 @@ def _efield(sign, z, a, dt, window):
     """
     Geometry(a, z)  # rejects a placement the dispersions reject
     dt = abs(dt)
-    report = _checked_phases(z, a, dt, window)[0]
+    report = checked_report(singularity_report(z, a, dt, threshold=window), dt)
+    p_e, (s_m, r_m), p_plus = report.phases  # of h, h - z and h + z
     h = 0.5 * dt
-    eps_terms = _eps_terms(h, a)
-    total, moduli = _closed_lattice(z, a, sign, eps_terms)
+    eps_terms = _eps_terms(p_e, h, a)
+    total, moduli = _closed_lattice(_phase(z, a), (s_m, -r_m), p_plus, a, sign, eps_terms)
     if h < _PLAIN_CUT * a:
         inv_a2 = 1.0 / a / a
         plain = 2.0 * _horner(_PLAIN_SERIES[sign], (h / a) * (h / a)) * inv_a2 * inv_a2
         total += sign * plain
         moduli += plain
     else:
-        full, full_moduli = _closed_lattice(0.0, a, sign, eps_terms)
+        full, full_moduli = _closed_lattice((1.0, 0.0), (p_e[0], -p_e[1]), p_e, a, sign, eps_terms)
         inv_h2 = 1.0 / h / h
         total += sign * full - inv_h2 * inv_h2
         moduli += full_moduli + inv_h2 * inv_h2

@@ -25,7 +25,7 @@ once, downstream, by :func:`platevac.physics.physicalize`.
 
 This module also owns the image lattice every two-plate sum runs over:
 the offset families n a and n a +/- z, the horizon past which a sum may
-stop, the light-cone window rule and the nearest light cone.
+stop, the light-cone window rule and the nearest cone with its exact phases.
 """
 
 import math
@@ -169,11 +169,6 @@ def _check_t(t):
         raise GeometryError(f"elapsed time must be finite and nonnegative, got t={t}")
 
 
-def _cone_distance(x, t):
-    """Relative distance |t - 2|x|| / t from time t to the light cone of offset x."""
-    return abs(t - 2.0 * abs(x)) / t
-
-
 def _image_report(x, t, window):
     """The window rule for one image at distance x: None at t = 0, else its checked report.
 
@@ -185,7 +180,7 @@ def _image_report(x, t, window):
     if t == 0.0:
         return None
     offset = float(abs(x))
-    report = SingularityReport(_cone_distance(offset, t), offset, 2.0 * offset, None, None, window)
+    report = SingularityReport(abs(t - 2.0 * offset) / t, offset, 2.0 * offset, None, None, window)
     return checked_report(report, t)
 
 
@@ -316,6 +311,40 @@ def horizon(a, z, t):
     return math.ceil(in_float_range((0.5 * t + z) / a, "image index")) + 1
 
 
+def _fold(x, a):
+    """(sign, y) with sin(pi x/a) = sign sin(pi y/a) and |y| <= a/2, for |x| <= a.
+
+    Taking a off x is exact there (Sterbenz), and its odd multiple of a gives the
+    sign, which reducing modulo pi alone would lose.
+    """
+    if x > 0.5 * a:
+        return -1.0, x - a
+    if x < -0.5 * a:
+        return -1.0, x + a
+    return 1.0, x
+
+
+def _phase(x, a):
+    """The phase pi x/a as (sign, y) of _fold, exactly: math.remainder modulo 2a is exact.
+
+    Where 2a overflows, |x| <= a already and math.remainder returns x.
+    """
+    return _fold(math.remainder(x, 2.0 * a), a)
+
+
+def _phase_sum(p, q, a):
+    """(sign, r) with sign sin(pi r/a) the sine of the sum of the phases p and q and
+    |r| <= a/2 up to rounding. The sum is kept as an exact pair (two-sum) and folded
+    by the exact _fold, so r is the reduced phase rounded once: a phase next to a
+    multiple of pi keeps its digits however many half-periods it spans."""
+    u, v = p[1], q[1]
+    hi = u + v
+    v_part = hi - u
+    lo = (u - (hi - v_part)) + (v - v_part)
+    sign, hi = _fold(hi, a)
+    return p[0] * q[0] * sign, hi + lo
+
+
 class SingularityReport:
     """Distance from an evaluation time to the nearest image light cone.
 
@@ -323,9 +352,9 @@ class SingularityReport:
     ----------
     distance : float
         min |t - 2 X| / t over all image offsets X; inf when t = 0.
-    nearest_offset : float or None
+    nearest_offset : float
         The offset X achieving the minimum.
-    nearest_time : float or None
+    nearest_time : float
         The singular time 2 X for that offset.
     family : str or None
         "plain" for offsets n a, "shifted" for n a +/- z (photon: n a +/- d,
@@ -336,19 +365,15 @@ class SingularityReport:
         The window the distance was compared against.
     is_near : bool
         True when ``distance < threshold`` or t lies on a cone.
+    phases : tuple or None
+        Per offset family, the phase (sign, y) of t/2 - shift = m a + y, |y| <= a/2,
+        sign = (-1)**m, y rounded once; None for a single image.
     """
 
-    __slots__ = (
-        "distance",
-        "nearest_offset",
-        "nearest_time",
-        "family",
-        "n",
-        "threshold",
-        "is_near",
-    )
+    __slots__ = ("distance", "nearest_offset", "nearest_time", "family", "n", "threshold",
+                 "is_near", "phases")
 
-    def __init__(self, distance, nearest_offset, nearest_time, family, n, threshold):
+    def __init__(self, distance, nearest_offset, nearest_time, family, n, threshold, phases=None):
         if not 0.0 <= threshold < math.inf:
             raise GeometryError(f"singular window must be finite and nonnegative, got {threshold}")
         self.distance = distance
@@ -358,6 +383,7 @@ class SingularityReport:
         self.n = n
         self.threshold = threshold
         self.is_near = distance < threshold or distance == 0.0
+        self.phases = phases
 
     def __repr__(self):
         return (
@@ -371,9 +397,10 @@ def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     """Locate the image light cone nearest to time ``t``.
 
     The image offsets of the two-plate geometry are n a (n >= 1) and
-    |n a +/- z| (n >= 0); each contributes a singular time 2 X. The
-    report carries the minimum relative distance |t - 2 X| / t over every
-    offset up to one beyond the horizon t / 2.
+    |n a +/- z| (n >= 0); each contributes a singular time 2 X. The report
+    carries the minimum relative distance |t - 2 X| / t, read off the exact
+    reductions of t/2, t/2 - z and t/2 + z modulo a, its phases: exactly 0
+    on a cone and not 0 off it, at any t/a.
 
     Parameters
     ----------
@@ -388,27 +415,48 @@ def singularity_report(z, a, t, threshold=SINGULAR_WINDOW):
     if not (0.0 < z < a):
         raise GeometryError(f"need 0 < z < a, got z={z}, a={a}")
     _check_t(t)
-    if t == 0.0:
-        return SingularityReport(math.inf, None, None, None, None, threshold)
     families = (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1))
     return _nearest_cone(families, a, t, threshold)
 
 
 def _nearest_cone(families, a, t, threshold):
-    """Report on the cones of the offsets |n a + shift|, n >= n_low, of each
-    family (name, shift, n_low); the nearest has n next to (t/2 - shift) / a.
-    Ties go to the first family listed, then to the lowest n.
+    """Report on the cones of the offsets n a + shift > 0, n >= n_low, of each family
+    (name, shift, n_low), every |shift| below a.
+
+    With t/2 = n_h a + y_h exactly, the phase y of t/2 - shift places the family's
+    nearest cone n, or n_low below it, at distance 2|y|/t; the gap, a sum of a few
+    floats, decides equal finite distances and |y| = a/2 exactly. Ties go to the
+    first family listed, then to the lowest n. All is exact at any t/a, n below
+    2**51; t/2 is 0.5 t, as the closed forms take it.
     """
-    best = None
+    half = 0.5 * t
+    p_h = _phase(half, a)
+    y_h = p_h[1]
+    n_h = round(in_float_range((half - y_h) / a, "image index"))
+
+    def gap(shift, n):  # |t/2 - shift - n a| as (rounded, rounding error), and its terms
+        terms = [y_h, -shift, *[math.copysign(a, n_h - n)] * abs(n - n_h)]
+        y = math.fsum(terms)
+        return (abs(y), math.fsum([*terms, -y]) * (1.0 if y > 0.0 else -1.0)), terms
+
+    phases, best = [], None
     for family, shift, n_low in families:
-        centre = round(in_float_range((0.5 * t - shift) / a, "image index"))
-        for n in range(max(n_low, centre - 1), centre + 2):
-            offset = abs(n * a + shift)
-            dist = _cone_distance(offset, t)
-            if best is None or dist < best[0]:
-                best = (dist, offset, family, n)
-    dist, offset, family, n = best
-    return SingularityReport(float(dist), float(offset), float(2.0 * offset), family, n, threshold)
+        phases.append(_phase_sum(p_h, _phase(-shift, a), a) if shift else p_h)
+        y = phases[-1][1]
+        n = n_h + round((y_h - y) / a - shift / a)
+        if n < n_low:
+            n, y = n_low, y - (n_low - n) * a
+        elif abs(y) == 0.5 * a:  # as rounded: the next cone may be as near, or nearer
+            pair = sorted({n, max(n + (1 if y > 0.0 else -1), n_low)})
+            n = min(pair, key=lambda m: gap(shift, m)[0])
+            y = gap(shift, n)[0][0]
+        dist = abs(y) / t * 2.0 if t else math.inf
+        if best is None or dist < best[0] or dist == best[0] < math.inf and (
+                gap(shift, n)[0] < gap(*best[2:])[0]):
+            best = (dist, family, shift, n)
+    dist, family, shift, n = best
+    offset = math.fsum([half, *(-v for v in gap(shift, n)[1])])
+    return SingularityReport(dist, offset, 2.0 * offset, family, n, threshold, tuple(phases))
 
 
 def checked_report(report, t):

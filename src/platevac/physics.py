@@ -129,6 +129,11 @@ def displacement_bound(z, particle=ELECTRON):
 def amplification_ratio(point):
     """Two-plate normal velocity dispersion over its single-plate value.
 
+    The single plate is the one at 0, the farther one for z > a/2: the late
+    ratio is (pi z/a)**2 (1/3 + csc(pi z/a)**2), 9.0 at z = 0.7a and 86.4 at
+    0.9a. Against the nearer plate, at d = min(z, a - z), it is
+    (pi d/a)**2 (1/3 + csc(pi z/a)**2), at most pi**2/3 at the midplane.
+
     Both reduced, same z and t, so the universal prefactor cancels; both
     are taken at the point scaled exactly by the power of two that brings
     a into [1/2, 1). Where the single-plate value is 0, as at t = 0, the

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import platevac as pv
+from platevac import cli
 from platevac import (
     ALL_KINDS,
     ELECTRON,
@@ -373,7 +374,9 @@ def _mp_efield_closed(sign, z, a, dt):
 @pytest.mark.parametrize("z, a, dt, window", [(0.3, 1.0, 2e12 + 0.37, 1e-14),
                                               (0.7, 1.1, 3e13 + 1.1, 1e-15),
                                               (0.49999951, 1.0, 2.0 * 1000.49999953, 1e-12),
-                                              (0.4999999993, 1.0, 2.0 * 1000.4999999991, 1e-14)])
+                                              (0.4999999993, 1.0, 2.0 * 1000.4999999991, 1e-14),
+                                              # n a + z rounds to t/2, 2.5e-17 (relative) off it
+                                              (0.3, 1.0, 4e15 + 0.5, 1e-17)])
 @pytest.mark.parametrize("sign, func", [(-1, pv.efield_correlator_parallel),
                                         (1, pv.efield_correlator_normal)])
 def test_efield_correlators_keep_their_phases(sign, func, z, a, dt, window):
@@ -422,7 +425,12 @@ _EPS = 2.0**-52
 @pytest.mark.parametrize("a, z, t, window", [(1.0, 0.3, 1e6 + 0.6 + 1e-7, 1e-14),
                                              (1.0, 0.3, 1e9 + 0.6 + 1e-5, 1e-15),
                                              (1.0, 0.3, 2e12 + 0.603, 1e-16),
-                                             (1.1, 0.7, 3e13 + 1.1, 1e-15)])
+                                             (1.1, 0.7, 3e13 + 1.1, 1e-15),
+                                             # next to either plate, where the contrasts
+                                             # are products, not second differences
+                                             (0.9422663426890888, 6.079787490419526e-10,
+                                              344348.43745660206, 1e-6),
+                                             (1.0, 1.0 - 1e-12, 1000.37, 1e-6)])
 @pytest.mark.parametrize("kind", sorted(_KERNEL_OF))
 def test_late_laws_keep_their_phases(kind, a, z, t, window):
     # As in the E-field correlators, each phase t/2 and t/2 -/+ z is reduced modulo a
@@ -451,20 +459,27 @@ def test_lattice_closed_forms_next_to_the_far_plate(z, a):
                                      (1.2343307025762966, 0.2751457083717259, 2097151.9999997627),
                                      (1.7800763142277345, 1.0938880301004785, 2097151.9999998037),
                                      (1.9355868950784179, 1.1021923064336967, 2097151.9999997907)])
-def test_exact_cones_the_float_scan_misses_are_rejected(a, z, t, window):
-    # t/2 = n a -/+ z exactly, while the scan's rounded offset reads t one ulp off that cone.
+def test_exact_cones_the_float_scan_misses_are_rejected(a, z, t, window, capsys):
+    # t/2 = n a -/+ z exactly, while a scan of the rounded offsets reads t one ulp off
+    # that cone. The scan reduces t/2 -/+ z exactly, so every lattice route rejects it.
     report = pv.singularity_report(z, a, t, window)
-    assert not report.is_near
+    assert report.is_near and report.distance == 0.0
     half, n = Fraction(t) / 2, report.n
     assert half in (n * Fraction(a) - Fraction(z), n * Fraction(a) + Fraction(z))
-    for func in (pv.efield_correlator_parallel, pv.efield_correlator_normal):
-        with pytest.raises(pv.SingularWindowError) as caught:
-            func(z, a, t, window=window)
-        assert caught.value.report.distance == 0.0
+    point = EvalPoint(Geometry(a, z), t)
+    calls = [lambda: pv.efield_correlator_parallel(z, a, t, window=window),
+             lambda: pv.efield_correlator_normal(z, a, t, window=window)]
     for kind in ALL_KINDS:
+        for route in (pv.dispersion_exact, pv.approx_large_t, pv.dispersion_via_quadrature):
+            calls.append(lambda route=route, kind=kind: route(kind, point, window=window))
+    for call in calls:
         with pytest.raises(pv.SingularWindowError) as caught:
-            pv.approx_large_t(kind, EvalPoint(Geometry(a, z), t), window=window)
-        assert (caught.value.report.family, caught.value.report.n) == (report.family, n)
+            call()
+        got = caught.value.report
+        assert (got.distance, got.family, got.n) == (0.0, report.family, n)
+    argv = ["eval", "--quantity", "dv2-parallel", "--a", repr(a), "--z", repr(z), "--t", repr(t)]
+    assert cli.main([*argv, "--window", repr(window)]) == 3
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("k", [-1000, -600, 0, 530, 1000])

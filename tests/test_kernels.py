@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -195,28 +196,34 @@ def test_singularity_report_flags_pinned_times():
     assert rep.distance > 0.5
 
 
-def _scan_nearest_cone(z, a, t):
-    """Every offset of the three families up to the horizon, first minimum kept.
+def _exact_nearest_cone(z, a, t):
+    """The nearest cone in exact rational arithmetic: (distance, offset, family, n).
 
-    The order of the scan breaks ties: n a, then n a + z, then n a - z,
-    lowest n first.
+    Each family's offsets n a + shift are scanned from n_low over the indices
+    next to (t/2 - shift)/a, where its nearest cone lies; the first minimum is
+    kept, so ties go to n a, then n a + z, then n a - z, lowest n first.
     """
-    n_top = math.ceil((0.5 * t + z) / a) + 1
-    n = np.arange(0, n_top + 1, dtype=float)
-    offsets = np.concatenate([n[1:] * a, n * a + z, np.abs(n[1:] * a - z)])
-    families = ["plain"] * n_top + ["shifted"] * (2 * n_top + 1)
-    indices = np.concatenate([n[1:], n, n[1:]]).astype(int)
-    # At t = 2z with z near the smallest floats the far distances overflow
-    # to inf, as they do in the code under test.
-    with np.errstate(over="ignore"):
-        dist = np.abs(t - 2.0 * offsets) / t
-    k = int(np.argmin(dist))
-    return float(dist[k]), float(2.0 * offsets[k]), float(offsets[k]), families[k], int(indices[k])
+    a, z, t = Fraction(a), Fraction(z), Fraction(t)
+    best = None
+    for family, shift, n_low in (("plain", 0, 1), ("shifted", z, 0), ("shifted", -z, 1)):
+        m = math.floor((t / 2 - shift) / a)
+        for n in range(max(n_low, m - 1), max(n_low, m + 2) + 1):
+            offset = n * a + shift
+            dist = abs(t - 2 * offset) / t
+            if best is None or dist < best[0]:
+                best = (dist, offset, family, n)
+    return best
 
 
-def _report_fields(z, a, t):
+def _assert_matches_exact_scan(z, a, t):
+    """distance within 2 ulps of the exact one correctly rounded; the rest exactly."""
     rep = singularity_report(z, a, t)
-    return rep.distance, rep.nearest_time, rep.nearest_offset, rep.family, rep.n
+    dist, offset, family, n = _exact_nearest_cone(z, a, t)
+    assert (rep.family, rep.n, rep.nearest_offset) == (family, n, float(offset))
+    assert rep.nearest_time == 2.0 * float(offset)
+    assert abs(rep.distance - float(dist)) <= 2.0 * math.ulp(float(dist))
+    assert (rep.distance == 0.0) == (dist == 0)
+    return rep, dist
 
 
 _A = st.floats(1e-3, 1e3)
@@ -236,7 +243,7 @@ _Z_FRAC = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 def test_singularity_report_matches_full_scan(a, z_frac, t_over_a):
     z, t = z_frac * a, t_over_a * a
     assume(0.0 < z < a and t > 0.0)
-    assert _report_fields(z, a, t) == _scan_nearest_cone(z, a, t)
+    _assert_matches_exact_scan(z, a, t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,9 +256,9 @@ def test_singularity_report_on_a_cone_matches_full_scan(a, z_frac, n, shift):
     z = z_frac * a
     assume(0.0 < z < a and (n >= 1 or shift == 1))
     t = 2.0 * abs(n * a + shift * z)
-    fields = _report_fields(z, a, t)
-    assert fields == _scan_nearest_cone(z, a, t)
-    assert fields[0] == 0.0
+    # t is that cone's time rounded, so it lies on the cone or a rounding off it
+    rep, dist = _assert_matches_exact_scan(z, a, t)
+    assert rep.is_near
 
 
 def test_parallel_kernels_past_the_inverse_series_switch():

@@ -88,3 +88,14 @@ def test_singular_window_error_is_raised_in_three_places():
         "correlators.minkowski_two_point",
         "correlators.empty_space_efield",
     }
+
+
+def test_singularity_reports_are_built_only_by_the_kernels():
+    # One module decides whether a point is on or near a light cone.
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _raised_name(node) == "SingularityReport":
+                builders.add(path.name)
+    assert builders == {"kernels.py"}
