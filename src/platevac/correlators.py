@@ -47,21 +47,18 @@ _N_MAX = 2_000_000
 _TAIL_TARGET = 1e-10
 _PHOTON_CONE_WINDOW = 1e-10
 
-# Explicit shells are summed _BLOCK at a time, so an image sum holds a few
-# (families x _BLOCK) arrays at any t/a: 96 KB each for three families, below
-# glibc's 128 KB mmap threshold. 2,048 and 8,192 measured slower.
-_BLOCK = 4096
-
-# Past _N_RULE shells an image sum takes explicitly only the shells where its
-# kernel is not smooth on the scale of a: the first _W and the _W either side of
-# the light cone. Each stretch between is its integral plus Gregory end
-# corrections of order _GREGORY (DLMF 2.10); the integral takes _NODES-node
-# Gauss-Legendre panels graded by ratio 2 toward x = 0 and the cone, and its
-# bound is _RULE_FACTOR times the first omitted Gregory term plus the panels'
-# difference from the _NODES_LOW-node rule. The rule costs less than the walk
-# from N ~ 2,000 (offset kernels) to N ~ 10,000 (raw and photon kernels);
-# _N_RULE = 3 _BLOCK keeps every sum of up to three blocks on the walk.
-_N_RULE = 3 * _BLOCK
+# Up to _N_RULE shells an image sum is a walk: one fvec call on a (families x N)
+# array. Past it, the sum takes explicitly only the shells where its kernel is
+# not smooth on the scale of a: the first _W and the _W either side of the light
+# cone. Each stretch between is its integral plus Gregory end corrections of
+# order _GREGORY (DLMF 2.10); the integral takes _NODES-node Gauss-Legendre panels
+# graded by ratio 2 toward x = 0 and the cone, and its bound is _RULE_FACTOR
+# times the first omitted Gregory term plus the panels' difference from the
+# _NODES_LOW-node rule. _N_RULE = 4,096: three families of 4,096 doubles are
+# 96 KB, below glibc's 128 KB mmap threshold (one array of 6,000 to 12,000 shells
+# measured up to twice as slow as it taken 4,096 at a time), and for the
+# dispersions the rule overtakes the walk between 2,500 and 4,500 shells.
+_N_RULE = 4096
 _W = 48
 _GREGORY = 10
 _NODES, _NODES_LOW = 16, 10
@@ -180,11 +177,11 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
     :func:`platevac.kernels.horizon` for h and the largest shift. Shells 1..N,
     N = max(_N_MIN, 2 horizon_n), are summed directly, so every later offset
     exceeds t and is left to the zeta tail. Up to N = _N_RULE they are summed
-    _BLOCK shells at a time, one fvec call on each (families x block) array
-    of offsets; past it by :func:`_rule_sum`, in one fvec call, and the tail
-    estimate adds that rule's bound. Callers reject a point on a light cone,
-    so a non-finite sum is beyond the float range, which numpy need not warn
-    of. Returns (value, tail_estimate, n_used = N).
+    by one fvec call on the (families x N) array of offsets; past it by
+    :func:`_rule_sum`, also in one fvec call, and the tail estimate adds that
+    rule's bound. Callers reject a point on a light cone, so a non-finite sum
+    is beyond the float range, which numpy need not warn of. Returns (value,
+    tail_estimate, n_used = N).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
@@ -196,10 +193,9 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
         if N > _N_RULE:
             total, bound = _rule_sum(fvec, sign, a, z, series[-1], N, shifts, weights)
         else:
-            total, bound = sign * float(fvec(np.array([z]))[0]), 0.0
-            for n in range(1, N + 1, _BLOCK):
-                base = np.arange(n, min(n + _BLOCK, N + 1), dtype=float) * a
-                total += float(weights @ fvec(base + shifts[:, None]).sum(axis=1))
+            offsets = np.arange(1, N + 1, dtype=float) * a + shifts[:, None]
+            walk = float(weights @ fvec(offsets).sum(axis=1))
+            total, bound = sign * float(fvec(np.array([z]))[0]) + walk, 0.0
         value, tail = _hurwitz_tail(total, series, a, N + 1.0 + shifts / a, weights, bound)
     return in_float_range(value, "image sum"), tail, N
 

@@ -26,10 +26,10 @@ from .quantities import DispersionKind, EvalPoint, ReducedValue
 def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     """Exact reduced dispersion by image summation.
 
-    The image shells up to twice the horizon are summed one by one up to
-    12,288 of them; past that, only those next to x = 0 and the light cone
-    are, and the smooth stretches between are integrated with Gregory end
-    corrections. The rest is a Hurwitz zeta series.
+    The image shells up to twice the horizon are summed one by one, in one
+    array, up to 4,096 of them; past that, only those next to x = 0 and the
+    light cone are, and the smooth stretches between are integrated with
+    Gregory end corrections. The rest is a Hurwitz zeta series.
 
     Parameters
     ----------

@@ -29,6 +29,7 @@ stop, the light-cone window rule and the nearest cone with its exact phases.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -426,13 +427,15 @@ def _nearest_cone(families, a, t, threshold):
     With t/2 = n_h a + y_h exactly, the phase y of t/2 - shift places the family's
     nearest cone n, or n_low below it, at distance 2|y|/t; the gap, a sum of a few
     floats, decides equal finite distances and |y| = a/2 exactly. Ties go to the
-    first family listed, then to the lowest n. All is exact at any t/a, n below
-    2**51; t/2 is 0.5 t, as the closed forms take it.
+    first family listed, then to the lowest n. All is exact at any t/a: from 2**49 up
+    n_h is the exact rational quotient (t/2 - y_h)/a, an integer that the float one
+    may miss past 2**51. t/2 is 0.5 t, as the closed forms take it.
     """
     half = 0.5 * t
     p_h = _phase(half, a)
     y_h = p_h[1]
-    n_h = round(in_float_range((half - y_h) / a, "image index"))
+    q = in_float_range((half - y_h) / a, "image index")
+    n_h = round(q if abs(q) < 2**49 else (Fraction(half) - Fraction(y_h)) / Fraction(a))
 
     def gap(shift, n):  # |t/2 - shift - n a| as (rounded, rounding error), and its terms
         terms = [y_h, -shift, *[math.copysign(a, n_h - n)] * abs(n - n_h)]

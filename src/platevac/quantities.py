@@ -141,12 +141,12 @@ class ReducedValue:
         The reduced dispersion or correlator value.
     tail_estimate : float
         Bound on the truncated image tail, same units as ``value``; past
-        12,288 shells it includes the bound of the integration rule for
+        4,096 shells it includes the bound of the integration rule for
         the smooth stretches. For the closed-form E-field correlators, the
         bound on their own rounding; zero for the other closed forms.
     n_used : int
         Number of image shells the sum covers before its zeta tail, each
-        summed one by one up to 12,288. Zero for closed-form results.
+        summed one by one up to 4,096. Zero for closed-form results.
     singularity : object or None
         The :class:`platevac.kernels.SingularityReport` for the point,
         when one was computed.

@@ -1,5 +1,5 @@
-"""The image-lattice engine: blocked sums, the quadrature rule past them, bounded memory and
-cost, 2-D kernels, its call shape."""
+"""The image-lattice engine: one-array walks, the quadrature rule past them, bounded memory
+and cost, 2-D kernels, its call shape."""
 
 import inspect
 import math
@@ -48,23 +48,30 @@ def _sensitivity(fvec, sign, a, z, N, d, h):
     return total
 
 
-def _photon_like(x):
-    return 1.0 / (2000.3**2 - 4.0 * x * x)
-
-
-# (block, N): N = B - 1, B, B + 1 and 3B + 1, each with N even, as every N of the engine is.
-@pytest.mark.parametrize("block, n", [(4097, 4096), (4096, 4096), (4095, 4096), (4095, 12286)])
+@pytest.mark.parametrize("n", [_N_RULE - 2, _N_RULE, _N_RULE + 2])
 @pytest.mark.parametrize("kind", ["dx2-parallel", "dv2-normal", "photon"])
-def test_blocked_sum_is_one_plain_sum_at_the_block_edges(monkeypatch, block, n, kind):
-    monkeypatch.setattr(correlators, "_BLOCK", block)
-    a, z = 1.0, 0.3123
-    if kind == "photon":  # four rows: the plain pair at +/-d
-        fvec, sign, d = _photon_like, -1.0, 0.1
-    else:
-        fvec, sign, d = offset_kernel(DispersionKind.coerce(kind), 2000.37)[0], 1.0, 0.0
-    value, tail, n_used = _grouped_image_sum(fvec, sign, a, z, _NO_TAIL, n // 2, d)
-    reference, moduli = _plain_sum(fvec, sign, a, z, n, d)
-    assert n_used == n and tail == 0.0
+def test_the_walk_is_one_plain_sum_up_to_the_rule(monkeypatch, kind, n):
+    # Up to N = _N_RULE the engine makes one fvec call on the (families x N) array, and
+    # its value is one plain sum; past it, it takes the rule. N is 2 horizon at time t.
+    a, z, zp = 1.0, 0.3123, 0.1123
+    shift = 0.5 * (z + zp) if kind == "photon" else z
+    t = 2.0 * ((n // 2 - 1.5) * a - shift)
+    assert horizon(a, shift, t) == n // 2
+    fvec, sign, _, d, _ = _lattice(kind, t, a, z, zp)
+    sizes, ruled = [], []
+    rule = correlators._rule_sum  # _rule_sum(fvec, sign, a, z, h, N, ...)
+    monkeypatch.setattr(correlators, "_rule_sum", lambda *args: ruled.append(args[5]) or
+                        rule(*args))
+    series = (*_NO_TAIL[:-1], 0.5 * t)
+    value, tail, n_used = _grouped_image_sum(lambda x: sizes.append(x.size) or fvec(x), sign, a,
+                                             shift, series, n // 2, d)
+    assert n_used == n
+    if n > _N_RULE:
+        assert ruled == [n] and tail > 0.0
+        return
+    reference, moduli = _plain_sum(fvec, sign, a, shift, n, d)
+    rows = 4 if kind == "photon" else 3  # the photon's plain pair at +/-d is two rows
+    assert not ruled and tail == 0.0 and sorted(sizes) == [1, rows * n]
     assert abs(value - reference) <= 4.0 * _EPS * moduli
 
 
@@ -99,11 +106,13 @@ def test_scaled_kernels_on_a_block_equal_their_rows(key):
 
 def test_the_call_shape_the_layer_counters_read():
     # bench/tracing.py counts a grouped sum by its horizon, args[5], and its explicit
-    # range N, result[2]; N = max(8, 2 horizon).
+    # range N, result[2]; N = max(8, 2 horizon). Past _N_RULE the rule places the light
+    # cone at t/2, so that case takes the t whose horizon it is.
     assert list(inspect.signature(_grouped_image_sum).parameters)[:6] == [
         "fvec", "sign", "a", "z", "series", "horizon_n"]
-    fvec, series = offset_kernel(DispersionKind.coerce("dv2-normal"), 10.37)
-    for horizon_n in (1, 4, 6, 2049):
+    assert horizon(1.0, 0.3123, 4094.37) == 2049 > _N_RULE // 2
+    for horizon_n, t in ((1, 10.37), (4, 10.37), (6, 10.37), (2049, 4094.37)):
+        fvec, series = offset_kernel(DispersionKind.coerce("dv2-normal"), t)
         args = (fvec, 1.0, 1.0, 0.3123, series, horizon_n)
         result = _grouped_image_sum(*args)
         assert len(result) == 3
@@ -129,7 +138,7 @@ def _lattice(name, t, a, z, zp):
 @seed(20041201)
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(ALL_KINDS + ("efield-parallel", "efield-normal", "photon")),
-       a=st.sampled_from((0.5, 1.0, 2.0)), t_over_a=st.floats(4.0, 5.4).map(lambda p: 10.0**p),
+       a=st.sampled_from((0.5, 1.0, 2.0)), t_over_a=st.floats(3.62, 5.4).map(lambda p: 10.0**p),
        z_over_a=st.floats(0.01, 0.99), zp_over_a=st.floats(0.01, 0.99))
 def test_the_quadrature_rule_matches_the_walk_within_its_bound(name, a, t_over_a, z_over_a,
                                                                zp_over_a):
@@ -147,10 +156,12 @@ def test_the_quadrature_rule_matches_the_walk_within_its_bound(name, a, t_over_a
     assert (bound > 0.0) == (n > _N_RULE)
 
 
+@pytest.mark.parametrize("t", [5000.37, 1e6 + 0.37])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_a_late_lattice_costs_a_few_thousand_kernel_points(kind):
-    # At t = 1e6 a the walk passed 3,000,012 offsets to fvec, one per image.
-    a, z, t = 1.0, 0.3123, 1e6 + 0.37
+def test_a_late_lattice_costs_a_few_thousand_kernel_points(kind, t):
+    # At t = 1e6 a the walk passed 3,000,012 offsets to fvec, one per image; at t = 5,000 a
+    # a walk in blocks of 4,096 shells made three calls on 15,013.
+    a, z = 1.0, 0.3123
     fvec, series = offset_kernel(kind, t)
     sizes = []
 
@@ -159,6 +170,6 @@ def test_a_late_lattice_costs_a_few_thousand_kernel_points(kind):
         return fvec(x)
 
     _, _, n_used = _grouped_image_sum(counted, kind.image_sign, a, z, series, horizon(a, z, t))
-    assert n_used == 1_000_004
+    assert n_used == 2 * horizon(a, z, t) > _N_RULE
     assert sum(sizes) < 5_000
     assert len(sizes) == 1

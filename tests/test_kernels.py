@@ -261,6 +261,16 @@ def test_singularity_report_on_a_cone_matches_full_scan(a, z_frac, n, shift):
     assert rep.is_near
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=_A, z_frac=_Z_FRAC, t_over_a=st.floats(3e15, 1e17))
+def test_singularity_report_matches_full_scan_past_2_51(a, z_frac, t_over_a):
+    # Here t/2 - y_h, an exact multiple of a, has a float quotient that may round off its
+    # index; the scan takes that index as an exact rational quotient instead.
+    z, t = z_frac * a, t_over_a * a
+    assume(0.0 < z < a)
+    _assert_matches_exact_scan(z, a, t)
+
+
 def test_parallel_kernels_past_the_inverse_series_switch():
     # From u = 4 up the parallel closed forms cancel to O(u**-2) and lose
     # up to hundreds of eps; the inverse series holds them to a few eps.
