@@ -4,10 +4,10 @@ The renormalized photon two-point function between conducting plates at
 z = 0 and z = a is a lattice of image terms: offsets z + z' + 2na summed
 over all integers n with a reflected tensor factor, plus offsets
 z - z' + 2na summed over n != 0 with the flat tensor factor; halved, they
-are the families n a +/- (z+z')/2 and n a +/- (z-z')/2. It is summed image
-by image up to a range fixed by the geometry, past which each offset
-family's remainder is a series of Hurwitz zeta values; the dispersions
-and the oracle share that grouped sum.
+are the lattices m a + (z+z')/2 and m a + (z-z')/2. Each is a first-order
+Mittag-Leffler sum of 1/(A - 4 x**2): a product of sines of exact phases
+(DLMF 4.22) for a time-like interval, its hyperbolic form (DLMF 4.36) for
+a space-like one, so it costs the same at any interval.
 
 Double time derivatives of it give the equal-position electric-field
 correlators that drive the Brownian motion: image sums of the two raw
@@ -20,7 +20,8 @@ over the offset families n a and n a +/- z used everywhere else. Each
 family is a whole lattice m a + delta, whose sum of either kernel is an
 h-derivative (h = dt/2) of sum_m 1/(x**2 - h**2), a difference of two
 cotangents (DLMF 4.22), so the correlators are in closed form and cost
-the same at any dt/a.
+the same at any dt/a. The grouped image sum here serves the dispersions
+and the oracle.
 """
 
 import math
@@ -30,7 +31,7 @@ from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
 from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, _phase, _phase_sum
-from .kernels import checked_report, horizon, singularity_report
+from .kernels import checked_report, singularity_report
 from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -176,8 +177,8 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
     Every |shift| is below a, and horizon_n is the one of
     :func:`platevac.kernels.horizon` for h and the largest shift. Shells 1..N,
     N = max(_N_MIN, 2 horizon_n), are summed directly, so every later offset
-    exceeds t and is left to the zeta tail. Up to N = _N_RULE they are summed
-    by one fvec call on the (families x N) array of offsets; past it by
+    exceeds t and is left to the zeta tail. Up to N = _N_RULE they and the
+    n = 0 image are summed by one fvec call on the offsets; past it by
     :func:`_rule_sum`, also in one fvec call, and the tail estimate adds that
     rule's bound. Callers reject a point on a light cone, so a non-finite sum
     is beyond the float range, which numpy need not warn of. Returns (value,
@@ -194,8 +195,9 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
             total, bound = _rule_sum(fvec, sign, a, z, series[-1], N, shifts, weights)
         else:
             offsets = np.arange(1, N + 1, dtype=float) * a + shifts[:, None]
-            walk = float(weights @ fvec(offsets).sum(axis=1))
-            total, bound = sign * float(fvec(np.array([z]))[0]) + walk, 0.0
+            v = fvec(np.concatenate(([z], offsets.ravel())))
+            walk = float(weights @ v[1:].reshape(offsets.shape).sum(axis=1))
+            total, bound = sign * float(v[0]) + walk, 0.0
         value, tail = _hurwitz_tail(total, series, a, N + 1.0 + shifts / a, weights, bound)
     return in_float_range(value, "image sum"), tail, N
 
@@ -458,25 +460,105 @@ def _check_indices(mu, nu):
         raise GeometryError(f"tensor indices must be 0..3, got ({mu}, {nu})")
 
 
-def _lattice_scalar(A, sign, a, c, d):
-    """Grouped image sum of f(x) = 1/(A - 4 x**2), shifted by c and plain by d.
+# The photon function's two lattices are first-order sums. With H = A/4, an offset x enters
+# as 1/(A - 4 x**2) = -1/(4 (x**2 - H)), and over x = m a + delta, all integers m,
+#
+#     sum_m 1/(x**2 - h**2)   = -sinc(2 eps) / (s(h - delta) s(h + delta))        (DLMF 4.22)
+#     sum_m 1/(x**2 + kappa**2) = (pi/(a kappa)) (1 - q**2) / ((1 - q)**2 + 4 q sin(theta)**2)
+#
+# for H = h**2 > 0 and H = -kappa**2 <= 0 (DLMF 4.36), with s(y) = a sin(pi y/a)/pi,
+# eps = pi h/a, theta = pi delta/a and q = exp(-2 pi kappa/a); at kappa = 0 the second is
+# 1/s(delta)**2. The plain family d leaves out m = 0, and three forms keep it from cancelling.
+# Below |d| + sqrt|H| = _PLAIN_CUT a it is (2/a**2) sum_k zeta(2k) E_k with E_k =
+# sum_j C(2k-1, 2j+1) (H/a**2)**j (d/a)**(2k-2-2j), whose terms are positive for H >= 0. Next
+# to its removed cone, h within _PLAIN_CUT a of |d| and |d| <= 3h, it is
+# [g(|d| - h) - g(|d| + h)]/(2h) with g(y) = (pi/a) cot(pi y/a) - 1/y, smooth at y = 0, where
+# g(|d| - h) is its series -2 sum_k zeta(2k) y**(2k-1)/a**2k. Elsewhere it is the whole
+# lattice less 1/(d**2 - H).
+_ZETA_EVEN = [float(c) for c in zeta(2.0 * _KP + 2.0)[::-1]]  # zeta(2k), highest k first
 
-    With t = sqrt|A| it has the explicit range of a dispersion at (a, c, t);
-    past it f(x) = -sum_k sign(A)**k (t/2)**2k x**-(2k+2) / 4. For A > 0 an
-    image within _PHOTON_CONE_WINDOW of its cone 2x = t raises
-    SingularWindowError. Returns (value, tail, N, nearest-cone report or None).
+
+def _coth_lattice(p_t, kappa, a):
+    """sum_m 1/((m a + delta)**2 + kappa**2) for kappa >= 0, p_t the phase of delta.
+
+    With x = 2 pi kappa/a, up to x = 1 it is e2/((kappa e1)**2 + q s(delta)**2), e1 =
+    (1 - q)/x and e2 = (1 - q**2)/(2x), whose lengths leave the float range only where the
+    value does, and which nothing cancels in as kappa or delta -> 0.
+    """
+    x = 2.0 * math.pi * (kappa / a)
+    q = math.exp(-x)
+    if x > 1.0:
+        sin_t = math.sin(math.pi * (p_t[1] / a))
+        den = math.expm1(-x) ** 2 + 4.0 * q * sin_t * sin_t
+        return math.pi / a / kappa * -math.expm1(-2.0 * x) / den
+    e1 = -math.expm1(-x) / x if x else 1.0
+    e2 = -math.expm1(-2.0 * x) / (2.0 * x) if x else 1.0
+    s = _sine(p_t, a)
+    den = (kappa * e1) ** 2 + q * s * s
+    return e2 / den if den else math.inf
+
+
+def _plain_series(d, hh, a):
+    """(sum, sum of moduli of its terms) of the plain family's series at hh = H/a**2:
+    (2/a**2) sum_k zeta(2k) E_k, by E_{k+1} = 2 (dd + hh) E_k - (dd - hh)**2 E_{k-1}
+    from E_1 = 1 and E_2 = 3 dd + hh, dd = (d/a)**2."""
+    dd = (d / a) * (d / a)
+    s, p = 2.0 * (dd + hh), (dd - hh) * (dd - hh)
+    e_k, e_next = 1.0, 3.0 * dd + hh
+    value = moduli = 0.0
+    for zeta_2k in reversed(_ZETA_EVEN):
+        value += zeta_2k * e_k
+        moduli += zeta_2k * abs(e_k)
+        e_k, e_next = e_next, s * e_next - p * e_k
+    return 2.0 * value / a / a, 2.0 * moduli / a / a
+
+
+def _lattice_scalar(A, sign, a, c, d):
+    """Sum of f(x) = 1/(A - 4 x**2) over the shifted lattice m a + c, times sign, and the
+    plain lattice m a + d, m != 0, in closed form at h = sqrt(A)/2 as rounded.
+
+    For A > 0 an image within _PHOTON_CONE_WINDOW of its cone 2x = sqrt(A) raises
+    SingularWindowError, and every sine is taken from the exact phases of the cone scan.
+    Returns (value, tail, 0, nearest-cone report or None), the tail bounding the closed
+    form's rounding: _ROUNDING eps times the sum of the moduli of its terms.
     """
     t = math.sqrt(abs(A))
-    n_top = horizon(a, c, t)
+    e, cut = abs(d), _PLAIN_CUT * a
     report = None
     if A > 0.0:
         families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
         report = checked_report(_nearest_cone(families, a, t, _PHOTON_CONE_WINDOW), t)
-    series = (-(np.sign(A) ** _K) / 4.0, 0, 2, 0, 0.5 * t)
-    value, tail, n_used = _grouped_image_sum(
-        lambda x: 1.0 / (A - 4.0 * x * x), sign, a, c, series, n_top, d
-    )
-    return value, tail, n_used, report
+        p_dm, p_dp, p_cm, p_cp = report.phases  # of h - d, h + d, h - c and h + c
+        if d < 0.0:
+            p_dm, p_dp = p_dp, p_dm  # of h - |d| and h + |d|
+        h = 0.5 * t
+        sinc_2e = _eps_terms(_phase(h, a), h, a)[2]
+        shifted = -sinc_2e / _sine(p_cm, a) / _sine(p_cp, a)
+        if e + h <= cut:
+            plain, moduli = _plain_series(e, (h / a) * (h / a), a)
+        elif abs(e - h) < cut and e <= 3.0 * h:
+            y = (e - h) / a
+            cot = math.pi / a * _sine(_phase_sum(p_dp, (1.0, 0.5 * a), a), a) / _sine(p_dp, a)
+            terms = (-2.0 * y / a * _horner(_ZETA_EVEN, y * y), -cot, 1.0 / (e + h))
+            plain = sum(terms) / (2.0 * h)
+            moduli = sum(map(abs, terms)) / (2.0 * h)
+        else:
+            full = -sinc_2e / _sine(p_dm, a) / _sine(p_dp, a)
+            image = 1.0 / (e - h) / (e + h)
+            plain, moduli = full - image, abs(full) + abs(image)
+    else:
+        kappa = 0.5 * t
+        shifted = _coth_lattice(_phase(c, a), kappa, a)
+        if e + kappa <= cut:
+            plain, moduli = _plain_series(e, -(kappa / a) * (kappa / a), a)
+        else:
+            full = _coth_lattice(_phase(d, a), kappa, a)
+            image = 1.0 / math.hypot(e, kappa)
+            image *= image
+            plain, moduli = full - image, full + image
+    value = in_float_range(-0.25 * (sign * shifted + plain), "photon two-point function")
+    tail = _ROUNDING * _EPS * 0.25 * (abs(shifted) + moduli)
+    return value, in_float_range(tail, "photon rounding bound"), 0, report
 
 
 def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
@@ -487,9 +569,10 @@ def renormalized_photon_two_point(mu, nu, dt, dx, dy, z, zp, a):
     carries plus the flat metric, both over 4 pi**2. Off-diagonal
     components vanish identically.
 
-    Returns a :class:`ReducedValue`; its tail estimate bounds the
-    truncation of the Hurwitz-zeta tail, ``n_used`` counts its shells and
-    ``singularity`` reports the nearest cone of a time-like interval.
+    Returns a :class:`ReducedValue`. Both lattices are in closed form, so
+    ``n_used`` is 0 and the tail estimate bounds the closed form's rounding
+    at sqrt(A) as rounded; ``singularity`` reports the nearest cone of a
+    time-like interval.
     """
     _check_indices(mu, nu)
     Geometry(a, z)

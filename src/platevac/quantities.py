@@ -142,8 +142,9 @@ class ReducedValue:
     tail_estimate : float
         Bound on the truncated image tail, same units as ``value``; past
         4,096 shells it includes the bound of the integration rule for
-        the smooth stretches. For the closed-form E-field correlators, the
-        bound on their own rounding; zero for the other closed forms.
+        the smooth stretches. For the closed-form E-field correlators and
+        photon function, the bound on their own rounding; zero for the
+        other closed forms.
     n_used : int
         Number of image shells the sum covers before its zeta tail, each
         summed one by one up to 4,096. Zero for closed-form results.

@@ -51,8 +51,9 @@ def _sensitivity(fvec, sign, a, z, N, d, h):
 @pytest.mark.parametrize("n", [_N_RULE - 2, _N_RULE, _N_RULE + 2])
 @pytest.mark.parametrize("kind", ["dx2-parallel", "dv2-normal", "photon"])
 def test_the_walk_is_one_plain_sum_up_to_the_rule(monkeypatch, kind, n):
-    # Up to N = _N_RULE the engine makes one fvec call on the (families x N) array, and
-    # its value is one plain sum; past it, it takes the rule. N is 2 horizon at time t.
+    # Up to N = _N_RULE the engine makes one fvec call on the n = 0 image and the
+    # (families x N) array, and its value is one plain sum; past it, it takes the rule.
+    # N is 2 horizon at time t.
     a, z, zp = 1.0, 0.3123, 0.1123
     shift = 0.5 * (z + zp) if kind == "photon" else z
     t = 2.0 * ((n // 2 - 1.5) * a - shift)
@@ -71,7 +72,7 @@ def test_the_walk_is_one_plain_sum_up_to_the_rule(monkeypatch, kind, n):
         return
     reference, moduli = _plain_sum(fvec, sign, a, shift, n, d)
     rows = 4 if kind == "photon" else 3  # the photon's plain pair at +/-d is two rows
-    assert not ruled and tail == 0.0 and sorted(sizes) == [1, rows * n]
+    assert not ruled and tail == 0.0 and sizes == [rows * n + 1]
     assert abs(value - reference) <= 4.0 * _EPS * moduli
 
 

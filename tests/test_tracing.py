@@ -64,9 +64,9 @@ def test_tracer_records_a_span_for_every_traced_name():
     }
     # A single image shares the lattices' evaluator, which reads _SCALED at call time.
     assert "kernels.scaled" in single_image
-    # The photon function sums through the grouped image sum.
+    # The photon function is in closed form: it never reaches the grouped image sum.
     by_index = dict(enumerate(tracer.spans))
-    assert any(
+    assert not any(
         span[0] == "correlators.grouped_sum" and by_index[span[4]][0] == "correlators.lattice_scalar"
         for span in tracer.spans if span[4] >= 0
     )
