@@ -23,20 +23,26 @@ only K's Laurent coefficients, never the kernels' F(u), G(u) or branches,
 so it is as independent of them as a quadrature of the same parts. The
 raw integrands of the farther images, whose poles lie at least t beyond
 [0, t], are summed into one integrand and take a single adaptive
-quadrature; a second one, of the last image group alone, gives the tail
-estimate.
+quadrature. The images past the summed count are added in closed form:
+K's large-offset series in tau**2/4x**2, integrated against the weight,
+leaves one Hurwitz zeta value per family and power, and the tail estimate
+bounds the series' remainder geometrically from its raw coefficients.
 """
 
 import hashlib
 import json
+import math
+import sys
 import warnings
 
 import numpy as np
+from scipy.special import zeta
 
 from .correlators import _N_MAX, _grouped_image_sum, _k_normal, _k_parallel
 from .errors import ConvergenceError, GeometryError, in_float_range
 from .kernels import (
     SINGULAR_WINDOW,
+    _K,
     _SCALED,
     _check_t,
     _image_report,
@@ -65,10 +71,10 @@ class QuadratureSpec:
     max_subdivisions = 200
 
 
-# Pinned image counts giving quadrature-route truncation below 1e-8
-# relative at the certification point: the parallel families cancel
-# pairwise (offset**-6 group decay), the normal families do not
-# (offset**-4, so the truncated tail shrinks only like the count cubed).
+# Pinned image shells summed one by one before the large-offset series
+# takes the rest (see _remainder). Past them the series ratio (t/2x)**2
+# is below 1e-3 for t up to 3a (parallel) and 19a (normal), so a few
+# terms carry the rest to double precision.
 N_IMAGES_PARALLEL = 50
 N_IMAGES_NORMAL = 300
 
@@ -177,19 +183,68 @@ def _image_sum(axis, observable, x, c, t):
     :func:`_finite_part_image`; the raw integrands of the others are
     summed into one integrand, smooth on [0, t], which a single adaptive
     quadrature integrates. With no image at x_i >= t there is no
-    quadrature. Callers reject a t near a cone.
+    quadrature, and with none below t no closed-form pass. Callers reject
+    a t near a cone. Returns (sum, tolerance), the tolerance being the
+    one the quadrature is held to, max(abs_tol, rel_tol |its value|), or
+    0 without one.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
     near = x < t
+    total, tol = 0.0, 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = float(np.dot(c[near], _finite_part_image(axis, observable, x[near], t)))
+        if near.any():
+            total = float(np.dot(c[near], _finite_part_image(axis, observable, x[near], t)))
         if not near.all():
             w, _ = _weight(observable, t)
             c_far = c[~near]
             x2_far = 4.0 * x[~near] ** 2
-            total += _quad(lambda tau: w(tau) * np.dot(c_far, _RAW[axis](x2_far, tau)), 0.0, t)
-        return in_float_range(total, "image integral")
+            far = _quad(lambda tau: w(tau) * np.dot(c_far, _RAW[axis](x2_far, tau)), 0.0, t)
+            total += far
+            tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(far))
+        return in_float_range(total, "image integral"), tol
+
+
+def _remainder(axis, observable, t, q, weights):
+    """sum_f weights[f] sum_{n>=0} integral_0^t w(tau) K(q[f] + n, tau) dtau: (value, bound).
+
+    With y = tau**2/4x**2 the raw integrands are the series
+    K_normal = (1/16x**4) sum_k (k+1) y**k and
+    K_parallel = -(1/16x**4) sum_k (k+1)**2 y**k, and the weight's moments
+    are W_2k = integral_0^t w tau**2k dtau = 2 t**(2k+2)/((2k+1)(2k+2))
+    for the velocity and that times t**2/(2k+4) for the position. Each
+    image's integral is therefore sum_k c_k W_2k/(16 4**k x**(4+2k)), and
+    a family's sum over n is zeta(4+2k, q[f]) (DLMF 25.11). Term k is
+    formed scale-free as t**m/8 u**2k (q**2k zeta(4+2k, q)) over the
+    moment's denominator, with u = t/2q and m = 2 or 4, so nothing
+    overflows. Every x is at least q[f] > t/2, and c_{k+1}/c_k is at most
+    ((k+2)/(k+1))**p, p = 1 normal and 2 parallel, while W_{2k+2} <=
+    t**2 W_2k since w >= 0; so each term is at most rho_k =
+    ((k+2)/(k+1))**p u**2 times the one before, and what follows the last
+    term taken, k, is at most |term k| rho_k/(1 - rho_k). Terms are taken
+    while u**2k is above the double epsilon, at most len(_K) of them, and
+    while zeta(4+2k, q) is a normal float. A series that does not settle
+    (rho_k >= 1 at its last term) raises ConvergenceError.
+    """
+    p = 2.0 if axis == "parallel" else 1.0
+    u = 0.5 * t / q
+    # Terms fall like u**2k (u < 1 past the horizon): take them until that is below epsilon.
+    u_max = max(float(u.max()), sys.float_info.min)
+    k = _K[: 1 + int(math.log(sys.float_info.epsilon) / (2.0 * math.log(u_max))), None]
+    zq = zeta(2.0 * k + 4.0, q)
+    taken = zq >= sys.float_info.min  # a prefix of k: zeta falls with its order
+    qk = q ** np.where(taken, k, 0.0)
+    coef = (k + 1.0) ** p / ((2.0 * k + 1.0) * (2.0 * k + 2.0))
+    if observable == "position":
+        coef = coef * (t * t / (2.0 * k + 4.0))
+    scale = (-0.125 if axis == "parallel" else 0.125) * t * t * weights
+    terms = np.where(taken, coef * scale * u ** (2.0 * k) * (qk * zq * qk), 0.0)
+    last = np.count_nonzero(taken, axis=0) - 1
+    rho = ((last + 2.0) / (last + 1.0)) ** p * u * u
+    if np.any(rho >= 1.0):
+        raise ConvergenceError("the image series past n_images does not settle: raise n_images")
+    bound = float(np.abs(terms[last, np.arange(q.size)]) @ (rho / (1.0 - rho)))
+    return float(np.sum(terms)), bound
 
 
 def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
@@ -197,7 +252,7 @@ def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
         raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
     if _image_report(x, t, window) is None:
         return 0.0
-    return _image_sum(axis, observable, [abs(x)], [1.0], t)
+    return _image_sum(axis, observable, [abs(x)], [1.0], t)[0]
 
 
 def _weighted_integral(observable, kernel, t):
@@ -241,22 +296,23 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     """Reduced dispersion from the summed raw image integrands.
 
     Independent of the closed-form kernels: images with offset below t
-    are integrated in closed form from their Laurent parts, the others by
-    one quadrature of their summed raw integrands. The default image count is
-    the per-axis pinned count or twice the horizon, whichever is larger:
-    up to twice the horizon the images still have t/2x above 1/2 and
-    decay slowly, so a sum stopped at the horizon is off by its tail,
-    and twice the horizon is where the exact route's explicit shells
-    stop too. An explicit ``n_images`` below the horizon raises
-    GeometryError; a count above 2,000,000, the image sums' cap, raises
-    ConvergenceError before any array is built (see the module docstring
-    for the split). The returned tail estimate bounds what the truncation
-    leaves out by integral comparison of the offset**-4 group decay,
-    scaled from the last group's 2|plain| + |up| + |down|: past t/2 each
-    of its raw integrands keeps one sign on [0, t], so the integral of
-    their unsigned sum is that magnitude. That makes at most two adaptive
-    quadratures per call, whatever the image count: none for a group with
-    no image at or beyond t.
+    are integrated in closed form from their Laurent parts, the others up
+    to shell ``n_images`` by one quadrature of their summed raw
+    integrands, and the shells past it by the raw integrands'
+    large-offset series, which leaves Hurwitz zeta values (see
+    :func:`_remainder`). The default image count is the per-axis pinned
+    count or twice the horizon, whichever is larger: past twice the
+    horizon every offset exceeds t, so the series ratio (t/2x)**2 is
+    below 1/4. An explicit ``n_images`` below the horizon raises
+    GeometryError, and one so close to it that the series does not
+    settle raises ConvergenceError; a count above 2,000,000, the image
+    sums' cap, raises ConvergenceError before any array is built.
+    Lengths are taken in units of a, so the value scales as a**-2
+    (velocity) or not at all (position) at any a. The returned tail
+    estimate is the series' geometric bound on what follows its last
+    term taken, plus the tolerance the quadrature is held to. That makes
+    at most one adaptive quadrature per call, whatever the image count:
+    none when no image lies at or beyond t.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -279,14 +335,18 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
 
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
-    with np.errstate(over="ignore"):
-        na = np.arange(1.0, n_images + 1) * a
-        offsets = np.concatenate(([z], na, na + z, na - z))
-    weights = np.concatenate(([sign], np.full(na.size, 2.0), np.full(2 * na.size, sign)))
-    total = _image_sum(axis, obs, offsets, weights, t)
-    last = n_images * a + np.array([0.0, z, -z])
-    tail = abs(_image_sum(axis, obs, last, [2.0, 1.0, 1.0], t)) * n_images / 3.0
-    return ReducedValue(total, tail, n_images, report)
+    za, ta = z / a, t / a
+    n = np.arange(1.0, n_images + 1)
+    offsets = np.concatenate(([za], n, n + za, n - za))
+    weights = np.concatenate(([sign], np.full(n.size, 2.0), np.full(2 * n.size, sign)))
+    total, tol = _image_sum(axis, obs, offsets, weights, ta)
+    shifts = np.array([0.0, za, -za])
+    rest, bound = _remainder(axis, obs, ta, n_images + 1.0 + shifts, np.array([2.0, sign, sign]))
+    value, tail = total + rest, bound + tol
+    if obs == "velocity":
+        value, tail = value / a / a, tail / a / a
+    value = in_float_range(value, "dispersion")
+    return ReducedValue(value, in_float_range(tail, "tail estimate"), n_images, report)
 
 
 _GRID_X = (0.5, 1.0, 2.0)

@@ -214,9 +214,62 @@ def test_summed_quadrature_agrees_with_the_exact_sum(a, z_over_a, t_over_a, kind
     assert abs(oracle.value - exact.value) <= bound
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.5, 2.0),
+    z_over_a=st.floats(0.1, 0.9),
+    t_over_a=st.floats(0.05, 10.0),
+    kind=st.sampled_from(ALL_KINDS),
+)
+def test_quadrature_route_agrees_with_the_exact_sum_to_1e_9(a, z_over_a, t_over_a, kind):
+    # relative to the image terms' summed moduli, which a zero of the dispersion does not shrink
+    z, t = z_over_a * a, t_over_a * a
+    assume(singularity_report(z, a, t).distance * t >= 0.05 * a)
+    point = EvalPoint(Geometry(a, z), t)
+    oracle = dispersion_via_quadrature(kind, point)
+    exact = dispersion_exact(kind, point)
+    na = np.arange(1.0, oracle.n_used + 1) * a
+    fvec, _ = offset_kernel(kind, t)
+    terms = np.sum(abs(fvec(np.concatenate(([z], na, na, na + z, na - z)))))
+    assert abs(oracle.value - exact.value) <= 1e-9 * terms
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the quadrature route reached a closed-form kernel")
+
+
+def test_quadrature_route_uses_no_closed_kernel_or_zeta_tail(monkeypatch):
+    from platevac import correlators, kernels
+
+    monkeypatch.setattr(correlators, "_hurwitz_tail", _raise)
+    for module in (kernels, correlators, oracle):
+        for name in ("_image_values", "offset_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raise)
+    for t in (0.3, 2.7, 40.3):  # before the cones, past the first ones, past twenty shells
+        for kind in ALL_KINDS:
+            got = dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t))
+            assert math.isfinite(got.value) and got.value != 0.0
+            assert math.isfinite(got.tail_estimate)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e16, 1e18, 1e150])
+def test_quadrature_route_scales_with_the_plate_spacing(scale):
+    # (a, z, t) -> scale (a, z, t): velocities scale as scale**-2, positions not at all
+    for t in (0.3, 2.7):
+        for kind in ALL_KINDS:
+            base = dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t))
+            got = dispersion_via_quadrature(
+                kind, EvalPoint(Geometry(scale, 0.3 * scale), t * scale)
+            )
+            power = scale * scale if kind.observable == "velocity" else 1.0
+            assert got.value * power == pytest.approx(base.value, rel=1e-12)
+            assert got.tail_estimate * power == pytest.approx(base.tail_estimate, rel=1e-6)
+
+
 @pytest.mark.parametrize("n_images", [50, 300])
-def test_dispersion_via_quadrature_makes_two_quadratures(monkeypatch, n_images):
-    # one for the summed lattice, one for the last image group's tail estimate
+def test_dispersion_via_quadrature_makes_one_quadrature_at_most(monkeypatch, n_images):
+    # one for the images at or beyond t, the images past n_images by their series
     calls = []
     quad = scipy.integrate.quad
 
@@ -225,11 +278,19 @@ def test_dispersion_via_quadrature_makes_two_quadratures(monkeypatch, n_images):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
+    geom = Geometry(1.0, 0.3)
     for t in (0.3, 3.1):
         for kind in ALL_KINDS:
             calls.clear()
-            dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t), n_images=n_images)
-            assert len(calls) == 2
+            dispersion_via_quadrature(kind, EvalPoint(geom, t), n_images=n_images)
+            assert len(calls) == 1
+    # at the horizon of t = 40.3 every summed offset, up to 22.3, lies below t
+    t = 40.3
+    for kind in ALL_KINDS:
+        calls.clear()
+        got = dispersion_via_quadrature(kind, EvalPoint(geom, t), n_images=horizon(1.0, 0.3, t))
+        assert len(calls) == 0
+        assert math.isfinite(got.value) and math.isfinite(got.tail_estimate)
 
 
 def test_dispersion_via_quadrature_obeys_the_image_cap():
@@ -284,26 +345,26 @@ def test_write_adjudication_hash_covers_file_bytes(tmp_path):
 
 @pytest.mark.parametrize("t", [2.7, 40.3])
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.token)
-def test_dispersion_takes_two_quadratures_and_scales_its_tail_from_the_last_group(
-    monkeypatch, kind, t
-):
+def test_remainder_matches_the_explicit_images_past_n(kind, t):
+    # the series past shell N is shells N+1..N+200, one image at a time, plus the series past N+200
     a, z = 1.0, 0.3
-    calls = []
-    quad = scipy.integrate.quad
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
-    got = dispersion_via_quadrature(kind, EvalPoint(Geometry(a, z), t))
-    assert len(calls) == 2
-    monkeypatch.undo()
+    n = dispersion_via_quadrature(kind, EvalPoint(Geometry(a, z), t)).n_used
     integral = image_velocity_integral if kind.observable == "velocity" else image_position_integral
-    n = got.n_used
-    plain, up, down = (integral(kind.axis, x, t) for x in (n * a, n * a + z, n * a - z))
-    expect = (2.0 * abs(plain) + abs(up) + abs(down)) * n / 3.0
-    assert got.tail_estimate == pytest.approx(expect, rel=1e-10)
+    shifts = np.array([0.0, z, -z])
+    weights = np.array([2.0, kind.image_sign, kind.image_sign])
+    spec = QuadratureSpec()
+    explicit, quad_tol = 0.0, 0.0
+    for shell in range(n + 1, n + 201):
+        for shift, weight in zip(shifts, weights):
+            value = integral(kind.axis, shell * a + shift, t)
+            explicit += weight * value
+            quad_tol += abs(weight) * max(spec.abs_tol, spec.rel_tol * abs(value))
+    rest, bound = oracle._remainder(kind.axis, kind.observable, t, n + 1.0 + shifts, weights)
+    later, later_bound = oracle._remainder(
+        kind.axis, kind.observable, t, n + 201.0 + shifts, weights
+    )
+    assert rest != 0.0
+    assert abs(rest - (explicit + later)) <= bound + later_bound + quad_tol
 
 
 def test_black_box_integrals_reject_a_bad_time():
