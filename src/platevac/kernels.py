@@ -216,14 +216,17 @@ _FAR = {
 
 
 def _image_values(key, x, t):
-    """The kernel _SCALED[key] at the offsets x > 0 (an ndarray), inf beyond the float
-    range. Past u = _U_FAR, where the scaled forms overflow, each image takes _FAR's form."""
+    """The kernel _SCALED[key] at the offsets x > 0 (an ndarray) and the time t, one for
+    all offsets or one per offset, inf beyond the float range. Past u = _U_FAR, where the
+    scaled forms overflow, each image takes _FAR's form at its own time."""
     scaled, per_x2 = _SCALED[key]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = t / x * 0.5
         v = scaled(u) / x / x if per_x2 else scaled(u)
     far = u >= _U_FAR
-    v[far] = [_FAR[key](float(xi), t) for xi in x[far]]
+    if far.any():
+        t_far = np.broadcast_to(t, x.shape)[far]
+        v[far] = [_FAR[key](float(xi), float(ti)) for xi, ti in zip(x[far], t_far)]
     return v
 
 

@@ -26,7 +26,8 @@ raw integrands of the farther images, whose poles lie at least t beyond
 quadrature. The images past the summed count are added in closed form:
 K's large-offset series in tau**2/4x**2, integrated against the weight,
 leaves one Hurwitz zeta value per family and power, and the tail estimate
-bounds the series' remainder geometrically from its raw coefficients.
+bounds the series' remainder geometrically from its raw coefficients,
+and the closed-form parts' rounding from the moduli of their terms.
 """
 
 import hashlib
@@ -38,7 +39,7 @@ import warnings
 import numpy as np
 from scipy.special import zeta
 
-from .correlators import _N_MAX, _grouped_image_sum, _k_normal, _k_parallel
+from .correlators import _EPS, _N_MAX, _ROUNDING, _grouped_image_sum, _k_normal, _k_parallel
 from .errors import ConvergenceError, GeometryError, in_float_range
 from .kernels import (
     SINGULAR_WINDOW,
@@ -46,7 +47,7 @@ from .kernels import (
     _SCALED,
     _check_t,
     _image_report,
-    _kernel_at,
+    _image_values,
     checked_report,
     horizon,
     offset_kernel,
@@ -155,9 +156,13 @@ def _finite_part_image(axis, observable, x, t):
     power integrates by its antiderivative, (tau -+ tau0)**(p + 1) / (p + 1)
     or log|tau -+ tau0|, differenced over [0, t]: with +tau0 inside (0, t)
     that is the Hadamard finite part, p = -1 being the principal value.
-    One numpy pass over (terms x images); the terms are added one by one
-    in a fixed order, since combining the coefficients of each power first
-    loses digits to cancellation near a plate.
+    One numpy pass over (terms x images), t one time for all images or one
+    per image; the terms are added as they are, since combining the
+    coefficients of each power first loses digits to cancellation near a
+    plate (numpy adds one image's terms in another order than several
+    images', which moves a value by up to 0.2 eps of its terms' moduli).
+    Returns (values, moduli), moduli being each image's sum of the moduli
+    of its terms, the scale of the value's rounding.
     """
     tau0 = 2.0 * np.asarray(x, dtype=float)
     _, taylor = _weight(observable, t)
@@ -173,7 +178,7 @@ def _finite_part_image(axis, observable, x, t):
         (end**q - start**q) / np.where(q == 0, 1, q),
     )
     terms = laurent[:, :, None, :] * wj[:, None, :, :] * fp
-    return terms.sum(axis=(0, 1, 2))
+    return terms.sum(axis=(0, 1, 2)), np.abs(terms).sum(axis=(0, 1, 2))
 
 
 def _image_sum(axis, observable, x, c, t):
@@ -184,9 +189,10 @@ def _image_sum(axis, observable, x, c, t):
     summed into one integrand, smooth on [0, t], which a single adaptive
     quadrature integrates. With no image at x_i >= t there is no
     quadrature, and with none below t no closed-form pass. Callers reject
-    a t near a cone. Returns (sum, tolerance), the tolerance being the
-    one the quadrature is held to, max(abs_tol, rel_tol |its value|), or
-    0 without one.
+    a t near a cone. Returns (sum, tolerance): the tolerance is the one
+    the quadrature is held to, max(abs_tol, rel_tol |its value|), plus
+    _ROUNDING eps sum_i |c_i| S_i over the closed-form images, S_i the
+    sum of the moduli of image i's terms, which bounds their rounding.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -194,14 +200,17 @@ def _image_sum(axis, observable, x, c, t):
     total, tol = 0.0, 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if near.any():
-            total = float(np.dot(c[near], _finite_part_image(axis, observable, x[near], t)))
+            c_near = c[near]
+            values, moduli = _finite_part_image(axis, observable, x[near], t)
+            total = float(np.dot(c_near, values))
+            tol = _ROUNDING * _EPS * float(np.dot(np.abs(c_near), moduli))
         if not near.all():
             w, _ = _weight(observable, t)
             c_far = c[~near]
             x2_far = 4.0 * x[~near] ** 2
             far = _quad(lambda tau: w(tau) * np.dot(c_far, _RAW[axis](x2_far, tau)), 0.0, t)
             total += far
-            tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(far))
+            tol += max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(far))
         return in_float_range(total, "image integral"), tol
 
 
@@ -252,7 +261,15 @@ def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
         raise GeometryError(f"axis must be parallel or normal, got {axis!r}")
     if _image_report(x, t, window) is None:
         return 0.0
-    return _image_sum(axis, observable, [abs(x)], [1.0], t)[0]
+    x, t = np.float64(abs(x)), np.float64(t)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if x < t:
+            value = _finite_part_image(axis, observable, np.array([x]), t)[0][0]
+        else:  # the integrand is regular on [0, t]: one quadrature of it, in numpy scalars
+            w, _ = _weight(observable, t)
+            raw, x2 = _RAW[axis], 4.0 * x**2
+            value = _quad(lambda tau: w(tau) * raw(x2, tau), 0.0, t)
+    return in_float_range(float(value), "image integral")
 
 
 def _weighted_integral(observable, kernel, t):
@@ -310,7 +327,10 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     Lengths are taken in units of a, so the value scales as a**-2
     (velocity) or not at all (position) at any a. The returned tail
     estimate is the series' geometric bound on what follows its last
-    term taken, plus the tolerance the quadrature is held to. That makes
+    term taken, plus the tolerance the quadrature is held to, plus the
+    rounding bound of the closed-form images, _ROUNDING eps times their
+    weighted sums of term moduli (near a plate the parts at +tau0 and
+    -tau0 cancel, and that rounding is most of the error). That makes
     at most one adaptive quadrature per call, whatever the image count:
     none when no image lies at or beyond t.
     """
@@ -358,36 +378,44 @@ def certification_report():
     """Cross-check closed-form kernels against the quadrature route.
 
     Runs the full x and t/|x| grid for all four kernels (the t/|x| = 3
-    column exercises the finite-part
-    machinery), then records the convention adjudications the two routes
-    settle: the modulus-log position forms past the cone, and the sign
-    with which the shifted image family enters the normal components.
+    column exercises the finite-part machinery), one pass per kernel: one
+    closed-kernel evaluation of all its rows, one finite-part pass over
+    its rows with x < t and one quadrature for each other row. It then
+    records the convention adjudications the two routes settle: the
+    modulus-log position forms past the cone, and the sign with which the
+    shifted image family enters the normal components.
 
     Returns a JSON-serializable dict with a top-level "certified" flag.
     """
+    rows = [(x, ratio * x, ratio) for x in _GRID_X for ratio in _GRID_T_OVER_X]
+    x, t = np.array([row[:2] for row in rows]).T
+    near = x < t  # _image_integral applies the window rule to the other rows itself
+    for x_near, t_near in zip(x[near], t[near]):
+        _image_report(x_near, t_near, SINGULAR_WINDOW)
     grid = []
-    worst = 0.0
     for axis, obs in _SCALED:
-        for x in _GRID_X:
-            for ratio in _GRID_T_OVER_X:
-                t = ratio * x
-                quad_val = _image_integral(axis, obs, x, t)
-                closed_val = _kernel_at((axis, obs), x, t, SINGULAR_WINDOW)
-                diff = abs(quad_val - closed_val)
-                worst = max(worst, diff)
-                grid.append(
-                    {
-                        "axis": axis,
-                        "observable": obs,
-                        "x": x,
-                        "t": t,
-                        "closed": closed_val,
-                        "quadrature": quad_val,
-                        "abs_diff": diff,
-                        "finite_part": ratio > 2.0,
-                        "ok": diff <= _GRID_TOL,
-                    }
-                )
+        closed = _image_values((axis, obs), x, t)
+        quad = np.empty_like(x)
+        quad[near] = _finite_part_image(axis, obs, x[near], t[near])[0]
+        quad[~near] = [_image_integral(axis, obs, *row) for row in zip(x[~near], t[~near])]
+        for (x_row, t_row, ratio), closed_val, quad_val in zip(rows, closed, quad):
+            closed_val = in_float_range(float(closed_val), "kernel value")
+            quad_val = in_float_range(float(quad_val), "image integral")
+            diff = abs(quad_val - closed_val)
+            grid.append(
+                {
+                    "axis": axis,
+                    "observable": obs,
+                    "x": x_row,
+                    "t": t_row,
+                    "closed": closed_val,
+                    "quadrature": quad_val,
+                    "abs_diff": diff,
+                    "finite_part": ratio > 2.0,
+                    "ok": diff <= _GRID_TOL,
+                }
+            )
+    worst = max(g["abs_diff"] for g in grid)
 
     # Sign adjudication for the shifted family in the normal components:
     # compare the quadrature image sum against both candidate signs of

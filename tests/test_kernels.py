@@ -302,3 +302,20 @@ def test_inverse_series_match_their_horner_loops():
     pos = (2.0 * np.log(u) - 1.0 / 3.0 - pos * w) / 6.0
     eps = np.finfo(float).eps
     np.testing.assert_allclose(kernels._pos_parallel_inverse(u), pos, rtol=4.0 * eps, atol=0.0)
+
+
+@pytest.mark.parametrize("key", list(kernels._SCALED))
+def test_image_values_take_one_time_per_offset(key):
+    # every branch (series, closed, inverse, _FAR past u = 1e100) in one array, each
+    # offset at its own time, equals one call per offset bit for bit (G_norm ~ u**2/2
+    # leaves the float range at u = 1e160 and 1e300: inf both ways)
+    u = np.array([0.01, 0.2, 1e300, 0.34, 0.36, 0.7, 1e100, 0.99, 1.01, 3.9, 4.0, 1e99, 50.0,
+                  1e5, 2e100, 1e160])
+    x = np.geomspace(1e-150, 1e3, u.size)[::-1]
+    t = 2.0 * x * u
+    assert np.all(np.isfinite(t)) and np.count_nonzero(t / x * 0.5 >= kernels._U_FAR) == 4
+    cuts = (kernels._G_SERIES_CUT, kernels._U_LARGE)
+    assert all(np.any(u < c) and np.any(u >= c) for c in cuts)
+    got = kernels._image_values(key, x, t)
+    one_by_one = [kernels._image_values(key, np.array([xi]), ti)[0] for xi, ti in zip(x, t)]
+    assert np.array_equal(got, one_by_one)

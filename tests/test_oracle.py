@@ -42,6 +42,7 @@ CLOSED = {
     ("parallel", "position"): position_kernel_parallel,
     ("normal", "position"): position_kernel_normal,
 }
+_EPS = np.finfo(float).eps
 
 
 def test_weight_polynomials_on_simple_kernels():
@@ -332,6 +333,92 @@ def test_certification_report_is_clean():
     # the sign adjudication must actually separate the two candidates
     for check in conv["normal_shifted_sign"]["checks"]:
         assert check["minus_diff"] > 1e3 * check["plus_diff"]
+
+
+def test_every_certification_row_matches_its_public_single_image_call():
+    # a mislabelled or permuted row would still certify; against its own (x, t) it would not
+    for row in certification_report()["grid"]:
+        key, x, t = (row["axis"], row["observable"]), row["x"], row["t"]
+        assert row["closed"] == CLOSED[key](x, t)
+        integral = image_velocity_integral if key[1] == "velocity" else image_position_integral
+        single = integral(key[0], x, t)
+        if x < t:  # one finite-part pass over the grid: the terms are added in another order
+            _, moduli = oracle._finite_part_image(*key, np.array([x]), t)
+            assert abs(row["quadrature"] - single) <= 4.0 * _EPS * moduli[0]
+        else:
+            assert row["quadrature"] == single
+        assert row["finite_part"] == (t / x > 2.0)
+
+
+@pytest.mark.parametrize("key", list(CLOSED))
+def test_finite_part_image_takes_one_time_per_image(key):
+    # before the cone (t < 2x) and past it, each image at its own time, as one call per image
+    x = np.array([0.05, 0.7, 3.0, 0.3, 1.1, 0.02])
+    u = np.array([0.6, 0.9, 0.999, 1.001, 2.5, 300.0])
+    t = 2.0 * x * u
+    values, moduli = oracle._finite_part_image(*key, x, t)
+    for i in range(x.size):
+        value, modulus = oracle._finite_part_image(*key, x[i : i + 1], t[i])
+        assert abs(values[i] - value[0]) <= 4.0 * _EPS * modulus[0]
+        assert moduli[i] == pytest.approx(modulus[0], rel=4.0 * _EPS)
+        assert abs(values[i]) <= moduli[i]
+    # one time for all images, as the lattice passes it, or that time per image: the same bits
+    same = np.full(x.size, t[2])
+    assert np.array_equal(
+        oracle._finite_part_image(*key, x, t[2])[0], oracle._finite_part_image(*key, x, same)[0]
+    )
+
+
+def test_certification_report_evaluates_its_grid_in_one_pass_per_kernel(monkeypatch):
+    # 4 grid passes plus dispersion_exact and the flipped sum at both sign checks; the two
+    # sign-check points lie before every cone, so no finite part there; 24 far rows and
+    # the two sign checks take one quadrature each
+    from platevac import kernels
+
+    calls = {"values": 0, "finite": 0, "quad": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    values = counted("values", kernels._image_values)
+    for module in (kernels, oracle):
+        monkeypatch.setattr(module, "_image_values", values)
+    monkeypatch.setattr(oracle, "_finite_part_image", counted("finite", oracle._finite_part_image))
+    monkeypatch.setattr(scipy.integrate, "quad", counted("quad", scipy.integrate.quad))
+    assert certification_report()["certified"] is True
+    assert calls == {"values": 8, "finite": 4, "quad": 26}
+
+
+def _near_plate_sample(n, seed):
+    """a = 10**U(-0.3, 0.3), z/a in U(0.05, 0.15) or U(0.85, 0.95), t/a in U(7, 9.6), with
+    at least 0.05 a between t and the nearest cone."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        a = 10.0 ** rng.uniform(-0.3, 0.3)
+        z_over_a = rng.uniform(0.05, 0.15)
+        if rng.random() < 0.5:
+            z_over_a = 1.0 - z_over_a
+        z, t = z_over_a * a, rng.uniform(7.0, 9.6) * a
+        if singularity_report(z, a, t).distance * t >= 0.05 * a:
+            points.append(EvalPoint(Geometry(a, z), t))
+    return points
+
+
+def test_quadrature_tail_covers_the_rounding_of_its_closed_form_parts():
+    # near a plate the closed-form parts at +tau0 and -tau0 cancel: both tails together
+    # must still cover the routes' difference (at 1 eps in place of _ROUNDING = 16 eps the
+    # worst point here would use 0.73 of them; without the rounding bound 290 of the 1,000
+    # points miss)
+    kind = DispersionKind("parallel", "velocity")
+    for point in _near_plate_sample(1000, 0):
+        quad = dispersion_via_quadrature(kind, point)
+        exact = dispersion_exact(kind, point)
+        assert abs(quad.value - exact.value) <= quad.tail_estimate + exact.tail_estimate, point
 
 
 def test_write_adjudication_hash_covers_file_bytes(tmp_path):
