@@ -52,15 +52,23 @@ def _wide_gap(kind, geom, t, k):
 
     The plain images n a (n != 0) sum to 2 zeta(4) / a**4 and the other
     shifted ones, with the axis sign, to (zeta(4, 1 + z/a) + zeta(4, k - z/a)) / a**4.
+    The tail estimate bounds the _SERIES terms left out: in a family of images
+    (q + n) a, n >= 0, each is at most rho = (t/2qa)**2 times the one before,
+    so all after the leading law are at most its modulus times rho/(1 - rho).
     """
     c, m = _SERIES[(kind.axis, kind.observable)][:2]
     theta = geom.z / geom.a
-    lattice = 2.0 * zeta(4.0) + kind.image_sign * (zeta(4.0, 1.0 + theta) + zeta(4.0, k - theta))
+    zetas = (zeta(4.0), zeta(4.0, 1.0 + theta), zeta(4.0, k - theta))
+    lattice = 2.0 * zetas[0] + kind.image_sign * (zetas[1] + zetas[2])
     near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
     # (t/2)**m / a**4 is the square of (t/2a)**(m/2) / a**(2 - m/2), where t/2a <= 1/5
     root = (0.5 * t / geom.a) ** (m // 2) / geom.a ** (2 - m // 2)
     value = near + float(c[0] * lattice) * root * root
-    return ReducedValue(in_float_range(value, "wide-gap value"))
+    rho = [(0.5 * t / geom.a / q) ** 2 for q in (1.0, 1.0 + theta, k - theta)]
+    omitted = sum(w * zq * r / (1.0 - r) for w, zq, r in zip((2.0, 1.0, 1.0), zetas, rho))
+    bound = float(abs(c[0]) * omitted) * root * root
+    return ReducedValue(in_float_range(value, "wide-gap value"),
+                        in_float_range(bound, "wide-gap bound"))
 
 
 def approx_large_a(kind, point):

@@ -20,8 +20,8 @@ over the offset families n a and n a +/- z used everywhere else. Each
 family is a whole lattice m a + delta, whose sum of either kernel is an
 h-derivative (h = dt/2) of sum_m 1/(x**2 - h**2), a difference of two
 cotangents (DLMF 4.22), so the correlators are in closed form and cost
-the same at any dt/a. The grouped image sum here serves the dispersions
-and the oracle.
+the same at any dt/a. The grouped image sum here serves the dispersions'
+image lattice.
 """
 
 import math
@@ -168,28 +168,26 @@ def _hurwitz_tail(total, series, step, q, weights, bound=0.0):
     return value, float(bounds[met[0] if met.size else -1])
 
 
-def _grouped_image_sum(fvec, sign, a, z, series, horizon_n, d=0.0):
-    """Sum sign f(z) + sum_{n>=1} [f(n a + d) + f(n a - d) + sign (f(n a + z) + f(n a - z))].
+def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
+    """Sum sign f(z) + sum_{n>=1} [2 f(n a) + sign (f(n a + z) + f(n a - z))].
 
     ``fvec`` maps an array of positive offsets, of any shape, elementwise to
     image values and ``series`` is its large-offset series (see
     :func:`_hurwitz_tail`), whose last entry h = t/2 places the light cone.
-    Every |shift| is below a, and horizon_n is the one of
-    :func:`platevac.kernels.horizon` for h and the largest shift. Shells 1..N,
-    N = max(_N_MIN, 2 horizon_n), are summed directly, so every later offset
-    exceeds t and is left to the zeta tail. Up to N = _N_RULE they and the
-    n = 0 image are summed by one fvec call on the offsets; past it by
-    :func:`_rule_sum`, also in one fvec call, and the tail estimate adds that
-    rule's bound. Callers reject a point on a light cone, so a non-finite sum
-    is beyond the float range, which numpy need not warn of. Returns (value,
-    tail_estimate, n_used = N).
+    With 0 < z < a, horizon_n is the one of :func:`platevac.kernels.horizon`
+    for h and z. Shells 1..N, N = max(_N_MIN, 2 horizon_n), are summed
+    directly, so every later offset exceeds t and is left to the zeta tail.
+    Up to N = _N_RULE they and the n = 0 image are summed by one fvec call
+    on the offsets; past it by :func:`_rule_sum`, also in one fvec call, and
+    the tail estimate adds that rule's bound. Callers reject a point on a
+    light cone, so a non-finite sum is beyond the float range, which numpy
+    need not warn of. Returns (value, tail_estimate, n_used = N).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
         raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
-    # (shift, weight) per offset family; at d = 0 the plain pair is one family of weight 2.
-    plain = [(0.0, 2.0)] if d == 0.0 else [(d, 1.0), (-d, 1.0)]
-    shifts, weights = np.array([*plain, (z, sign), (-z, sign)]).T
+    # (shift, weight) per offset family: the plain one, then the two shifted ones.
+    shifts, weights = np.array([(0.0, 2.0), (z, sign), (-z, sign)]).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if N > _N_RULE:
             total, bound = _rule_sum(fvec, sign, a, z, series[-1], N, shifts, weights)

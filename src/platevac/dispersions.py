@@ -14,10 +14,11 @@ from .errors import GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
     _SCALED,  # unused here; bench/tracing.py wraps the kernels through this name
+    _SERIES,
+    _image_values,
     _kernel_at,
     checked_report,
     horizon,
-    offset_kernel,
     singularity_report,
 )
 from .quantities import DispersionKind, EvalPoint, ReducedValue
@@ -61,11 +62,16 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     if t == 0.0:
         return ReducedValue(0.0)
     report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)
-    fvec, series = offset_kernel(kind, t)
-    value, tail, n_used = _grouped_image_sum(
-        fvec, kind.image_sign, geom.a, geom.z, series, horizon(geom.a, geom.z, t)
-    )
-    return ReducedValue(value, tail, n_used, report)
+    return ReducedValue(*_lattice(kind, geom, t, kind.image_sign), report)
+
+
+def _lattice(kind, geom, t, sign):
+    """(value, tail, n_used) of the image lattice of ``kind`` at time t, its shifted families
+    entering with ``sign``. Each image is :func:`_image_values`, so the n = 0 image is
+    :func:`_kernel_at`'s value; past h = t/2 the images sum by their _SERIES entry."""
+    key = (kind.axis, kind.observable)
+    return _grouped_image_sum(lambda x: _image_values(key, x, t), sign, geom.a, geom.z,
+                              (*_SERIES[key], 0.5 * t), horizon(geom.a, geom.z, t))
 
 
 def single_plate_reference(kind, z, t, *, window=SINGULAR_WINDOW):

@@ -293,19 +293,6 @@ def position_kernel_normal(x, t, *, window=SINGULAR_WINDOW):
     return _kernel_at(("normal", "position"), x, t, window)
 
 
-def offset_kernel(kind, t):
-    """Per-image value of ``kind`` at time t and its large-offset series, as image sums take them.
-
-    Returns (fvec, (*series, h)): fvec maps an offset array to image values
-    by :func:`_image_values`, the arithmetic of a single image, so a
-    lattice's n = 0 image is :func:`_kernel_at`'s value, past u = _U_FAR
-    next to a plate included; with h = t/2 an image past the light front is
-    the _SERIES entry's sum_k c_k h**(2k+m) x**-(2k+s0).
-    """
-    key = (kind.axis, kind.observable)
-    return (lambda x: _image_values(key, x, t)), (*_SERIES[key], 0.5 * t)
-
-
 def horizon(a, z, t):
     """Image index beyond which every offset family lies past the light front t/2.
 

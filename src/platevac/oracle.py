@@ -39,7 +39,10 @@ import warnings
 import numpy as np
 from scipy.special import zeta
 
-from .correlators import _EPS, _N_MAX, _ROUNDING, _grouped_image_sum, _k_normal, _k_parallel
+from . import dispersions  # dispersion_exact by its module, where bench/tracing.py wraps it
+from .correlators import _EPS, _N_MAX, _ROUNDING, _k_normal, _k_parallel
+from .correlators import _grouped_image_sum  # unused here; bench/tracing.py wraps it by this name
+from .dispersions import _lattice
 from .errors import ConvergenceError, GeometryError, in_float_range
 from .kernels import (
     SINGULAR_WINDOW,
@@ -50,7 +53,6 @@ from .kernels import (
     _image_values,
     checked_report,
     horizon,
-    offset_kernel,
     singularity_report,
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
@@ -72,12 +74,11 @@ class QuadratureSpec:
     max_subdivisions = 200
 
 
-# Pinned image shells summed one by one before the large-offset series
-# takes the rest (see _remainder). Past them the series ratio (t/2x)**2
-# is below 1e-3 for t up to 3a (parallel) and 19a (normal), so a few
-# terms carry the rest to double precision.
-N_IMAGES_PARALLEL = 50
-N_IMAGES_NORMAL = 300
+# Pinned image shells summed before the large-offset series takes the rest
+# (see _remainder), one count for either axis. Past them the series ratio
+# (t/2x)**2 is below 1e-3 for t up to 3a, so a few terms carry the rest to
+# double precision; later times sum to twice the horizon.
+N_IMAGES_PARALLEL = N_IMAGES_NORMAL = 50
 
 
 # The raw correlator integrand K of each axis, shared with the E-field correlators.
@@ -317,8 +318,8 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     to shell ``n_images`` by one quadrature of their summed raw
     integrands, and the shells past it by the raw integrands'
     large-offset series, which leaves Hurwitz zeta values (see
-    :func:`_remainder`). The default image count is the per-axis pinned
-    count or twice the horizon, whichever is larger: past twice the
+    :func:`_remainder`). The default image count is the pinned count
+    N_IMAGES_NORMAL or twice the horizon, whichever is larger: past twice the
     horizon every offset exceeds t, so the series ratio (t/2x)**2 is
     below 1/4. An explicit ``n_images`` below the horizon raises
     GeometryError, and one so close to it that the series does not
@@ -344,8 +345,7 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     report = checked_report(singularity_report(z, a, t, threshold=window), t)
     n_horizon = horizon(a, z, t)
     if n_images is None:
-        pinned = N_IMAGES_PARALLEL if kind.axis == "parallel" else N_IMAGES_NORMAL
-        n_images = max(pinned, 2 * n_horizon)
+        n_images = max(N_IMAGES_NORMAL, 2 * n_horizon)
     if n_images < n_horizon:
         raise GeometryError(
             f"n_images={n_images} does not reach past the horizon (need >= {n_horizon})"
@@ -420,14 +420,12 @@ def certification_report():
     # Sign adjudication for the shifted family in the normal components:
     # compare the quadrature image sum against both candidate signs of
     # the closed-form route at a pre-cone point.
-    from .dispersions import dispersion_exact  # deferred: dispersions imports nothing back
-
     point = EvalPoint(Geometry(1.0, 0.5), 0.3)
     sign_checks = []
     for obs in ("velocity", "position"):
         kind = DispersionKind("normal", obs)
         quad_val = dispersion_via_quadrature(kind, point).value
-        plus = dispersion_exact(kind, point).value
+        plus = dispersions.dispersion_exact(kind, point).value
         minus = _flipped_normal_sum(kind, point)
         sign_checks.append(
             {
@@ -469,11 +467,7 @@ def certification_report():
 
 def _flipped_normal_sum(kind, point):
     """Closed-form image sum with the (wrong) minus shifted-family sign."""
-    geom, t = point.geometry, point.t
-    fvec, series = offset_kernel(kind, t)
-    n_horizon = horizon(geom.a, geom.z, t)
-    value, _, _ = _grouped_image_sum(fvec, -1.0, geom.a, geom.z, series, n_horizon)
-    return value
+    return _lattice(kind, point.geometry, point.t, -1.0)[0]
 
 
 def write_adjudication(path):

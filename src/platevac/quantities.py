@@ -143,7 +143,8 @@ class ReducedValue:
         Bound on the truncated image tail, same units as ``value``; past
         4,096 shells it includes the bound of the integration rule for
         the smooth stretches. For the closed-form E-field correlators and
-        photon function, the bound on their own rounding; zero for the
+        photon function, the bound on their own rounding; for the wide-gap
+        routes, the bound on the series terms they leave out; zero for the
         other closed forms.
     n_used : int
         Number of image shells the sum covers before its zeta tail, each

@@ -37,7 +37,7 @@ def _image_lattice(name, z, a, dt):
     _, kvec, sign, series = _EFIELDS[name]
     fvec = lambda x: kvec(4.0 * x * x, dt)  # noqa: E731
     value, tail, n = _grouped_image_sum(fvec, sign, a, z, (*series, 0.5 * dt), horizon(a, z, dt))
-    return value, tail, _sensitivity(fvec, sign, a, z, n, 0.0, 0.5 * dt)
+    return value, tail, _sensitivity(fvec, sign, a, z, n, 0.5 * dt)
 
 
 def test_infinite_separation_is_a_geometry_error():

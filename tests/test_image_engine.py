@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from platevac import ALL_KINDS, EvalPoint, Geometry, correlators, dispersion_exact
 from platevac.correlators import _N_RULE, _TAIL_TARGET, _grouped_image_sum, _k_normal, _k_parallel
-from platevac.kernels import _K, _SCALED, _nearest_cone, horizon, offset_kernel
+from platevac.kernels import _K, _SCALED, _SERIES, _image_values, _nearest_cone, horizon
 from platevac.quantities import DispersionKind
 
 _EPS = np.finfo(float).eps
@@ -20,27 +20,29 @@ _EPS = np.finfo(float).eps
 _NO_TAIL = (np.zeros_like(_K), 0, 4, 0, 0.5)
 
 
-def _plain_sum(fvec, sign, a, z, N, d):
+def offset_kernel(kind, t):
+    """The per-image values of ``kind`` at time t and their large-offset series, as the
+    dispersions' lattice takes them."""
+    key = (kind.axis, kind.observable)
+    return (lambda x: _image_values(key, x, t)), (*_SERIES[key], 0.5 * t)
+
+
+def _plain_sum(fvec, sign, a, z, N):
     """One np.sum over the images the engine sums explicitly, and the sum of their moduli."""
     base = np.arange(1, N + 1, dtype=float) * a
-    if d == 0.0:
-        rows = [2.0 * fvec(base)]
-    else:
-        rows = [fvec(base + d), fvec(base - d)]
-    terms = np.concatenate([sign * fvec(np.array([z])), *rows, sign * fvec(base + z),
+    terms = np.concatenate([sign * fvec(np.array([z])), 2.0 * fvec(base), sign * fvec(base + z),
                             sign * fvec(base - z)])
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def _sensitivity(fvec, sign, a, z, N, d, h):
+def _sensitivity(fvec, sign, a, z, N, h):
     """Sum of |f| + |x f'(x)| over the same images, weights taken in modulus: rounding an
     offset x to a float moves its term by up to eps |x f'(x)|, and the rule and the walk
     round theirs differently. f' is a central difference with a step 1e-4 of the distance
     to x = 0 or to the cone x = h, whichever is nearer."""
     base = np.arange(1, N + 1, dtype=float) * a
-    plain = [(0.0, 2.0)] if d == 0.0 else [(d, 1.0), (-d, 1.0)]
     total = 0.0
-    for x, weight in [(np.array([z]), sign)] + [(base + s, w) for s, w in (*plain, (z, sign),
+    for x, weight in [(np.array([z]), sign)] + [(base + s, w) for s, w in ((0.0, 2.0), (z, sign),
                                                                            (-z, sign))]:
         step = 1e-4 * np.minimum(x, np.abs(x - h))
         x_df = x * (fvec(x + step) - fvec(x - step)) / (2.0 * step)
@@ -54,25 +56,23 @@ def test_the_walk_is_one_plain_sum_up_to_the_rule(monkeypatch, kind, n):
     # Up to N = _N_RULE the engine makes one fvec call on the n = 0 image and the
     # (families x N) array, and its value is one plain sum; past it, it takes the rule.
     # N is 2 horizon at time t.
-    a, z, zp = 1.0, 0.3123, 0.1123
-    shift = 0.5 * (z + zp) if kind == "photon" else z
-    t = 2.0 * ((n // 2 - 1.5) * a - shift)
-    assert horizon(a, shift, t) == n // 2
-    fvec, sign, _, d, _ = _lattice(kind, t, a, z, zp)
+    a, z = 1.0, 0.3123
+    t = 2.0 * ((n // 2 - 1.5) * a - z)
+    assert horizon(a, z, t) == n // 2
+    fvec, sign, _ = _lattice(kind, t, z)
     sizes, ruled = [], []
     rule = correlators._rule_sum  # _rule_sum(fvec, sign, a, z, h, N, ...)
     monkeypatch.setattr(correlators, "_rule_sum", lambda *args: ruled.append(args[5]) or
                         rule(*args))
     series = (*_NO_TAIL[:-1], 0.5 * t)
     value, tail, n_used = _grouped_image_sum(lambda x: sizes.append(x.size) or fvec(x), sign, a,
-                                             shift, series, n // 2, d)
+                                             z, series, n // 2)
     assert n_used == n
     if n > _N_RULE:
         assert ruled == [n] and tail > 0.0
         return
-    reference, moduli = _plain_sum(fvec, sign, a, shift, n, d)
-    rows = 4 if kind == "photon" else 3  # the photon's plain pair at +/-d is two rows
-    assert not ruled and tail == 0.0 and sizes == [rows * n + 1]
+    reference, moduli = _plain_sum(fvec, sign, a, z, n)
+    assert not ruled and tail == 0.0 and sizes == [3 * n + 1]
     assert abs(value - reference) <= 4.0 * _EPS * moduli
 
 
@@ -121,37 +121,34 @@ def test_the_call_shape_the_layer_counters_read():
         assert math.isfinite(result[0]) and math.isfinite(result[1])
 
 
-def _lattice(name, t, a, z, zp):
-    """(fvec, sign, shift, d, families for the cone scan) of a lattice the engine sums at time t:
-    its plain offsets are n a +/- d, its shifted ones n a +/- shift."""
-    if name == "photon":  # 1/(A - 4 x**2) at A = t**2, as renormalized_photon_two_point sums it
-        c, d = 0.5 * (z + zp), 0.5 * (z - zp)
-        families = (("plain", d, 1), ("plain", -d, 1), ("shifted", c, 0), ("shifted", -c, 1))
-        return (lambda x: 1.0 / (t * t - 4.0 * x * x)), -1.0, c, d, families
+def _lattice(name, t, z):
+    """(fvec, sign, families for the cone scan) of a lattice the engine sums at time t: its
+    plain offsets are n a, its shifted ones n a +/- z."""
     families = (("plain", 0.0, 1), ("shifted", z, 0), ("shifted", -z, 1))
+    if name == "photon":  # 1/(A - 4 x**2) at A = t**2 and z' = z: a first-order cone pole
+        return (lambda x: 1.0 / (t * t - 4.0 * x * x)), -1.0, families
     if name in ("efield-parallel", "efield-normal"):
         kvec, sign = (_k_parallel, -1.0) if name == "efield-parallel" else (_k_normal, 1.0)
-        return (lambda x: kvec(4.0 * x * x, t)), sign, z, 0.0, families
+        return (lambda x: kvec(4.0 * x * x, t)), sign, families
     kind = DispersionKind.coerce(name)
-    return offset_kernel(kind, t)[0], kind.image_sign, z, 0.0, families
+    return offset_kernel(kind, t)[0], kind.image_sign, families
 
 
 @seed(20041201)
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(ALL_KINDS + ("efield-parallel", "efield-normal", "photon")),
        a=st.sampled_from((0.5, 1.0, 2.0)), t_over_a=st.floats(3.62, 5.4).map(lambda p: 10.0**p),
-       z_over_a=st.floats(0.01, 0.99), zp_over_a=st.floats(0.01, 0.99))
-def test_the_quadrature_rule_matches_the_walk_within_its_bound(name, a, t_over_a, z_over_a,
-                                                               zp_over_a):
-    t = a * t_over_a
-    fvec, sign, shift, d, families = _lattice(name, t, a, a * z_over_a, a * zp_over_a)
+       z_over_a=st.floats(0.01, 0.99))
+def test_the_quadrature_rule_matches_the_walk_within_its_bound(name, a, t_over_a, z_over_a):
+    t, z = a * t_over_a, a * z_over_a
+    fvec, sign, families = _lattice(name, t, z)
     assume(_nearest_cone(families, a, t, 0.0).distance >= 1e-9)
     # Zero series coefficients: the value is the sum over shells 1..N and the tail is the
     # rule's own bound. The last entry, h = t/2, places the cones.
     series = (*_NO_TAIL[:-1], 0.5 * t)
-    value, bound, n = _grouped_image_sum(fvec, sign, a, shift, series, horizon(a, shift, t), d)
-    walk = _plain_sum(fvec, sign, a, shift, n, d)[0]
-    sensitivity = _sensitivity(fvec, sign, a, shift, n, d, 0.5 * t)
+    value, bound, n = _grouped_image_sum(fvec, sign, a, z, series, horizon(a, z, t))
+    walk = _plain_sum(fvec, sign, a, z, n)[0]
+    sensitivity = _sensitivity(fvec, sign, a, z, n, 0.5 * t)
     assert abs(value - walk) <= bound + 4.0 * _EPS * sensitivity
     assert bound <= _TAIL_TARGET * abs(value)
     assert (bound > 0.0) == (n > _N_RULE)

@@ -33,7 +33,7 @@ from platevac import (
     write_adjudication,
 )
 from platevac import oracle
-from platevac.kernels import horizon, offset_kernel
+from platevac.kernels import _image_values, horizon
 from platevac.quantities import ALL_KINDS, DispersionKind, EvalPoint, Geometry, ReducedValue
 
 CLOSED = {
@@ -202,9 +202,9 @@ def test_summed_quadrature_agrees_with_the_exact_sum(a, z_over_a, t_over_a, kind
     exact = dispersion_exact(kind, point)
     n = oracle.n_used
     na = np.arange(1.0, n + 1) * a
-    fvec, _ = offset_kernel(kind, t)
     # every image term, the plain family's twice
-    terms = np.sum(abs(fvec(np.concatenate(([z], na, na, na + z, na - z)))))
+    offsets = np.concatenate(([z], na, na, na + z, na - z))
+    terms = np.sum(abs(_image_values((kind.axis, kind.observable), offsets, t)))
     spec = QuadratureSpec()
     bound = (
         oracle.tail_estimate
@@ -230,8 +230,8 @@ def test_quadrature_route_agrees_with_the_exact_sum_to_1e_9(a, z_over_a, t_over_
     oracle = dispersion_via_quadrature(kind, point)
     exact = dispersion_exact(kind, point)
     na = np.arange(1.0, oracle.n_used + 1) * a
-    fvec, _ = offset_kernel(kind, t)
-    terms = np.sum(abs(fvec(np.concatenate(([z], na, na, na + z, na - z)))))
+    offsets = np.concatenate(([z], na, na, na + z, na - z))
+    terms = np.sum(abs(_image_values((kind.axis, kind.observable), offsets, t)))
     assert abs(oracle.value - exact.value) <= 1e-9 * terms
 
 
@@ -240,13 +240,11 @@ def _raise(*args, **kwargs):
 
 
 def test_quadrature_route_uses_no_closed_kernel_or_zeta_tail(monkeypatch):
-    from platevac import correlators, kernels
+    from platevac import correlators, dispersions, kernels
 
     monkeypatch.setattr(correlators, "_hurwitz_tail", _raise)
-    for module in (kernels, correlators, oracle):
-        for name in ("_image_values", "offset_kernel"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _raise)
+    for module in (kernels, dispersions, oracle):
+        monkeypatch.setattr(module, "_image_values", _raise)
     for t in (0.3, 2.7, 40.3):  # before the cones, past the first ones, past twenty shells
         for kind in ALL_KINDS:
             got = dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t))
@@ -292,6 +290,26 @@ def test_dispersion_via_quadrature_makes_one_quadrature_at_most(monkeypatch, n_i
         got = dispersion_via_quadrature(kind, EvalPoint(geom, t), n_images=horizon(1.0, 0.3, t))
         assert len(calls) == 0
         assert math.isfinite(got.value) and math.isfinite(got.tail_estimate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.sampled_from((0.5, 1.0, 2.0)),
+    z_over_a=st.floats(0.05, 0.95),
+    t_over_a=st.floats(0.01, 10.0),
+    kind=st.sampled_from(ALL_KINDS),
+)
+def test_the_default_count_is_the_pinned_one_up_to_t_10a(a, z_over_a, t_over_a, kind):
+    # up to t = 10a the default call is, bit for bit, the call with the pinned count of its
+    # axis or the horizon, whichever is larger, as a caller may rebuild it
+    z, t = z_over_a * a, t_over_a * a
+    assume(singularity_report(z, a, t).distance * t >= 0.05 * a)
+    point = EvalPoint(Geometry(a, z), t)
+    pinned = oracle.N_IMAGES_PARALLEL if kind.axis == "parallel" else oracle.N_IMAGES_NORMAL
+    explicit = dispersion_via_quadrature(kind, point, n_images=max(pinned, horizon(a, z, t)))
+    default = dispersion_via_quadrature(kind, point)
+    assert (default.value, default.tail_estimate, default.n_used) == (
+        explicit.value, explicit.tail_estimate, explicit.n_used)
 
 
 def test_dispersion_via_quadrature_obeys_the_image_cap():
@@ -373,7 +391,7 @@ def test_certification_report_evaluates_its_grid_in_one_pass_per_kernel(monkeypa
     # 4 grid passes plus dispersion_exact and the flipped sum at both sign checks; the two
     # sign-check points lie before every cone, so no finite part there; 24 far rows and
     # the two sign checks take one quadrature each
-    from platevac import kernels
+    from platevac import dispersions, kernels
 
     calls = {"values": 0, "finite": 0, "quad": 0}
 
@@ -385,7 +403,7 @@ def test_certification_report_evaluates_its_grid_in_one_pass_per_kernel(monkeypa
         return wrapper
 
     values = counted("values", kernels._image_values)
-    for module in (kernels, oracle):
+    for module in (kernels, dispersions, oracle):
         monkeypatch.setattr(module, "_image_values", values)
     monkeypatch.setattr(oracle, "_finite_part_image", counted("finite", oracle._finite_part_image))
     monkeypatch.setattr(scipy.integrate, "quad", counted("quad", scipy.integrate.quad))
