@@ -18,10 +18,7 @@ formula's regime raises :class:`platevac.errors.RegimeError`.
 
 import math
 
-import numpy as np
-from scipy.special import spence, zeta
-
-from .correlators import _closed_lattice, _eps_terms, _sine
+from .correlators import _ZETA_2K, _closed_lattice, _eps_terms, _horner, _sine, _zeta
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError, in_float_range
 from .kernels import _SERIES, SINGULAR_WINDOW, _phase, _phase_sum, checked_report
@@ -58,7 +55,7 @@ def _wide_gap(kind, geom, t, k):
     """
     c, m = _SERIES[(kind.axis, kind.observable)][:2]
     theta = geom.z / geom.a
-    zetas = (zeta(4.0), zeta(4.0, 1.0 + theta), zeta(4.0, k - theta))
+    zetas = (_ZETA_2K[1], _zeta(4, 1.0 + theta), _zeta(4, k - theta))
     lattice = 2.0 * zetas[0] + kind.image_sign * (zetas[1] + zetas[2])
     near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
     # (t/2)**m / a**4 is the square of (t/2a)**(m/2) / a**(2 - m/2), where t/2a <= 1/5
@@ -102,18 +99,29 @@ def approx_large_a_far(kind, point):
     return _wide_gap(kind, geom, t, 1)
 
 
+_CLAUSEN = [_ZETA_2K[k - 1] / (k * (2 * k + 1)) for k in range(22, 0, -1)]  # d_k, k = 22..1
+
+
+def _clausen(x):
+    """Cl_2(x) = sum_n sin(n x)/n**2 = x (1 - ln|x| + sum_k d_k w**k), w = (x/2 pi)**2 and
+    d_k = zeta(2k)/(k (2k+1)) (A&S 27.8.2; |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)**2k). For |x| <= pi,
+    w <= 1/4 and 22 terms reach eps: within 2 eps absolute, but not relative next to the zero
+    at pi, where the series cancels."""
+    w = (x / (2.0 * math.pi)) ** 2
+    return x * (1.0 - math.log(abs(x)) + _horner(_CLAUSEN, w) * w) if x else 0.0
+
+
 def _cone_contrast(phases, a):
     """Delta[Cl_2(2x)]: the plain family's light-cone term less the shifted family's.
 
     The plain images n a cross their light cones at integer tau = t/(2a),
-    the shifted images n a -/+ z at tau = n +/- theta. Cl_2(2x) =
-    Im Li_2(exp(2ix)), of period pi, is taken at pi y/a for the ``phases``
-    of :func:`platevac.kernels.singularity_report`. This second difference
+    the shifted images n a -/+ z at tau = n +/- theta. Cl_2(2x), of period
+    pi, is taken at pi y/a, |2x| <= pi, for the ``phases`` of
+    :func:`platevac.kernels.singularity_report`. This second difference
     cancels as theta -> 0 or pi; the cot and log contrasts are products.
     """
-    x = np.array([math.pi * (y / a) for _, y in phases])
-    plain, minus, plus = np.imag(spence(1.0 - np.exp(2j * x)))
-    return float(2.0 * plain - minus - plus)
+    plain, minus, plus = (_clausen(2.0 * math.pi * (y / a)) for _, y in phases)
+    return 2.0 * plain - minus - plus
 
 
 def _cot_log_contrasts(phases, theta, a):

@@ -27,7 +27,6 @@ image lattice.
 import math
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
 from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, _phase, _phase_sum
@@ -41,8 +40,8 @@ _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
 
 # Every image sum takes at least _N_MIN pairs explicitly; one whose geometry
 # needs more than _N_MAX raises ConvergenceError before summing. _TAIL_TARGET
-# is the bound on tail_estimate / |value| that picks the tail bound reported.
-# The photon function's relative light-cone window is _PHOTON_CONE_WINDOW.
+# is the largest tail_estimate / |value| an image sum is held to. The photon
+# function's relative light-cone window is _PHOTON_CONE_WINDOW.
 _N_MIN = 8
 _N_MAX = 2_000_000
 _TAIL_TARGET = 1e-10
@@ -60,6 +59,13 @@ _PHOTON_CONE_WINDOW = 1e-10
 # measured up to twice as slow as it taken 4,096 at a time), and for the
 # dispersions the rule overtakes the walk between 2,500 and 4,500 shells.
 _N_RULE = 4096
+# glibc hands the top of its heap back to the system whenever more than its trim
+# threshold (128 KB at start) lies free there, so in a mixed run of calls the walk's
+# few hundred KB of temporaries fault back in on the next one: 60 to 75 page faults
+# a walk call, whose cost follows the host's memory load. Freeing one mmapped block
+# raises the mmap and trim thresholds to its size and twice it (mallopt(3)); this
+# 1 MB block does so once; under other allocators it is one idle allocation.
+np.empty(1 << 17)
 _W = 48
 _GREGORY = 10
 _NODES, _NODES_LOW = 16, 10
@@ -138,34 +144,38 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal, x, dt)
 
 
-def _hurwitz_tail(total, series, step, q, weights, bound=0.0):
-    """Add to ``total`` the images x = (q[f] + n) step, n >= 0, of each family f.
+# Row i, P = 2i + 2: the weights of q**_Q_POWERS in q**P sum_{n>=0} (q + n)**-P by one-end
+# Euler-Maclaurin (DLMF 2.10.1), 1/(P-1), 1/2 and b_j (P)_{2j-1}, b_j = B_2j/(2j)! and (P)_i
+# rising, j <= 8; last the term j = 9, which bounds the rest as x**-P is completely monotone.
+_P = np.arange(2.0, 102.0, 2.0)[:, None]
+_B2J = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
+        7 / 523069747200, -3617 / 10670622842880000, 43867 / 5109094217170944000)
+_EM_TABLE = np.hstack([1.0 / (_P - 1.0), np.full_like(_P, 0.5),
+                       np.cumprod(_P + np.arange(17.0), axis=1)[:, ::2] * _B2J])
+_Q_POWERS = np.r_[1.0, 0.0, -1.0:-18.0:-2.0][:, None]
 
-    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, s0, p, h) =
-    ``series``, so the family's k-th term is weights[f] c_k (h/step)**(2k+m)
-    zeta(2k+s0, q[f]) / step**(s0-m) (DLMF 25.11). Only the ratio h/step and
-    the power s0 - m of step, which is the dimension of the value, enter, so
-    a scale-free value stays in range at any a. With every x above 2h and
-    |c_{k+1}/c_k| <= ((k+2)/(k+1))**p, each term is at most rho_k =
-    ((k+2)/(k+1))**p (h/(q[f] step))**2 < 1 times the one before, so what
-    follows term k is at most |term k| rho_k/(1 - rho_k). The value carries
-    every term; the tail estimate is that bound plus ``bound``, the error
-    bound ``total`` carries, at the first k where it is at most _TAIL_TARGET
-    |value|.
+
+def _image_tail(series, step, q, weights):
+    """The images x = (q[f] + n) step, n >= 0, of each family f summed: (sum, bound).
+
+    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, s0, p, h) = ``series``,
+    and each power of 1/x sums over n by _EM_TABLE. Term k is formed scale-free from r =
+    (h/(q step))**2 and the power s0 - m of step, the value's dimension, so it stays in
+    range at any a. The bound adds the _EM_TABLE remainders, the series' truncation (with
+    every x above 2h and |c_{k+1}/c_k| <= ((k+2)/(k+1))**p, what follows term k is at most
+    its modulus times rho/(1 - rho), rho = ((k+2)/(k+1))**p r) and the terms' rounding,
+    _ROUNDING eps times their moduli.
     """
     c, m, s0, p, h = series
-    k = _K[:, None]
-    u = h / (step * q)
-    zq = zeta(2.0 * k + s0, q)
-    # zeta underflows to 0 for large k and q, where q**k may overflow.
-    qk = q ** np.where(zq > 0.0, k, 0.0)
+    table, powers = _EM_TABLE[s0 // 2 - 1 :][: _K.size], q**_Q_POWERS
+    r = (h / step / q) ** 2
     scale = np.float64(h / step) ** m / np.float64(step) ** (s0 - m)
-    terms = (c[:, None] * weights * scale) * u ** (2.0 * k) * (qk * zq * qk)
-    rho = ((k + 2.0) / (k + 1.0)) ** p * u * u
-    bounds = np.sum(np.abs(terms) * rho / (1.0 - rho), axis=1) + bound
-    value = total + float(np.sum(terms))
-    met = np.flatnonzero(bounds <= _TAIL_TARGET * abs(value))
-    return value, float(bounds[met[0] if met.size else -1])
+    lead = c[:, None] * r ** _K[:, None] * (weights * scale * q**-s0)
+    terms = lead * (table[:, :-1] @ powers[:-1])
+    rho = ((_K[-1] + 2.0) / (_K[-1] + 1.0)) ** p * r
+    bound = (np.abs(table[:, -1]) @ np.abs(lead) @ powers[-1]  # the _EM_TABLE remainders
+             + np.abs(terms[-1]) @ (rho / (1.0 - rho)) + _ROUNDING * _EPS * np.sum(np.abs(terms)))
+    return float(np.sum(terms)), float(bound)
 
 
 def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
@@ -173,15 +183,16 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
 
     ``fvec`` maps an array of positive offsets, of any shape, elementwise to
     image values and ``series`` is its large-offset series (see
-    :func:`_hurwitz_tail`), whose last entry h = t/2 places the light cone.
+    :func:`_image_tail`), whose last entry h = t/2 places the light cone.
     With 0 < z < a, horizon_n is the one of :func:`platevac.kernels.horizon`
     for h and z. Shells 1..N, N = max(_N_MIN, 2 horizon_n), are summed
-    directly, so every later offset exceeds t and is left to the zeta tail.
-    Up to N = _N_RULE they and the n = 0 image are summed by one fvec call
-    on the offsets; past it by :func:`_rule_sum`, also in one fvec call, and
-    the tail estimate adds that rule's bound. Callers reject a point on a
-    light cone, so a non-finite sum is beyond the float range, which numpy
-    need not warn of. Returns (value, tail_estimate, n_used = N).
+    directly, so every later offset exceeds t and is left to the series tail.
+    Up to N = _N_RULE one fvec call takes them and the n = 0 image, and the
+    tail estimate adds their rounding, _ROUNDING eps times their moduli; past
+    it :func:`_rule_sum` does, also in one fvec call, and adds its bound.
+    Callers reject a point on a light cone, so a non-finite sum is beyond the
+    float range, which numpy need not warn of. Returns (value, tail_estimate,
+    n_used = N).
     """
     N = max(_N_MIN, 2 * horizon_n)
     if N > _N_MAX:
@@ -194,10 +205,12 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
         else:
             offsets = np.arange(1, N + 1, dtype=float) * a + shifts[:, None]
             v = fvec(np.concatenate(([z], offsets.ravel())))
-            walk = float(weights @ v[1:].reshape(offsets.shape).sum(axis=1))
-            total, bound = sign * float(v[0]) + walk, 0.0
-        value, tail = _hurwitz_tail(total, series, a, N + 1.0 + shifts / a, weights, bound)
-    return in_float_range(value, "image sum"), tail, N
+            shells = v[1:].reshape(offsets.shape)
+            total = sign * float(v[0]) + float(weights @ shells.sum(axis=1))
+            np.abs(v, out=v)  # in place: the moduli, for the rounding bound
+            bound = _ROUNDING * _EPS * float(v[0] + np.abs(weights) @ shells.sum(axis=1))
+        rest, rest_bound = _image_tail(series, a, N + 1.0 + shifts / a, weights)
+    return in_float_range(total + rest, "image sum"), bound + rest_bound, N
 
 
 def _graded(sigma, near, far):
@@ -282,12 +295,19 @@ def _rule_sum(fvec, sign, a, z, h, N, shifts, weights):
 # c_k = k + 1 (normal) or (k + 1)**2 (parallel), whose _PLAIN_TERMS terms reach eps.
 _PLAIN_CUT = 1.0 / math.pi
 _PLAIN_TERMS = 24
-_KP = np.arange(_PLAIN_TERMS, dtype=float)
+
+
+def _zeta(s, q=1.0):
+    """Hurwitz zeta(s, q), even s <= 100 and q near 1, within an ulp: 16 terms, then _EM_TABLE."""
+    x = q + 16.0
+    ends = _EM_TABLE[s // 2 - 1, :-1] * x ** _Q_POWERS[:-1, 0] * x**-s
+    return math.fsum([(q + n) ** -s for n in range(16)] + list(ends))
+
+
+_ZETA_2K = [_zeta(2 * k) for k in range(1, _PLAIN_TERMS + 2)]  # zeta(2), zeta(4), ...
 # Keyed by the shifted family's sign, highest power first for _horner.
-_PLAIN_SERIES = {
-    1.0: [float(c) for c in ((_KP + 1.0) * zeta(2.0 * _KP + 4.0))[::-1]],
-    -1.0: [float(c) for c in ((_KP + 1.0) ** 2 * zeta(2.0 * _KP + 4.0))[::-1]],
-}
+_PLAIN_SERIES = {sign: [(k + 1.0) ** power * _ZETA_2K[k + 1] for k in range(_PLAIN_TERMS)][::-1]
+                 for sign, power in ((1.0, 1), (-1.0, 2))}
 # g(y) = (1 - sinc y)/y**2 = sum_k (-1)**k y**2k/(2k+3)!, summed below y = 2 in 12 terms.
 _G_SERIES = [(-1.0) ** k / math.factorial(2 * k + 3) for k in range(11, -1, -1)]
 # A closed-form value's tail estimate bounds its own rounding: _ROUNDING eps times the sum
@@ -473,7 +493,7 @@ def _check_indices(mu, nu):
 # [g(|d| - h) - g(|d| + h)]/(2h) with g(y) = (pi/a) cot(pi y/a) - 1/y, smooth at y = 0, where
 # g(|d| - h) is its series -2 sum_k zeta(2k) y**(2k-1)/a**2k. Elsewhere it is the whole
 # lattice less 1/(d**2 - H).
-_ZETA_EVEN = [float(c) for c in zeta(2.0 * _KP + 2.0)[::-1]]  # zeta(2k), highest k first
+_ZETA_EVEN = _ZETA_2K[-2::-1]  # zeta(2k), k <= _PLAIN_TERMS, highest k first
 
 
 def _coth_lattice(p_t, kappa, a):

@@ -30,7 +30,8 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     The image shells up to twice the horizon are summed one by one, in one
     array, up to 4,096 of them; past that, only those next to x = 0 and the
     light cone are, and the smooth stretches between are integrated with
-    Gregory end corrections. The rest is a Hurwitz zeta series.
+    Gregory end corrections. The rest sum by their large-offset series, each
+    power of the offset by Euler-Maclaurin in closed form.
 
     Parameters
     ----------
@@ -44,9 +45,10 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     Returns
     -------
     ReducedValue
-        Reduced dispersion with its tail estimate (the zeta series' and the
-        integration rule's bounds), the shells covered before the zeta
-        series, and the singularity report for the point.
+        Reduced dispersion with its tail estimate (the series tail's bound
+        and either the explicit sum's rounding or the integration rule's
+        bound), the shells covered before the series tail, and the
+        singularity report for the point.
 
     Raises
     ------

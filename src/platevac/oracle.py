@@ -37,7 +37,6 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.special import zeta
 
 from . import dispersions  # dispersion_exact by its module, where bench/tracing.py wraps it
 from .correlators import _EPS, _N_MAX, _ROUNDING, _k_normal, _k_parallel
@@ -236,6 +235,7 @@ def _remainder(axis, observable, t, q, weights):
     while zeta(4+2k, q) is a normal float. A series that does not settle
     (rho_k >= 1 at its last term) raises ConvergenceError.
     """
+    from scipy.special import zeta  # deferred, as scipy.integrate is: its own special functions
     p = 2.0 if axis == "parallel" else 1.0
     u = 0.5 * t / q
     # Terms fall like u**2k (u < 1 past the horizon): take them until that is below epsilon.

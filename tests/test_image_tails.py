@@ -160,17 +160,19 @@ def _photon_reference(mu, A, z, zp, a):
         Ad, ad = Decimal(A), Decimal(a)
         for s, weight, skip_zero in ((Decimal(z) + Decimal(zp), -REFLECTED[mu], False),
                                      (Decimal(z) - Decimal(zp), ETA[mu], True)):
+            n = np.arange(-M, M + 1)
+            y = np.abs(float(s) + 2.0 * a * n[n != 0] if skip_zero else float(s) + 2.0 * a * n)
+            if A > 0.0:
+                cone = min(cone, float(np.min(np.abs(y - root))) / root)
+            if cone == 0.0:  # on a cone there is no value; the caller's assume rejects it
+                return math.nan, math.nan, cone
+            f = np.abs(1.0 / (A - y * y))
+            sensitivity += float(np.sum(f * (1.0 + 2.0 * y * y * f)))
             total = Decimal(0)
             for n in range(-M, M + 1):
                 if n or not skip_zero:
                     y = s + 2 * n * ad
                     total += 1 / (Ad - y * y)
-            n = np.arange(-M, M + 1)
-            y = np.abs(float(s) + 2.0 * a * n[n != 0] if skip_zero else float(s) + 2.0 * a * n)
-            f = np.abs(1.0 / (A - y * y))
-            sensitivity += float(np.sum(f * (1.0 + 2.0 * y * y * f)))
-            if A > 0.0:
-                cone = min(cone, float(np.min(np.abs(y - root))) / root)
             with mpmath.workdps(DPS):
                 r = mpmath.mpf(float(s)) / (2 * mpmath.mpf(a))
                 tail = sum(coef[j] * (mpmath.zeta(j, M + 1 + r) + mpmath.zeta(j, M + 1 - r))

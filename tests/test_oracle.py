@@ -138,20 +138,22 @@ def test_image_integrals_integrate_only_images_at_or_beyond_t(monkeypatch, x):
 
 
 def test_scipy_integrate_is_loaded_on_the_first_quadrature_only():
+    # scipy.special too: the oracle's zeta, and scipy.integrate's own import, bring it in.
     script = (
         "import sys, platevac, platevac.cli\n"
         "from platevac.quantities import EvalPoint, Geometry\n"
         "point = EvalPoint(Geometry(1.0, 0.5), 0.3)\n"
         "platevac.dispersion_exact('dv2-normal', point)\n"
-        "before = 'scipy.integrate' in sys.modules\n"
+        "names = ('scipy.integrate', 'scipy.special')\n"
+        "before = [name in sys.modules for name in names]\n"
         "platevac.dispersion_via_quadrature('dv2-normal', point)\n"
-        "print(before, 'scipy.integrate' in sys.modules)\n"
+        "print(*before, *(name in sys.modules for name in names))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True", "True"]
 
 
 def test_library_calls_load_neither_mpmath_nor_sympy():
@@ -169,6 +171,31 @@ def test_library_calls_load_neither_mpmath_nor_sympy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_library_calls_load_no_scipy_special():
+    # The library computes its zeta values and Cl_2 itself; only the oracle loads scipy.
+    script = (
+        "import sys, platevac, platevac.cli\n"
+        "from platevac import *\n"
+        "g = Geometry(1.0, 0.3)\n"
+        "for kind in ALL_KINDS:\n"
+        "    for t in (100.37, 20000.37):  # the walk, then the quadrature rule\n"
+        "        dispersion_exact(kind, EvalPoint(g, t), window=1e-9)\n"
+        "    approx_large_t(kind, EvalPoint(g, 100.37))\n"
+        "    midpoint_extremal(kind, 1.0, 100.3)\n"
+        "    approx_large_a(kind, EvalPoint(g, 0.1))\n"
+        "    approx_large_a_far(kind, EvalPoint(Geometry(1000.0, 0.3), 0.1))\n"
+        "efield_correlator_parallel(0.3, 1.0, 100.37)\n"
+        "efield_correlator_normal(0.3, 1.0, 0.21)\n"
+        "renormalized_photon_two_point(0, 0, 2.3, 0.1, 0.2, 0.3, 0.6, 1.0)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_image_integral_guards():
@@ -242,7 +269,7 @@ def _raise(*args, **kwargs):
 def test_quadrature_route_uses_no_closed_kernel_or_zeta_tail(monkeypatch):
     from platevac import correlators, dispersions, kernels
 
-    monkeypatch.setattr(correlators, "_hurwitz_tail", _raise)
+    monkeypatch.setattr(correlators, "_image_tail", _raise)
     for module in (kernels, dispersions, oracle):
         monkeypatch.setattr(module, "_image_values", _raise)
     for t in (0.3, 2.7, 40.3):  # before the cones, past the first ones, past twenty shells
