@@ -9,19 +9,19 @@ Two regimes have closed expansions:
 * late times (many cavity crossings): each image family is a lattice sum
   with spacing 2a/t of one scaled kernel, expanded by Euler-Maclaurin
   with the singular terms at the origin and at the light cone; the
-  light-cone terms give the oscillation in t mod 2a.
+  light-cone terms give the oscillation in t mod 2a. The expansion is
+  :func:`platevac.correlators._late_terms`, which the exact route takes
+  to order (2a/t)**5 past 4,096 shells.
 
 Every function returns the same reduced normalization as
 :func:`platevac.dispersions.dispersion_exact`. A point outside a
 formula's regime raises :class:`platevac.errors.RegimeError`.
 """
 
-import math
-
-from .correlators import _ZETA_2K, _closed_lattice, _eps_terms, _horner, _sine, _zeta
+from .correlators import _LATE, _ZETA_2K, _closed_lattice, _eps_terms, _late_terms, _zeta
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError, in_float_range
-from .kernels import _SERIES, SINGULAR_WINDOW, _phase, _phase_sum, checked_report
+from .kernels import _SERIES, SINGULAR_WINDOW, _phase, checked_report
 from .kernels import singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -99,40 +99,9 @@ def approx_large_a_far(kind, point):
     return _wide_gap(kind, geom, t, 1)
 
 
-_CLAUSEN = [_ZETA_2K[k - 1] / (k * (2 * k + 1)) for k in range(22, 0, -1)]  # d_k, k = 22..1
-
-
-def _clausen(x):
-    """Cl_2(x) = sum_n sin(n x)/n**2 = x (1 - ln|x| + sum_k d_k w**k), w = (x/2 pi)**2 and
-    d_k = zeta(2k)/(k (2k+1)) (A&S 27.8.2; |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)**2k). For |x| <= pi,
-    w <= 1/4 and 22 terms reach eps: within 2 eps absolute, but not relative next to the zero
-    at pi, where the series cancels."""
-    w = (x / (2.0 * math.pi)) ** 2
-    return x * (1.0 - math.log(abs(x)) + _horner(_CLAUSEN, w) * w) if x else 0.0
-
-
-def _cone_contrast(phases, a):
-    """Delta[Cl_2(2x)]: the plain family's light-cone term less the shifted family's.
-
-    The plain images n a cross their light cones at integer tau = t/(2a),
-    the shifted images n a -/+ z at tau = n +/- theta. Cl_2(2x), of period
-    pi, is taken at pi y/a, |2x| <= pi, for the ``phases`` of
-    :func:`platevac.kernels.singularity_report`. This second difference
-    cancels as theta -> 0 or pi; the cot and log contrasts are products.
-    """
-    plain, minus, plus = (_clausen(2.0 * math.pi * (y / a)) for _, y in phases)
-    return 2.0 * plain - minus - plus
-
-
-def _cot_log_contrasts(phases, theta, a):
-    """Delta[cot] = -2 cos(x) sin(theta)**2 / (sin(x) sin(x - theta) sin(x + theta)) and
-    Delta[ln|2 sin|] = ln|sin(x)**2 / (sin(x - theta) sin(x + theta))| at x = pi tau,
-    given theta = a sin(pi theta)/pi; every sine the _sine of an exact phase,
-    cos(x) = sin(x + pi/2) included."""
-    s_x, s_minus, s_plus = (_sine(p, a) for p in phases)
-    cos_x = _sine(_phase_sum(phases[0], (1.0, 0.5 * a), a), a)
-    cot = -2.0 * (cos_x / s_x) * (theta / s_minus) * (theta / s_plus)
-    return cot, math.log(abs(s_x / s_minus)) + math.log(abs(s_x / s_plus))
+# Each late law takes one order of 2a/t past its leading one, (2a/t)**-2 where A != 0,
+# else (2a/t)**-1 where p != 0, else (2a/t)**0.
+_LAW_ORDER = {key: (-2 if A else -1 if p else 0) + 1 for key, (A, _, _, p, _, _) in _LATE.items()}
 
 
 def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
@@ -175,14 +144,16 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     g = A/y**2 + B ln y + c0 + O(y**2), gives A pi**2 csc(pi theta)**2 / h
     + B h ln(2 sin pi theta), and A pi**2/(3h) + B h ln(2 pi/h) - c0 h for
     the plain family, whose n = 0 term is absent. The light cone y = 1,
-    where g = p/e + (c + c1 e) ln|e| + analytic in e = y - 1, gives
-    -p pi cot(x) + c h ln|2 sin x| + c1 h**2 Cl_2(2x)/(2 pi) at each of the
-    phases x = pi (tau -/+ theta). The integral vanishes for both normal
-    kernels and cancels between the families for the parallel ones. The
-    local coefficients (A, B, c0, p, c, c1) are
+    where g = p/e + sum_j c_j e**j ln|e| + analytic in e = y - 1, gives
+    -p pi cot(x) + c_0 h ln|2 sin x| + c_1 h**2 Cl_2(2x)/(2 pi) + O(h**3)
+    at each of the phases x = pi (tau -/+ theta). The integral vanishes for
+    both normal kernels and cancels between the families for the parallel
+    ones. The local coefficients (A, B, c0, p, c_0, c_1) are
     (0, 0, 1/12, -1/16, 1/16, -3/16) for dv2-parallel, (1/4, 0, 1/12, 0, -1/8, 3/8) for dv2-normal,
     (0, -1/3, -1/18, 0, 1/4, -1/4) for dx2-parallel and
-    (1/2, -1/3, 1/9, 0, 0, 1/2) for dx2-normal.
+    (1/2, -1/3, 1/9, 0, 0, 1/2) for dx2-normal. Each law is
+    :func:`platevac.correlators._late_terms` taken to one order of 2a/t
+    past its leading one.
 
     The oscillating terms diverge on the image light cones, so a point
     within ``window`` of one is rejected by the same rule as
@@ -201,20 +172,9 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
     if tau < REGIME_MARGIN:
         raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")
     phases = checked_report(singularity_report(geom.z, a, t, threshold=window), t).phases
-    length = _sine(_phase(geom.z, a), a)  # a sin(pi theta) / pi, above 0 where theta underflows
-    if kind.axis == "normal":
-        # (pi/2a)**2 / 3 + (pi / (2a sin(pi theta)))**2, each root times t/sqrt(2) for positions
-        scale = 1.0 if kind.observable == "velocity" else t / math.sqrt(2.0)
-        p, q = math.pi / 2.0 / a * scale, 0.5 / length * scale
-        value = p * p / 3.0 + q * q
-    else:
-        cot, log = _cot_log_contrasts(phases, length, a)
-        if kind.observable == "velocity":
-            value = math.pi / 8.0 / t / a * cot - (1.0 / 3.0 - log / 4.0) / t / t
-        else:
-            value = (-math.log(0.5 * t / length) / 3.0 + 1.0 / 18.0 + log / 4.0
-                     - a / t / (4.0 * math.pi) * _cone_contrast(phases, a))
-    return ReducedValue(in_float_range(value, "late-time law"))
+    key = (kind.axis, kind.observable)
+    terms = _late_terms(key, kind.image_sign, a, geom.z, t, phases, _LAW_ORDER[key])
+    return ReducedValue(in_float_range(sum(terms), "late-time law"))
 
 
 def midpoint_extremal(kind, a, t):

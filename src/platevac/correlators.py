@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError, SingularWindowError, in_float_range
-from .kernels import _K, SINGULAR_WINDOW, _image_report, _nearest_cone, _phase, _phase_sum
+from .errors import GeometryError, SingularWindowError, in_float_range
+from .kernels import _K, SINGULAR_WINDOW, _fold, _image_report, _nearest_cone, _phase, _phase_sum
 from .kernels import checked_report, singularity_report
 from .quantities import Geometry, ReducedValue
 
@@ -38,27 +38,18 @@ _ETA_DIAG = (1.0, -1.0, -1.0, -1.0)
 _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
 
 
-# Every image sum takes at least _N_MIN pairs explicitly; one whose geometry
-# needs more than _N_MAX raises ConvergenceError before summing. _TAIL_TARGET
-# is the largest tail_estimate / |value| an image sum is held to. The photon
-# function's relative light-cone window is _PHOTON_CONE_WINDOW.
+# Every image sum takes at least _N_MIN pairs explicitly. _TAIL_TARGET is the largest
+# tail_estimate / |value| an image sum is held to. The photon function's relative light-cone
+# window is _PHOTON_CONE_WINDOW.
 _N_MIN = 8
-_N_MAX = 2_000_000
 _TAIL_TARGET = 1e-10
 _PHOTON_CONE_WINDOW = 1e-10
 
-# Up to _N_RULE shells an image sum is a walk: one fvec call on a (families x N)
-# array. Past it, the sum takes explicitly only the shells where its kernel is
-# not smooth on the scale of a: the first _W and the _W either side of the light
-# cone. Each stretch between is its integral plus Gregory end corrections of
-# order _GREGORY (DLMF 2.10); the integral takes _NODES-node Gauss-Legendre panels
-# graded by ratio 2 toward x = 0 and the cone, and its bound is _RULE_FACTOR
-# times the first omitted Gregory term plus the panels' difference from the
-# _NODES_LOW-node rule. _N_RULE = 4,096: three families of 4,096 doubles are
-# 96 KB, below glibc's 128 KB mmap threshold (one array of 6,000 to 12,000 shells
-# measured up to twice as slow as it taken 4,096 at a time), and for the
-# dispersions the rule overtakes the walk between 2,500 and 4,500 shells.
-_N_RULE = 4096
+# Up to _N_WALK shells the dispersions' lattice is a walk: one fvec call on a (families x N)
+# array; past it, it is its late-time expansion (see _late_lattice). _N_WALK = 4,096: three
+# families of 4,096 doubles are 96 KB, below glibc's 128 KB mmap threshold (one array of
+# 6,000 to 12,000 shells measured up to twice as slow as it taken 4,096 at a time).
+_N_WALK = 4096
 # glibc hands the top of its heap back to the system whenever more than its trim
 # threshold (128 KB at start) lies free there, so in a mixed run of calls the walk's
 # few hundred KB of temporaries fault back in on the next one: 60 to 75 page faults
@@ -66,47 +57,6 @@ _N_RULE = 4096
 # raises the mmap and trim thresholds to its size and twice it (mallopt(3)); this
 # 1 MB block does so once; under other allocators it is one idle allocation.
 np.empty(1 << 17)
-_W = 48
-_GREGORY = 10
-_NODES, _NODES_LOW = 16, 10
-_RULE_FACTOR = 2.0
-
-
-def _gregory_weights(q):
-    """Gregory end weights of order q, and the weights of the first omitted term.
-
-    For every polynomial f of degree < q, sum_{n=0}^{M} f(n) = int_0^M f +
-    sum_{j<q} omega_j (f(j) + f(M-j)): at each end the correction is
-    sum_{k=1}^{q} G_k Delta^{k-1} f(0), with G_k the Taylor coefficients of
-    x / log(1 + x), and the first omitted term is G_{q+1} Delta^q f(0). Both
-    are returned as weights on f(0), ..., f(q).
-    """
-    g = [1.0]
-    for n in range(1, q + 2):
-        g.append(-sum((-1) ** m * g[n - m] / (m + 1) for m in range(1, n + 1)))
-
-    def delta(k):  # Delta^k f(0) = sum_j (-1)**(k-j) C(k, j) f(j)
-        return np.array([(-1) ** (k - j) * math.comb(k, j) for j in range(q + 1)], dtype=float)
-
-    return sum(g[k] * delta(k - 1) for k in range(1, q + 1)), g[q + 1] * delta(q)
-
-
-def _gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by Newton's method
-    on the Legendre recurrence (no eigensolver, so no LAPACK is loaded for it)."""
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(6):
-        p0, p1 = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_OMEGA, _OMITTED = _gregory_weights(_GREGORY)
-_GAUSS = _gauss_legendre(_NODES)
-_GAUSS_LOW = _gauss_legendre(_NODES_LOW)
 
 
 # The raw kernels take x2 = (2x)**2, so a caller can square its offsets once.
@@ -144,10 +94,10 @@ def correlator_term_normal(x, dt):
     return _correlator_term(_k_normal, x, dt)
 
 
-# Row i, P = 2i + 2: the weights of q**_Q_POWERS in q**P sum_{n>=0} (q + n)**-P by one-end
+# Row i, P = i + 2: the weights of q**_Q_POWERS in q**P sum_{n>=0} (q + n)**-P by one-end
 # Euler-Maclaurin (DLMF 2.10.1), 1/(P-1), 1/2 and b_j (P)_{2j-1}, b_j = B_2j/(2j)! and (P)_i
 # rising, j <= 8; last the term j = 9, which bounds the rest as x**-P is completely monotone.
-_P = np.arange(2.0, 102.0, 2.0)[:, None]
+_P = np.arange(2.0, 102.0)[:, None]
 _B2J = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
         7 / 523069747200, -3617 / 10670622842880000, 43867 / 5109094217170944000)
 _EM_TABLE = np.hstack([1.0 / (_P - 1.0), np.full_like(_P, 0.5),
@@ -167,7 +117,7 @@ def _image_tail(series, step, q, weights):
     _ROUNDING eps times their moduli.
     """
     c, m, s0, p, h = series
-    table, powers = _EM_TABLE[s0 // 2 - 1 :][: _K.size], q**_Q_POWERS
+    table, powers = _EM_TABLE[s0 - 2 :: 2][: _K.size], q**_Q_POWERS
     r = (h / step / q) ** 2
     scale = np.float64(h / step) ** m / np.float64(step) ** (s0 - m)
     lead = c[:, None] * r ** _K[:, None] * (weights * scale * q**-s0)
@@ -186,100 +136,25 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
     :func:`_image_tail`), whose last entry h = t/2 places the light cone.
     With 0 < z < a, horizon_n is the one of :func:`platevac.kernels.horizon`
     for h and z. Shells 1..N, N = max(_N_MIN, 2 horizon_n), are summed
-    directly, so every later offset exceeds t and is left to the series tail.
-    Up to N = _N_RULE one fvec call takes them and the n = 0 image, and the
-    tail estimate adds their rounding, _ROUNDING eps times their moduli; past
-    it :func:`_rule_sum` does, also in one fvec call, and adds its bound.
-    Callers reject a point on a light cone, so a non-finite sum is beyond the
-    float range, which numpy need not warn of. Returns (value, tail_estimate,
-    n_used = N).
+    directly, in one fvec call with the n = 0 image, so every later offset
+    exceeds t and is left to the series tail; the tail estimate adds their
+    rounding, _ROUNDING eps times their moduli. Callers keep N to _N_WALK,
+    past which the lattice is its late-time expansion. Callers reject a
+    point on a light cone, so a non-finite sum is beyond the float range,
+    which numpy need not warn of. Returns (value, tail_estimate, n_used = N).
     """
     N = max(_N_MIN, 2 * horizon_n)
-    if N > _N_MAX:
-        raise ConvergenceError(f"image sum needs {N} explicit pairs, above the cap of {_N_MAX}")
     # (shift, weight) per offset family: the plain one, then the two shifted ones.
     shifts, weights = np.array([(0.0, 2.0), (z, sign), (-z, sign)]).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if N > _N_RULE:
-            total, bound = _rule_sum(fvec, sign, a, z, series[-1], N, shifts, weights)
-        else:
-            offsets = np.arange(1, N + 1, dtype=float) * a + shifts[:, None]
-            v = fvec(np.concatenate(([z], offsets.ravel())))
-            shells = v[1:].reshape(offsets.shape)
-            total = sign * float(v[0]) + float(weights @ shells.sum(axis=1))
-            np.abs(v, out=v)  # in place: the moduli, for the rounding bound
-            bound = _ROUNDING * _EPS * float(v[0] + np.abs(weights) @ shells.sum(axis=1))
+        offsets = np.arange(1, N + 1, dtype=float) * a + shifts[:, None]
+        v = fvec(np.concatenate(([z], offsets.ravel())))
+        shells = v[1:].reshape(offsets.shape)
+        total = sign * float(v[0]) + float(weights @ shells.sum(axis=1))
+        np.abs(v, out=v)  # in place: the moduli, for the rounding bound
+        bound = _ROUNDING * _EPS * float(v[0] + np.abs(weights) @ shells.sum(axis=1))
         rest, rest_bound = _image_tail(series, a, N + 1.0 + shifts / a, weights)
     return in_float_range(total + rest, "image sum"), bound + rest_bound, N
-
-
-def _graded(sigma, near, far):
-    """Panel edges from ``near`` to ``far``, graded away from the singular point ``sigma``:
-    sigma + (near - sigma) r**j, j = 0..k, with the fewest panels whose ratio r is at most 2,
-    so that no panel is longer than its distance from sigma."""
-    ratio = (far - sigma) / (near - sigma)
-    k = math.ceil(math.log2(ratio))
-    edges = sigma + (near - sigma) * ratio ** (np.arange(k + 1) / k)
-    edges[0], edges[-1] = near, far
-    return edges
-
-
-def _rule_sum(fvec, sign, a, z, h, N, shifts, weights):
-    """sign f(z) + the families' shells 1..N by the quadrature rule: (sum, bound).
-
-    Shell n of the family (s, w) of ``shifts`` and ``weights`` is w f(n a + s).
-    With c the shell next to the cone x = h, shells 1.._W and c-_W..c+_W are
-    explicit: every family's cone lies within 1.5 shells of c, and x = 0 within
-    one of shell 0. Over the stretches between, n0..n1 = _W+1..c-_W-1 and
-    c+_W+1..N, f is smooth on the scale of the distance to x = 0 and x = h, so
-
-        sum_{n=n0}^{n1} f(n a + s) = (1/a) int_{n0 a + s}^{n1 a + s} f + Gregory end terms.
-
-    Each such integral is the one over n0 a..n1 a, common to all families, plus
-    the end pieces n1 a..n1 a + s and minus n0 a..n0 a + s. The common integral
-    therefore enters once, times the families' total weight, which is 0 for the
-    alternating lattices. It takes _NODES-node Gauss-Legendre panels graded by
-    ratio 2 toward x = 0 and x = h and split halfway; each end piece is one
-    panel. Every point goes through one fvec call, and the sum is one dot
-    product. The bound is _RULE_FACTOR times the sum of the weighted families'
-    first omitted Gregory term at each stretch end and of each panel's
-    difference from the _NODES_LOW-node rule.
-    """
-    c = round(h / a)
-    explicit = np.r_[1 : _W + 1, c - _W : c + _W + 1]
-    # The stretch ends, the direction from each into its stretch, and its Gregory samples.
-    ends = np.array([_W + 1.0, c - _W - 1.0, c + _W + 1.0, float(N)])
-    inward = np.array([1.0, -1.0, 1.0, -1.0])
-    samples = ends[:, None] + inward[:, None] * np.arange(_GREGORY + 1.0)
-    # Panels (lo, hi, weight): the common integral's unless its weight is 0, then one
-    # end piece from n a to n a + s per stretch end and shifted family.
-    common = float(np.sum(weights))
-    edges = [_graded(0.0, ends[0] * a, 0.5 * h), _graded(h, ends[1] * a, 0.5 * h)[::-1],
-             _graded(h, ends[2] * a, N * a)] if common else []
-    s, w = shifts[shifts != 0.0], weights[shifts != 0.0]
-    lo = np.concatenate([*(e[:-1] for e in edges), np.repeat(ends * a, s.size)])
-    hi = np.concatenate([*(e[1:] for e in edges), (ends[:, None] * a + s).ravel()])
-    pieces = (-inward[:, None] * w).ravel()
-    panel_weight = np.concatenate([np.full(lo.size - pieces.size, common), pieces]) / a
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes, w_high = _GAUSS
-    nodes_low, w_low = _GAUSS_LOW
-    x = np.concatenate([[z], (explicit * a + shifts[:, None]).ravel(),
-                        (samples * a + shifts[:, None, None]).ravel(),
-                        (mid[:, None] + half[:, None] * nodes).ravel(),
-                        (mid[:, None] + half[:, None] * nodes_low).ravel()])
-    coef = np.concatenate([[sign], np.repeat(weights, explicit.size),
-                           np.outer(weights, np.tile(_OMEGA, 4)).ravel(),
-                           np.outer(panel_weight * half, w_high).ravel()])
-    v = fvec(x)
-    total = float(coef @ v[: coef.size])
-    start = 1 + weights.size * explicit.size
-    v_samples = v[start : start + weights.size * samples.size].reshape(-1, *samples.shape)
-    v_high = v[start + weights.size * samples.size : coef.size].reshape(-1, _NODES)
-    v_low = v[coef.size :].reshape(-1, _NODES_LOW)
-    gregory = np.abs(weights @ (v_samples @ _OMITTED)).sum()
-    panels = np.abs(panel_weight * half * (v_high @ w_high - v_low @ w_low)).sum()
-    return total, _RULE_FACTOR * float(gregory + panels)
 
 
 # The E-field correlators sum the raw kernels in closed form. With h = dt/2, an offset x
@@ -298,9 +173,10 @@ _PLAIN_TERMS = 24
 
 
 def _zeta(s, q=1.0):
-    """Hurwitz zeta(s, q), even s <= 100 and q near 1, within an ulp: 16 terms, then _EM_TABLE."""
+    """Hurwitz zeta(s, q), integer 2 <= s <= 100 and q near 1, within an ulp: 16 terms, then
+    _EM_TABLE."""
     x = q + 16.0
-    ends = _EM_TABLE[s // 2 - 1, :-1] * x ** _Q_POWERS[:-1, 0] * x**-s
+    ends = _EM_TABLE[s - 2, :-1] * x ** _Q_POWERS[:-1, 0] * x**-s
     return math.fsum([(q + n) ** -s for n in range(16)] + list(ends))
 
 
@@ -325,14 +201,150 @@ def _horner(coef, w):
     return value
 
 
-def _sinc_pi(x):
-    """sin(pi x) / (pi x)."""
-    return math.sin(math.pi * x) / (math.pi * x) if x else 1.0
-
-
 def _sine(phase, a):
-    """a sin(pi y/a)/pi with the sign of the phase (sign, y): a length, of either sign."""
-    return phase[0] * phase[1] * _sinc_pi(phase[1] / a)
+    """a sin(pi y/a)/pi with the sign of the phase (sign, y): a length, of either sign, formed
+    as sign y sinc(pi y/a)."""
+    sign, y = phase
+    x = math.pi * (y / a)
+    return sign * y * (math.sin(x) / x) if x else sign * y
+
+
+# Past _N_WALK shells the dispersions' lattice is its late-time expansion (Navot 1961, the
+# generalized Euler-Maclaurin expansion). With delta = 2a/t, tau = t/2a and theta = z/a, an
+# image at offset x is u g(y), y = 2|x|/t, u = (2/t)**2 for a velocity and 1 for a position,
+# so a dispersion is u S with S = sum_{n != 0} g(delta |n|) + sign sum_n g(delta |n + theta|).
+# At y = 0, g = A/y**2 + B ln y + c0 + even powers of y, and at the cone, e = y - 1,
+# g = p/e + sum_j c_j e**j ln|e| + a function analytic in e, with c_j = alpha [j = 0]
+# + beta (-1)**j (j+1)(j+2)/2 from the log's coefficient alpha + beta/y**3. The even powers
+# and the analytic part contribute nothing, so that
+#
+#     S = A pi**2/(3 delta**2) + B ln(2 pi/delta) - c0
+#         + sign [A pi**2 csc(pi theta)**2/delta**2 + B ln(2 sin(pi theta))]
+#         + sum_x w_x [-(pi p/delta) cot(x) - sum_j j! c_j (delta/2 pi)**j C_j(2x)]
+#
+# over the scan's phases x = pi tau (w = 2) and pi (tau -/+ theta) (w = sign), where
+# C_j(y) = Re[i**j Li_{j+1}(exp(i y))]: C_0(2x) = -ln|2 sin x| and C_1 = -Cl_2. _LATE holds
+# (A, B, c0, p, alpha, beta) per kernel, from the closed forms of platevac.kernels.
+_LATE = {
+    ("parallel", "velocity"): (0.0, 0.0, 1 / 12, -1 / 16, 0.0, 1 / 16),
+    ("normal", "velocity"): (0.25, 0.0, 1 / 12, 0.0, 0.0, -1 / 8),
+    ("parallel", "position"): (0.0, -1 / 3, -1 / 18, 0.0, 1 / 6, 1 / 12),
+    ("normal", "position"): (0.5, -1 / 3, 1 / 9, 0.0, 1 / 6, -1 / 6),
+}
+# The exact route takes the cone terms to _LATE_ORDER. The expansion is asymptotic: past the
+# walk, t > 4,094 a, order j's modulus bound j! |c_j| (delta/2 pi)**j zeta(j+1) over the four
+# families is at most 4.9e-18 at j = 5 and 3.0e-21 at j = 6, so that order 5 is the lowest
+# whose first omitted order lies below 1e-3 eps. Its tail is _LATE_FACTOR times that bound of
+# order 6: each order is below 1e-3 of the one before, and the remainder past them shrinks
+# like exp(-2 pi/delta).
+_LATE_ORDER = 5
+_LATE_FACTOR = 2.0
+
+
+def _clausen_table(j):
+    """((-1)**j/j!, H_j, Q_j highest power first) with C_j(y) = (-1)**j y**j (H_j - ln|y|)/j!
+    + y**(j mod 2) Q_j((y/2 pi)**2) for |y| <= pi (DLMF 25.12.12 at s = j + 1, H_j harmonic).
+
+    Q_j holds the terms zeta(j+1-k) i**(j+k) y**k/k!, k = j-2, j-4, ... >= 0, none at k = j,
+    the terms 2 zeta(2l) (2l-1)!/(j+2l)! (-1)**j y**j w**l, w = (y/2 pi)**2 <= 1/4, while
+    they exceed eps/2 at w = 1/4 and |y| = pi."""
+    two_pi = 2.0 * math.pi
+    q = [_zeta(j + 1 - k) * (-1) ** ((j + k) // 2) * two_pi ** (k - j % 2) / math.factorial(k)
+         for k in range(j % 2, j - 1, 2)] + [0.0]  # k = j is the log term
+    for l, zeta_2l in enumerate(_ZETA_2K, start=1):
+        e = 2.0 * zeta_2l * math.factorial(2 * l - 1) / math.factorial(j + 2 * l)
+        if e * 0.25**l * math.pi**j < _EPS / 2.0:
+            break
+        q.append((-1) ** j * two_pi ** (j - j % 2) * e)
+    return (-1) ** j / math.factorial(j), sum(1.0 / i for i in range(1, j + 1)), q[::-1]
+
+
+_CLAUSEN = [_clausen_table(j) for j in range(_LATE_ORDER + 1)]
+# -j! c_j / beta for j >= 1, the cone coefficients of C_j(2x) (delta/2 pi)**j, and zeta of
+# the first omitted order.
+_CONE = [-math.factorial(j) * (-1) ** j * (j + 1) * (j + 2) / 2.0 for j in range(_LATE_ORDER + 2)]
+_ZETA_OMITTED = _zeta(_LATE_ORDER + 2)
+
+
+def _clausen_type(j, y):
+    """C_j(y) = Re[i**j Li_{j+1}(exp(i y))] for |y| <= pi, y != 0 when j = 0; C_0(y) =
+    -ln|2 sin(y/2)|, C_1 = -Cl_2, and |C_j| <= zeta(j+1) for j >= 1."""
+    lead, h_j, q = _CLAUSEN[j]
+    w = y / (2.0 * math.pi)
+    series = _horner(q, w * w)
+    if j % 2:
+        series *= y
+    return lead * y**j * (h_j - math.log(abs(y))) + series if y else series
+
+
+def _late_terms(key, sign, a, z, t, phases, order):
+    """The terms of u S for the dispersion lattice of the kernel ``key``, its shifted families
+    entering with ``sign``, from the expansion above: those of order delta**-2 (A),
+    delta**-1 (p), delta**0 (B, c0, j = 0) and delta**j for 1 <= j <= ``order``, -1 or more.
+    ``phases`` are those of the cone scan at t, which keep every phase exact. It holds
+    where the families' finite-part integrals cancel: for sign -1, and for the normal
+    kernels, whose integral vanishes.
+
+    The cot and log sums over the phases are sign times their contrasts with the plain
+    phase, in product form, plus (2 + 2 sign) times its own term, so that next to a plate
+    they keep their digits.
+    """
+    A, B, c0, p, alpha, beta = _LATE[key]
+    velocity = key[1] == "velocity"
+    half = 1.0 if velocity else 0.5 * t  # (a/delta) sqrt(u)
+    length = _sine(_fold(z, a), a)  # a sin(pi theta)/pi; 0 < z < a needs no reduction
+    if A:
+        q_plain, q_shifted = math.pi * half / a, half / length
+        terms = [A * q_plain * q_plain / 3.0, sign * A * q_shifted * q_shifted]
+    else:
+        terms = []
+    if order < 0 and not p:
+        return terms
+    root = 2.0 / t if velocity else 1.0  # sqrt(u)
+    unit = root * root
+    p_x, p_m, p_p = phases
+    s_x, s_m, s_p = _sine(p_x, a), _sine(p_m, a), _sine(p_p, a)
+    both = 2.0 + 2.0 * sign  # the plain phase's weight less twice sign
+    if p:
+        cot = _sine(_phase_sum(p_x, (1.0, 0.5 * a), a), a) / s_x
+        # cot(x - theta) + cot(x + theta) - 2 cot(x)
+        contrast = 2.0 * cot * (length / s_m) * (length / s_p)
+        coef = -math.pi * p * half * root / a
+        terms.append(coef * sign * contrast)
+        if both:
+            terms.append(coef * both * cot)
+    if order < 0:
+        return terms
+    # sum_x w_x ln|2 sin x| = -sign (ln|sin x/sin(x - theta)| + ln|sin x/sin(x + theta)|)
+    # + (2 + 2 sign) ln|2 sin x|, and -C_0(2x) = ln|2 sin x|
+    coef = -sign * (alpha + beta) * unit
+    terms += [-c0 * unit, coef * math.log(abs(s_x / s_m)), coef * math.log(abs(s_x / s_p))]
+    if both:
+        terms.append(both * (alpha + beta) * unit * math.log(abs(2.0 * math.pi * (s_x / a))))
+    if B:  # (2 pi/delta) (2 sin(pi theta))**sign
+        arg = math.pi * t / a * (2.0 * math.pi * (length / a)) if sign > 0 else 0.5 * t / length
+        terms.append(B * unit * math.log(arg))
+    if order > 0:
+        step = a / (math.pi * t)  # delta/2 pi
+        y_x, y_m, y_p = (2.0 * math.pi * (phase[1] / a) for phase in phases)
+        for j in range(1, order + 1):
+            coef = beta * _CONE[j] * step**j * unit
+            terms += [2.0 * coef * _clausen_type(j, y_x), sign * coef * _clausen_type(j, y_m),
+                      sign * coef * _clausen_type(j, y_p)]
+    return terms
+
+
+def _late_lattice(key, sign, a, z, t, phases):
+    """(value, tail) of :func:`_late_terms` to _LATE_ORDER. The tail is _LATE_FACTOR times
+    the modulus bound of the first omitted order, |C_j| <= zeta(j+1) over the four families,
+    plus _ROUNDING eps times the moduli of the terms."""
+    terms = _late_terms(key, sign, a, z, t, phases, _LATE_ORDER)
+    unit = (2.0 / t) ** 2 if key[1] == "velocity" else 1.0
+    j = _LATE_ORDER + 1
+    step = a / (math.pi * t)  # delta/2 pi
+    omitted = abs(_LATE[key][5] * _CONE[j]) * step**j * unit * _ZETA_OMITTED * 4.0
+    tail = _LATE_FACTOR * omitted + _ROUNDING * _EPS * sum(map(abs, terms))
+    return in_float_range(sum(terms), "late-time expansion"), in_float_range(tail, "late-time bound")
 
 
 def _eps_terms(p_e, h, a):

@@ -9,7 +9,7 @@ Values are reduced: multiply by the universal charge/mass prefactor via
 :func:`platevac.physics.physicalize` to get physical dispersions.
 """
 
-from .correlators import _grouped_image_sum
+from .correlators import _N_WALK, _grouped_image_sum, _late_lattice
 from .errors import GeometryError
 from .kernels import (
     SINGULAR_WINDOW,
@@ -27,11 +27,12 @@ from .quantities import DispersionKind, EvalPoint, ReducedValue
 def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     """Exact reduced dispersion by image summation.
 
-    The image shells up to twice the horizon are summed one by one, in one
-    array, up to 4,096 of them; past that, only those next to x = 0 and the
-    light cone are, and the smooth stretches between are integrated with
-    Gregory end corrections. The rest sum by their large-offset series, each
-    power of the offset by Euler-Maclaurin in closed form.
+    Up to 4,096 image shells, twice the horizon, are summed one by one, in
+    one array, and the rest by their large-offset series, each power of the
+    offset by Euler-Maclaurin in closed form. Past 4,096 shells, t > 4,094 a,
+    the lattice is its late-time expansion to order (2a/t)**5, whose terms
+    take the cone scan's exact phases: no kernel is evaluated there, and
+    there is no cap on t/a.
 
     Parameters
     ----------
@@ -45,17 +46,16 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     Returns
     -------
     ReducedValue
-        Reduced dispersion with its tail estimate (the series tail's bound
-        and either the explicit sum's rounding or the integration rule's
-        bound), the shells covered before the series tail, and the
-        singularity report for the point.
+        Reduced dispersion with its tail estimate, the shells summed one
+        by one (0 past 4,096) and the singularity report for the point. Up
+        to 4,096 shells the tail estimate bounds the series tail and the
+        explicit sum's rounding; past them, the first omitted order of the
+        expansion, twice its modulus bound, and the rounding of its terms.
 
     Raises
     ------
     SingularWindowError
         If ``t`` is within ``window`` (relative) of any image cone, or on one.
-    ConvergenceError
-        Before summing, if twice the horizon exceeds 2,000,000 image pairs.
     """
     kind = DispersionKind.coerce(kind)
     if not isinstance(point, EvalPoint):
@@ -64,16 +64,21 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     if t == 0.0:
         return ReducedValue(0.0)
     report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)
-    return ReducedValue(*_lattice(kind, geom, t, kind.image_sign), report)
+    return ReducedValue(*_lattice(kind, geom, t, kind.image_sign, report.phases), report)
 
 
-def _lattice(kind, geom, t, sign):
+def _lattice(kind, geom, t, sign, phases):
     """(value, tail, n_used) of the image lattice of ``kind`` at time t, its shifted families
-    entering with ``sign``. Each image is :func:`_image_values`, so the n = 0 image is
-    :func:`_kernel_at`'s value; past h = t/2 the images sum by their _SERIES entry."""
+    entering with ``sign``, and ``phases`` those of the cone scan at t. Up to _N_WALK shells
+    each image is :func:`_image_values`, so the n = 0 image is :func:`_kernel_at`'s value,
+    and past h = t/2 the images sum by their _SERIES entry; past them the lattice is
+    :func:`_late_lattice`."""
     key = (kind.axis, kind.observable)
+    horizon_n = horizon(geom.a, geom.z, t)
+    if 2 * horizon_n > _N_WALK:
+        return (*_late_lattice(key, sign, geom.a, geom.z, t, phases), 0)
     return _grouped_image_sum(lambda x: _image_values(key, x, t), sign, geom.a, geom.z,
-                              (*_SERIES[key], 0.5 * t), horizon(geom.a, geom.z, t))
+                              (*_SERIES[key], 0.5 * t), horizon_n)
 
 
 def single_plate_reference(kind, z, t, *, window=SINGULAR_WINDOW):

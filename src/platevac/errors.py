@@ -33,9 +33,9 @@ class SingularWindowError(PlatevacError):
 
 
 class ConvergenceError(PlatevacError):
-    """An image sum needs over 2,000,000 pairs, the oracle over 2,000,000 shells, the series
-    past an explicit ``n_images`` does not settle, or a quadrature missed its tolerance
-    (``value`` and ``error_estimate`` then carry its result)."""
+    """The quadrature oracle needs over 2,000,000 image shells, the series past an explicit
+    ``n_images`` does not settle, or a quadrature missed its tolerance (``value`` and
+    ``error_estimate`` then carry its result)."""
 
     exit_code = 4
 

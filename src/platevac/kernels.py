@@ -448,7 +448,7 @@ def _nearest_cone(families, a, t, threshold):
                 gap(shift, n)[0] < gap(*best[2:])[0]):
             best = (dist, family, shift, n)
     dist, family, shift, n = best
-    offset = math.fsum([half, *(-v for v in gap(shift, n)[1])])
+    offset = -math.fsum([-half, *gap(shift, n)[1]])  # t/2 less the gap's terms, rounded once
     return SingularityReport(dist, offset, 2.0 * offset, family, n, threshold, tuple(phases))
 
 

@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 
 from . import dispersions  # dispersion_exact by its module, where bench/tracing.py wraps it
-from .correlators import _EPS, _N_MAX, _ROUNDING, _k_normal, _k_parallel
+from .correlators import _EPS, _ROUNDING, _k_normal, _k_parallel
 from .correlators import _grouped_image_sum  # unused here; bench/tracing.py wraps it by this name
 from .dispersions import _lattice
 from .errors import ConvergenceError, GeometryError, in_float_range
@@ -55,6 +55,9 @@ from .kernels import (
     singularity_report,
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
+
+# The oracle builds four arrays of its image count; above _MAX_IMAGES it raises before any.
+_MAX_IMAGES = 2_000_000
 
 
 class QuadratureSpec:
@@ -323,8 +326,8 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     horizon every offset exceeds t, so the series ratio (t/2x)**2 is
     below 1/4. An explicit ``n_images`` below the horizon raises
     GeometryError, and one so close to it that the series does not
-    settle raises ConvergenceError; a count above 2,000,000, the image
-    sums' cap, raises ConvergenceError before any array is built.
+    settle raises ConvergenceError; a count above 2,000,000, the oracle's
+    memory cap, raises ConvergenceError before any array is built.
     Lengths are taken in units of a, so the value scales as a**-2
     (velocity) or not at all (position) at any a. The returned tail
     estimate is the series' geometric bound on what follows its last
@@ -350,8 +353,8 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
         raise GeometryError(
             f"n_images={n_images} does not reach past the horizon (need >= {n_horizon})"
         )
-    if n_images > _N_MAX:
-        raise ConvergenceError(f"{n_images} image shells exceed the cap of {_N_MAX}")
+    if n_images > _MAX_IMAGES:
+        raise ConvergenceError(f"{n_images} image shells exceed the cap of {_MAX_IMAGES}")
 
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
@@ -467,7 +470,9 @@ def certification_report():
 
 def _flipped_normal_sum(kind, point):
     """Closed-form image sum with the (wrong) minus shifted-family sign."""
-    return _lattice(kind, point.geometry, point.t, -1.0)[0]
+    geom = point.geometry
+    phases = singularity_report(geom.z, geom.a, point.t).phases
+    return _lattice(kind, geom, point.t, -1.0, phases)[0]
 
 
 def write_adjudication(path):

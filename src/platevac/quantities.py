@@ -140,15 +140,18 @@ class ReducedValue:
     value : float
         The reduced dispersion or correlator value.
     tail_estimate : float
-        Bound on the truncated image tail, same units as ``value``; past
-        4,096 shells it includes the bound of the integration rule for
-        the smooth stretches. For the closed-form E-field correlators and
+        Error bound, same units as ``value``. For the exact dispersions up
+        to 4,096 shells, the bound on the series tail past the explicit
+        shells plus their rounding; past 4,096 shells, twice the modulus
+        bound of the late-time expansion's first omitted order plus the
+        rounding of its terms. For the closed-form E-field correlators and
         photon function, the bound on their own rounding; for the wide-gap
         routes, the bound on the series terms they leave out; zero for the
         other closed forms.
     n_used : int
-        Number of image shells the sum covers before its zeta tail, each
-        summed one by one up to 4,096. Zero for closed-form results.
+        Number of image shells summed one by one before the series tail,
+        at most 4,096. Zero past them, where the late-time expansion
+        takes the lattice, and for closed-form results.
     singularity : object or None
         The :class:`platevac.kernels.SingularityReport` for the point,
         when one was computed.

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
-from test_image_engine import _sensitivity
 
 from platevac import (
     GeometryError,
@@ -30,6 +29,21 @@ _EFIELDS = {
     "parallel": (efield_correlator_parallel, _k_parallel, -1.0, (-((_K + 1.0) ** 2) / 16, 0, 4, 2)),
     "normal": (efield_correlator_normal, _k_normal, 1.0, ((_K + 1.0) / 16, 0, 4, 1)),
 }
+
+
+def _sensitivity(fvec, sign, a, z, N, h):
+    """Sum of |f| + |x f'(x)| over the images of shells 0..N, weights taken in modulus:
+    rounding an offset x to a float moves its term by up to eps |x f'(x)|. f' is a central
+    difference with a step 1e-4 of the distance to x = 0 or to the cone x = h, whichever
+    is nearer."""
+    base = np.arange(1, N + 1, dtype=float) * a
+    total = 0.0
+    for x, weight in [(np.array([z]), sign)] + [(base + s, w) for s, w in ((0.0, 2.0), (z, sign),
+                                                                           (-z, sign))]:
+        step = 1e-4 * np.minimum(x, np.abs(x - h))
+        x_df = x * (fvec(x + step) - fvec(x - step)) / (2.0 * step)
+        total += abs(weight) * float(np.sum(np.abs(fvec(x)) + np.abs(x_df)))
+    return total
 
 
 def _image_lattice(name, z, a, dt):
@@ -173,7 +187,7 @@ def test_two_point_symmetry_and_off_diagonal():
 @example(a=0.5, t_over_a=0.03, z_over_a=0.01)
 @example(a=1.0, t_over_a=1e-3, z_over_a=0.9999)  # phases next to pi keep their digits
 def test_closed_form_matches_the_image_lattice(name, a, t_over_a, z_over_a):
-    # Both sides carry a bound: the lattice its tail and quadrature rule, the closed form
+    # Both sides carry a bound: the lattice its tail and rounding, the closed form
     # its own rounding. 4 eps S allows for the offsets' rounding next to a cone.
     z, dt = a * z_over_a, a * t_over_a
     assume(singularity_report(z, a, dt).distance >= 1e-9)

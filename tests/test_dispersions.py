@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from platevac import (
-    ConvergenceError,
     GeometryError,
     SingularWindowError,
     approx_large_t,
@@ -149,11 +148,18 @@ def test_truncation_tail_is_honest():
     assert dispersion_exact(ZZ, pt).n_used >= 17  # horizon for t = 30.5
 
 
-def test_convergence_cap_raises():
-    # twice the horizon is 2,000,004 pairs, just past the cap of 2,000,000
-    pt = EvalPoint(Geometry(1.0, 0.3), 2e6 + 0.37)
-    with pytest.raises(ConvergenceError):
-        dispersion_exact(VX, pt, window=1e-9)
+def test_no_image_cap_past_two_million_pairs():
+    # Twice the horizon is 2,000,004 pairs at t = 2e6 + 0.37, just past the cap of 2,000,000
+    # the image sums had; the late-time expansion has none, and it stays within the (a/t)**2
+    # of the late law's error.
+    a, z = 1.0, 0.3
+    for t, window in ((2e6 + 0.37, 1e-9), (1e9 + 0.37, 1e-12)):
+        point = EvalPoint(Geometry(a, z), t)
+        for kind in ALL_KINDS:
+            got = dispersion_exact(kind, point, window=window)
+            law = approx_large_t(kind, point, window=window).value
+            assert got.n_used == 0
+            assert abs(got.value - law) <= 20.0 * (a / t) ** 2 * abs(law)
 
 
 def test_sum_through_a_light_cone_raises_instead_of_returning():
@@ -192,7 +198,7 @@ def test_normal_velocity_sums_to_a_million_plate_spacings(t, window):
     got = dispersion_exact(VZ, EvalPoint(Geometry(a, z), t), window=window)
     plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + 1.0 / math.sin(math.pi * z / a) ** 2)
     assert abs(got.value - plateau) <= 20.0 * (a / t) ** 2 * plateau
-    assert got.n_used == 2 * horizon(a, z, t)
+    assert got.n_used == 0  # the late-time expansion, past 4,096 shells
 
 
 def test_values_beyond_the_float_range_are_a_geometry_error():

@@ -122,7 +122,7 @@ def _platevac(name, a, z, t):
 @example(a=2.0, z_over_a=0.5, t_over_a=100.2)
 @example(a=1.0, z_over_a=0.5, t_over_a=30.5)
 @example(a=1.0, z_over_a=0.37, t_over_a=0.21)
-@example(a=1.0, z_over_a=0.3, t_over_a=12300.3)  # past the walk: the engine's quadrature rule
+@example(a=1.0, z_over_a=0.3, t_over_a=12300.3)  # past the walk: the late-time expansion
 def test_tail_estimate_bounds_the_error(a, z_over_a, t_over_a):
     z, t = a * z_over_a, a * t_over_a
     # Clear of every cone by 1e-3 of t, or of a once t > a: cones are at most 2a apart.

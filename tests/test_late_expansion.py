@@ -1,0 +1,227 @@
+"""The late-time expansion of the dispersions' image lattice, checked independently of itself.
+
+* Its table (A, B, c0, p, alpha, beta) is derived again from the closed kernels of
+  ``platevac.kernels``, by mpmath series at the origin and at the light cone.
+* Past 4,096 shells ``dispersion_exact`` is compared with the image lattice summed at
+  exact offsets in 128-bit fixed point, its far tail as Hurwitz zeta values with the
+  30-digit series coefficients of ``tests/test_image_tails.py``.
+* Below 4,096 shells the expansion, called directly, is compared with the walk.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_log, to_fixed
+from test_correlators import _sensitivity
+from test_image_tails import DPS, ORDER, _taylor
+
+from platevac import ALL_KINDS, EvalPoint, Geometry, dispersion_exact, singularity_report
+from platevac.correlators import _LATE, _LATE_ORDER, _N_WALK, _late_lattice
+from platevac.correlators import _zeta
+from platevac.dispersions import _lattice
+from platevac.kernels import _image_values, horizon
+from platevac.quantities import DispersionKind
+
+EPS = 2.0**-52
+# Kernel keys in the order of test_image_tails.PHI, whose first four are the dispersions.
+KEYS = (("parallel", "velocity"), ("normal", "velocity"), ("parallel", "position"),
+        ("normal", "position"))
+SIGN = (-1, 1, -1, 1)
+
+
+# Each closed kernel of platevac.kernels is g(y) = F(1/y)/y**2 or G(1/y), u = 1/y: a rational
+# part R plus lam u**3 Lam(u) plus mu ln|1 - u**2|, (R, lam, 3, mu) below. About a singular point y0
+# it splits into P(y) + Q(y) ln|y - y0|, P meromorphic and Q analytic there, from
+# Lam = (1/2) ln|(y+1)/(y-1)| and ln|1 - u**2| = ln|y - 1| + ln|y + 1| - 2 ln|y|.
+_PARTS = {
+    ("parallel", "velocity"): (lambda u: u**4 / (8 * (u * u - 1)), Fraction(-1, 8), 3, 0),
+    ("normal", "velocity"): (lambda u: 0, Fraction(1, 4), 3, 0),
+    ("parallel", "position"): (lambda u: u * u / 6, Fraction(-1, 6), 3, Fraction(1, 6)),
+    ("normal", "position"): (lambda u: u * u / 6, Fraction(1, 3), 3, Fraction(1, 6)),
+}
+# Per singular point: (the analytic part of Lam, its ln|y - y0| coefficient, the same two of
+# ln|1 - u**2|), as functions of y.
+_LOGS = {
+    0: (mpmath.atanh, lambda y: 0, lambda y: mpmath.log(1 - y * y), lambda y: -2),
+    1: (lambda y: mpmath.log(y + 1) / 2, lambda y: mpmath.mpf(-1) / 2,
+        lambda y: mpmath.log(y + 1) - 2 * mpmath.log(y), lambda y: 1),
+}
+
+
+def _split(key, y0):
+    """(P, Q) of the kernel ``key`` about y0 = 0 or 1."""
+    lam_a, lam_q, log_a, log_q = _LOGS[y0]
+
+    rational, lam, power, mu = _PARTS[key]  # lam is lam u**power
+    lam, mu = (mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in (lam, mu))
+
+    def P(y):
+        return rational(1 / y) + lam / y**power * lam_a(y) + mu * log_a(y)
+
+    def Q(y):
+        return lam / y**power * lam_q(y) + mu * log_q(y)
+
+    return P, Q
+
+
+def _closed(key, y):
+    """g(y) from the closed forms of the kernels' docstring, at a real y > 0."""
+    u = 1 / mpmath.mpf(y)
+    lam = mpmath.log(abs((1 + u) / (1 - u))) / 2
+    log = mpmath.log(abs(1 - u * u))
+    axis, observable = key
+    if observable == "velocity":
+        f = u * u / (8 * (u * u - 1)) - u * lam / 8 if axis == "parallel" else u * lam / 4
+        return f * u * u
+    return (u * u + (-1 if axis == "parallel" else 2) * u**3 * lam + log) / 6
+
+
+def _series(f, y0, n):
+    """Taylor coefficients of f at y0 by Cauchy integrals, so that f is not evaluated at y0."""
+    return mpmath.taylor(f, y0, n, method="quad", radius=mpmath.mpf(1) / 4)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_the_table_follows_from_the_closed_kernels(key):
+    A, B, c0, p, alpha, beta = _LATE[key]
+    with mpmath.workdps(30):
+        for y0, points in ((0, (0.1, 0.3)), (1, (0.9, 1.2))):
+            P, Q = _split(key, y0)
+            for y in points:  # the split is the closed kernel
+                value = P(mpmath.mpf(y)) + Q(mpmath.mpf(y)) * mpmath.log(abs(y - y0))
+                assert abs(value - _closed(key, y)) < mpmath.mpf(10) ** -25
+        # At y = 0: g = A/y**2 + B ln y + c0 + even powers, and no y**2k ln y.
+        P, Q = _split(key, 0)
+        laurent = _series(lambda y: y * y * P(y), 0, 8)
+        assert [float(c) for c in laurent[:3]] == pytest.approx([A, 0.0, c0], abs=1e-20)
+        assert all(abs(c) < 1e-20 for c in laurent[1::2])
+        logs = _series(Q, 0, 6)
+        assert float(logs[0]) == pytest.approx(B, abs=1e-20)
+        assert all(abs(c) < 1e-20 for c in logs[1:])
+        # At y = 1, e = y - 1: g = p/e + (alpha + beta/y**3) ln|e| + analytic, so that the
+        # coefficient of e**j ln|e| is c_j = alpha [j = 0] + beta (-1)**j (j+1)(j+2)/2.
+        P, Q = _split(key, 1)
+        pole = _series(lambda y: (y - 1) ** 2 * P(y), 1, 2)
+        assert abs(pole[0]) < 1e-20 and float(pole[1]) == pytest.approx(p, abs=1e-20)
+        for y in (0.8, 1.0, 1.3):  # to the rounding of the table's floats
+            assert abs(Q(mpmath.mpf(y)) - (alpha + beta / y**3)) < 4 * EPS * (abs(alpha) + abs(beta) / y**3)
+        cone = _series(Q, 1, _LATE_ORDER + 1)
+        for j, c in enumerate(cone):
+            expected = (alpha if j == 0 else 0.0) + beta * (-1) ** j * (j + 1) * (j + 2) / 2
+            assert float(c) == pytest.approx(expected, rel=4 * EPS, abs=1e-20), j
+
+
+def test_the_expansion_order_is_the_lowest_whose_next_lies_below_rounding():
+    # At the switch, t = 4,094 a, the first omitted order's modulus bound over the four
+    # families lies below 1e-3 eps for every kernel at order _LATE_ORDER, and not below it
+    # at the order before.
+    step = 2.0 / 4094.0 / (2.0 * math.pi)  # delta/2 pi
+
+    def bound(key, j):
+        beta = _LATE[key][5]
+        return math.factorial(j) * abs(beta) * (j + 1) * (j + 2) / 2 * step**j * _zeta(j + 1) * 4
+
+    assert max(bound(key, _LATE_ORDER + 1) for key in KEYS) < 1e-3 * EPS
+    assert max(bound(key, _LATE_ORDER) for key in KEYS) > 1e-3 * EPS
+
+
+_BITS = 128
+
+
+def _fixed_lattice(a, z, t):
+    """The four dispersions at (a, z, t): every image at its exact offset n a, n a +/- z out
+    to 4 t/2 + z, in fixed point with _BITS fraction bits; past it, the Hurwitz zeta tail
+    of the 30-digit series coefficients of test_image_tails."""
+    one = 1 << _BITS
+
+    def fixed(v):
+        return int(Fraction(v) * one)
+
+    def ln(v):
+        return to_fixed(mpf_log(from_man_exp(v, -_BITS), _BITS + 8), _BITS)
+
+    a_f, z_f, h_f = fixed(a), fixed(z), fixed(t) // 2
+    sums = [0] * 4
+
+    def add(x, weights):  # the closed kernels at u = t/2x, each as u**2 F(u) or G(u)
+        u = (h_f << _BITS) // x
+        ln_plus, ln_minus = ln(one + u), ln(abs(one - u))
+        lam, log, u2 = (ln_plus - ln_minus) >> 1, ln_plus + ln_minus, (u * u) >> _BITS
+        u3_lam = (((u2 * u) >> _BITS) * lam) >> _BITS
+        values = ((((u2 << _BITS) // (8 * (u2 - one)) - ((u * lam) >> _BITS) // 8) * u2) >> _BITS,
+                  u3_lam // 4, (u2 - u3_lam + log) // 6, (u2 + 2 * u3_lam + log) // 6)
+        for i in range(4):
+            sums[i] += weights[i] * values[i]
+
+    add(z_f, SIGN)
+    n_last = math.ceil((2.0 * t + z) / a) + 8
+    for n in range(1, n_last + 1):
+        add(n * a_f, (2, 2, 2, 2))
+        add(n * a_f + z_f, SIGN)
+        add(n * a_f - z_f, SIGN)
+    with mpmath.workdps(DPS):
+        h, q, r = mpmath.mpf(t) / 2, n_last + 1, mpmath.mpf(z) / mpmath.mpf(a)
+        values = []
+        for i in range(4):
+            total = mpmath.mpf(sums[i]) / one
+            for j in range(4, ORDER + 1, 2):
+                families = 2 * mpmath.zeta(j, q) + SIGN[i] * (mpmath.zeta(j, q + r)
+                                                              + mpmath.zeta(j, q - r))
+                total += _taylor()[i][j] * (h / mpmath.mpf(a)) ** j * families
+            values.append(float(total / (h * h) if KEYS[i][1] == "velocity" else total))
+        return values
+
+
+def _late_points(count, rng):
+    """(a, z, t) with t/a = 10**U(log10 4.1e3, log10 2e4) and z/a in U(0.01, 0.99); every
+    other point is moved to a relative distance 10**U(-9, -6) from its nearest cone."""
+    points = []
+    for i in range(count):
+        a = rng.choice((0.5, 1.0, 2.0))
+        z, t = a * rng.uniform(0.01, 0.99), a * 10.0 ** rng.uniform(math.log10(4.1e3), 4.3)
+        if i % 2:
+            cone = singularity_report(z, a, t, 0.0).nearest_time
+            t = cone * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -6.0))
+        points.append((a, z, t))
+    return points
+
+
+@pytest.mark.parametrize("a, z, t", _late_points(4, random.Random(2701)))
+def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t):
+    # No allowance beyond the tail: past the walk every phase is exact and no offset is
+    # rounded, so the tail bounds the whole error.
+    point = EvalPoint(Geometry(a, z), t)
+    assert 2 * horizon(a, z, t) > _N_WALK
+    for key, ref in zip(KEYS, _fixed_lattice(a, z, t)):
+        got = dispersion_exact(DispersionKind(*key), point, window=1e-10)
+        assert got.n_used == 0
+        assert abs(got.value - ref) <= got.tail_estimate, key
+
+
+@seed(20041203)
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), flipped=st.booleans(), a=st.sampled_from((0.5, 1.0, 2.0)),
+       t_over_a=st.floats(3.0, math.log10(4e3)).map(lambda p: 10.0**p),
+       z_over_a=st.floats(0.01, 0.99))
+def test_the_expansion_matches_the_walk_below_the_switch(kind, flipped, a, t_over_a, z_over_a):
+    # The oracle's flipped normal sum takes the shifted families with sign -1 as well. The
+    # walk rounds each offset n a + z, which moves its value by up to eps S (S the sum of
+    # |f| + |x f'(x)| over its images) beyond its tail: 1.5e-12 of dv2-parallel at
+    # (a, z, t) = (0.5, 0.25, 1581.1), where the expansion is within 1.7e-16 of the
+    # exact-offset lattice.
+    sign = -1.0 if kind.axis == "parallel" or flipped else 1.0
+    z, t = a * z_over_a, a * t_over_a
+    report = singularity_report(z, a, t, 0.0)
+    assume(report.distance >= 1e-6)
+    geom = Geometry(a, z)
+    walk, walk_tail, n_used = _lattice(kind, geom, t, sign, report.phases)
+    assert 0 < n_used <= _N_WALK
+    key = (kind.axis, kind.observable)
+    value, tail = _late_lattice(key, sign, a, z, t, report.phases)
+    sensitivity = _sensitivity(lambda x: _image_values(key, x, t), sign, a, z, n_used, 0.5 * t)
+    assert abs(value - walk) <= tail + walk_tail + 4.0 * EPS * sensitivity

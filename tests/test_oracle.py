@@ -174,13 +174,14 @@ def test_library_calls_load_neither_mpmath_nor_sympy():
 
 
 def test_library_calls_load_no_scipy_special():
-    # The library computes its zeta values and Cl_2 itself; only the oracle loads scipy.
+    # The library computes its zeta values and Clausen-type functions itself; only the oracle
+    # loads scipy.
     script = (
         "import sys, platevac, platevac.cli\n"
         "from platevac import *\n"
         "g = Geometry(1.0, 0.3)\n"
         "for kind in ALL_KINDS:\n"
-        "    for t in (100.37, 20000.37):  # the walk, then the quadrature rule\n"
+        "    for t in (100.37, 20000.37, 2e6 + 0.37):  # the walk, then the late expansion\n"
         "        dispersion_exact(kind, EvalPoint(g, t), window=1e-9)\n"
         "    approx_large_t(kind, EvalPoint(g, 100.37))\n"
         "    midpoint_extremal(kind, 1.0, 100.3)\n"

@@ -1,5 +1,5 @@
-"""platevac's own zeta values, image-sum tail, Clausen function and light-cone contrast
-against mpmath."""
+"""platevac's own zeta values, image-sum tail, Clausen-type functions and light-cone
+contrast against mpmath."""
 
 import math
 
@@ -7,8 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from platevac.asymptotics import _clausen, _cone_contrast
-from platevac.correlators import _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN, _image_tail, _zeta
+from platevac.correlators import _CLAUSEN, _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN, _clausen_type
+from platevac.correlators import _image_tail, _zeta
 from platevac.kernels import _SERIES, singularity_report
 
 EPS = 2.0**-52
@@ -50,13 +50,40 @@ def test_series_tail_matches_hurwitz_zeta_sums_within_its_bound(key):
             assert abs(value - ref) <= tail, (a, h, sign)
 
 
-def test_clausen_matches_mpmath_over_a_period():
-    # Absolute error: Cl_2 vanishes at 0 and pi, where its series cancels.
-    near_zero = [s * d for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12, 0.0)]
-    near_pi = [s * (math.pi - d) for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12, 0.0)]
+def test_odd_zeta_values_match_mpmath():
     with mpmath.workdps(40):
-        for x in [*np.linspace(-math.pi, math.pi, 401), 1e-300, *near_zero, *near_pi]:
-            assert abs(_clausen(x) - mpmath.clsin(2, mpmath.mpf(x))) <= 4.0 * EPS, x
+        for s in (3, 5, 7, 9):
+            assert abs(_zeta(s) - mpmath.zeta(s)) <= 2.0 * EPS * _zeta(s), s
+
+
+_NEAR_ZERO = [s * d for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12)]
+_NEAR_PI = [s * (math.pi - d) for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12, 0.0)]
+
+
+def test_clausen_matches_mpmath_over_a_period():
+    # Absolute error: Cl_2 = -C_1 vanishes at 0 and pi, where its series cancels.
+    with mpmath.workdps(40):
+        for x in [*np.linspace(-math.pi, math.pi, 401), 1e-300, 0.0, -0.0, *_NEAR_ZERO, *_NEAR_PI]:
+            assert abs(-_clausen_type(1, x) - mpmath.clsin(2, mpmath.mpf(x))) <= 4.0 * EPS, x
+
+
+@pytest.mark.parametrize("j", range(len(_CLAUSEN)))
+def test_clausen_type_functions_match_mpmath_polylog(j):
+    # C_j(y) = Re[i**j Li_{j+1}(exp(i y))] over |y| <= pi: absolute error where |C_j| <= 1, as
+    # the series cancels (up to 12 eps at j = 4 next to pi), relative above.
+    ys = [*np.linspace(-math.pi, math.pi, 201), 1e-300, *_NEAR_ZERO, *_NEAR_PI]
+    with mpmath.workdps(40):
+        for y in ys:
+            if not y:
+                continue
+            phase = mpmath.expjpi(mpmath.mpf(y) / mpmath.pi)
+            ref = mpmath.re(mpmath.j**j * mpmath.polylog(j + 1, phase))
+            assert abs(_clausen_type(j, y) - ref) <= 16.0 * EPS * max(1.0, abs(ref)), y
+            if j:
+                assert abs(_clausen_type(j, y)) <= mpmath.zeta(j + 1) * (1.0 + 4.0 * EPS)
+    if j:  # C_j(0) = Re[i**j zeta(j+1)]
+        assert _clausen_type(j, 0.0) == pytest.approx(
+            float(mpmath.re(mpmath.j**j) * mpmath.zeta(j + 1)), rel=4.0 * EPS, abs=4.0 * EPS)
 
 
 @pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9])
@@ -64,8 +91,11 @@ def test_clausen_matches_mpmath_over_a_period():
 def test_cone_contrast_matches_an_mpmath_second_difference(z, t):
     # 2 Cl_2(2x) - Cl_2(2(x - theta)) - Cl_2(2(x + theta)) at x = pi t/2a, theta = pi z/a: it
     # cancels as theta -> 0 or pi, so what counts is the absolute error.
+    # The late-time expansion takes Cl_2 = -C_1 at 2x = 2 pi y/a for each scan phase y.
     a = 1.0
-    got = _cone_contrast(singularity_report(z, a, t).phases, a)
+    plain, minus, plus = (-_clausen_type(1, 2.0 * math.pi * (y / a))
+                          for _, y in singularity_report(z, a, t).phases)
+    got = 2.0 * plain - minus - plus
     with mpmath.workdps(40):
         x, theta = mpmath.pi * mpmath.mpf(t) / (2 * a), mpmath.pi * mpmath.mpf(z) / a
         ref = (2 * mpmath.clsin(2, 2 * x) - mpmath.clsin(2, 2 * (x - theta))
