@@ -11,7 +11,7 @@ Two regimes have closed expansions:
   with the singular terms at the origin and at the light cone; the
   light-cone terms give the oscillation in t mod 2a. The expansion is
   :func:`platevac.correlators._late_terms`, which the exact route takes
-  to order (2a/t)**5 past 4,096 shells.
+  past 64 shells (t = 62 a) to the order its bound asks for.
 
 Every function returns the same reduced normalization as
 :func:`platevac.dispersions.dispersion_exact`. A point outside a

@@ -46,14 +46,15 @@ _TAIL_TARGET = 1e-10
 _PHOTON_CONE_WINDOW = 1e-10
 
 # Up to _N_WALK shells the dispersions' lattice is a walk: one fvec call on a (families x N)
-# array; past it, it is its late-time expansion (see _late_lattice). _N_WALK = 4,096: three
-# families of 4,096 doubles are 96 KB, below glibc's 128 KB mmap threshold (one array of
-# 6,000 to 12,000 shells measured up to twice as slow as it taken 4,096 at a time).
-_N_WALK = 4096
+# array; past it, from t = 62 a (60 a to 62 a as z/a falls from 1 to 0), it is its late-time
+# expansion (see _late_lattice), which costs less there and takes exact phases where the
+# walk rounds its offsets. _N_WALK = 64 stays below 95 shells, so that t = 100 a and later
+# take the expansion.
+_N_WALK = 64
 # glibc hands the top of its heap back to the system whenever more than its trim
-# threshold (128 KB at start) lies free there, so in a mixed run of calls the walk's
-# few hundred KB of temporaries fault back in on the next one: 60 to 75 page faults
-# a walk call, whose cost follows the host's memory load. Freeing one mmapped block
+# threshold (128 KB at start) lies free there, so in a mixed run of calls a few hundred
+# KB of freed numpy temporaries fault back in on the next call that takes them: 60 to 75
+# page faults a call, whose cost follows the host's memory load. Freeing one mmapped block
 # raises the mmap and trim thresholds to its size and twice it (mallopt(3)); this
 # 1 MB block does so once; under other allocators it is one idle allocation.
 np.empty(1 << 17)
@@ -231,14 +232,32 @@ _LATE = {
     ("parallel", "position"): (0.0, -1 / 3, -1 / 18, 0.0, 1 / 6, 1 / 12),
     ("normal", "position"): (0.5, -1 / 3, 1 / 9, 0.0, 1 / 6, -1 / 6),
 }
-# The exact route takes the cone terms to _LATE_ORDER. The expansion is asymptotic: past the
-# walk, t > 4,094 a, order j's modulus bound j! |c_j| (delta/2 pi)**j zeta(j+1) over the four
-# families is at most 4.9e-18 at j = 5 and 3.0e-21 at j = 6, so that order 5 is the lowest
-# whose first omitted order lies below 1e-3 eps. Its tail is _LATE_FACTOR times that bound of
-# order 6: each order is below 1e-3 of the one before, and the remainder past them shrinks
-# like exp(-2 pi/delta).
-_LATE_ORDER = 5
+# The exact route takes the cone terms j = 1, 2, ... to the lowest order whose next order's
+# modulus bound, j! |c_j| (delta/2 pi)**j zeta(j+1) (|C_j| <= zeta(j+1)) over the four
+# families, in units of u, lies below _LATE_CUT = 1e-3 eps: order 13 at the switch, t = 60 a
+# to 62 a, 11 at t = 100 a, 5 at 3e3 a, 3 from 1e5 a to 1e6 a. Its tail is _LATE_FACTOR times
+# that bound: the expansion is asymptotic, and each order's bound is at most (j + 3) delta/2 pi
+# times the one before, below 1/2 up to j = 90 at the switch, while the remainder past them
+# shrinks like exp(-2 pi/delta).
+_LATE_CUT = 1e-3 * _EPS
 _LATE_FACTOR = 2.0
+
+
+def _late_order(beta, step, top):
+    """(order, bound): the lowest order 1 <= j <= ``top`` whose next order's modulus bound,
+    beta _BOUNDS[j+1] step**(j+1), lies below _LATE_CUT, or else ``top``, and that bound."""
+    j = 1
+    while j < top and beta * _BOUNDS[j + 1] * step ** (j + 1) >= _LATE_CUT:
+        j += 1
+    return j, beta * _BOUNDS[j + 1] * step ** (j + 1)
+
+
+# _BOUNDS[j] = 4 j! (j+1)(j+2)/2 zeta(j+1), order j's modulus bound over the four families
+# per |beta| (delta/2 pi)**j, to j = 31, past any order the switch needs. _LATE_MAX is the
+# order the rule asks for at the switch's earliest t, (_N_WALK - 4) a, with the largest |beta|.
+_BOUNDS = [0.0] + [2.0 * math.factorial(j + 2) * _zeta(j + 1) for j in range(1, 32)]
+_LATE_MAX = _late_order(max(abs(row[5]) for row in _LATE.values()),
+                        1.0 / (math.pi * (_N_WALK - 4)), len(_BOUNDS) - 2)[0]
 
 
 def _clausen_table(j):
@@ -259,11 +278,9 @@ def _clausen_table(j):
     return (-1) ** j / math.factorial(j), sum(1.0 / i for i in range(1, j + 1)), q[::-1]
 
 
-_CLAUSEN = [_clausen_table(j) for j in range(_LATE_ORDER + 1)]
-# -j! c_j / beta for j >= 1, the cone coefficients of C_j(2x) (delta/2 pi)**j, and zeta of
-# the first omitted order.
-_CONE = [-math.factorial(j) * (-1) ** j * (j + 1) * (j + 2) / 2.0 for j in range(_LATE_ORDER + 2)]
-_ZETA_OMITTED = _zeta(_LATE_ORDER + 2)
+_CLAUSEN = [_clausen_table(j) for j in range(_LATE_MAX + 1)]
+# -j! c_j / beta for j >= 1, the cone coefficients of C_j(2x) (delta/2 pi)**j.
+_CONE = [-math.factorial(j) * (-1) ** j * (j + 1) * (j + 2) / 2.0 for j in range(_LATE_MAX + 1)]
 
 
 def _clausen_type(j, y):
@@ -335,15 +352,15 @@ def _late_terms(key, sign, a, z, t, phases, order):
 
 
 def _late_lattice(key, sign, a, z, t, phases):
-    """(value, tail) of :func:`_late_terms` to _LATE_ORDER. The tail is _LATE_FACTOR times
-    the modulus bound of the first omitted order, |C_j| <= zeta(j+1) over the four families,
-    plus _ROUNDING eps times the moduli of the terms."""
-    terms = _late_terms(key, sign, a, z, t, phases, _LATE_ORDER)
+    """(value, tail) of :func:`_late_terms` to the order of :func:`_late_order`, at most
+    _LATE_MAX. The tail is _LATE_FACTOR times the modulus bound of the first omitted order,
+    |C_j| <= zeta(j+1) over the four families, plus _ROUNDING eps times the moduli of the
+    terms."""
     unit = (2.0 / t) ** 2 if key[1] == "velocity" else 1.0
-    j = _LATE_ORDER + 1
     step = a / (math.pi * t)  # delta/2 pi
-    omitted = abs(_LATE[key][5] * _CONE[j]) * step**j * unit * _ZETA_OMITTED * 4.0
-    tail = _LATE_FACTOR * omitted + _ROUNDING * _EPS * sum(map(abs, terms))
+    order, omitted = _late_order(abs(_LATE[key][5]), step, _LATE_MAX)
+    terms = _late_terms(key, sign, a, z, t, phases, order)
+    tail = _LATE_FACTOR * omitted * unit + _ROUNDING * _EPS * sum(map(abs, terms))
     return in_float_range(sum(terms), "late-time expansion"), in_float_range(tail, "late-time bound")
 
 

@@ -27,12 +27,13 @@ from .quantities import DispersionKind, EvalPoint, ReducedValue
 def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     """Exact reduced dispersion by image summation.
 
-    Up to 4,096 image shells, twice the horizon, are summed one by one, in
-    one array, and the rest by their large-offset series, each power of the
-    offset by Euler-Maclaurin in closed form. Past 4,096 shells, t > 4,094 a,
-    the lattice is its late-time expansion to order (2a/t)**5, whose terms
-    take the cone scan's exact phases: no kernel is evaluated there, and
-    there is no cap on t/a.
+    Up to 64 image shells, twice the horizon, are summed one by one, in one
+    array, and the rest by their large-offset series, each power of the
+    offset by Euler-Maclaurin in closed form. Past 64 shells, from t = 62 a,
+    the lattice is its late-time expansion, to the lowest order of 2a/t whose
+    next order's bound lies below 1e-3 eps (13 at 62 a, 3 from 1e5 a), whose
+    terms take the cone scan's exact phases: no kernel is evaluated there,
+    and there is no cap on t/a.
 
     Parameters
     ----------
@@ -47,8 +48,8 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
     -------
     ReducedValue
         Reduced dispersion with its tail estimate, the shells summed one
-        by one (0 past 4,096) and the singularity report for the point. Up
-        to 4,096 shells the tail estimate bounds the series tail and the
+        by one (0 past 64) and the singularity report for the point. Up to
+        64 shells the tail estimate bounds the series tail and the
         explicit sum's rounding; past them, the first omitted order of the
         expansion, twice its modulus bound, and the rounding of its terms.
 

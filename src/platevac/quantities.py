@@ -141,8 +141,8 @@ class ReducedValue:
         The reduced dispersion or correlator value.
     tail_estimate : float
         Error bound, same units as ``value``. For the exact dispersions up
-        to 4,096 shells, the bound on the series tail past the explicit
-        shells plus their rounding; past 4,096 shells, twice the modulus
+        to 64 shells, the bound on the series tail past the explicit
+        shells plus their rounding; past 64 shells, twice the modulus
         bound of the late-time expansion's first omitted order plus the
         rounding of its terms. For the closed-form E-field correlators and
         photon function, the bound on their own rounding; for the wide-gap
@@ -150,7 +150,7 @@ class ReducedValue:
         other closed forms.
     n_used : int
         Number of image shells summed one by one before the series tail,
-        at most 4,096. Zero past them, where the late-time expansion
+        at most 64. Zero past them, where the late-time expansion
         takes the lattice, and for closed-form results.
     singularity : object or None
         The :class:`platevac.kernels.SingularityReport` for the point,

@@ -198,7 +198,7 @@ def test_normal_velocity_sums_to_a_million_plate_spacings(t, window):
     got = dispersion_exact(VZ, EvalPoint(Geometry(a, z), t), window=window)
     plateau = math.pi**2 / (4.0 * a * a) * (1.0 / 3.0 + 1.0 / math.sin(math.pi * z / a) ** 2)
     assert abs(got.value - plateau) <= 20.0 * (a / t) ** 2 * plateau
-    assert got.n_used == 0  # the late-time expansion, past 4,096 shells
+    assert got.n_used == 0  # the late-time expansion, past 64 shells
 
 
 def test_values_beyond_the_float_range_are_a_geometry_error():

@@ -38,12 +38,13 @@ def _plain_sum(fvec, sign, a, z, N):
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-@pytest.mark.parametrize("n", [_N_WALK - 2, _N_WALK, _N_WALK + 2])
+@pytest.mark.parametrize("n", [_N_WALK - 2, _N_WALK, _N_WALK + 2, 4094, 4096, 4098])
 @pytest.mark.parametrize("kind", ["dx2-parallel", "dv2-normal", "photon"])
 def test_the_walk_is_one_plain_sum_up_to_the_rule(kind, n):
     # The engine makes one fvec call on the n = 0 image and the (families x N) array, and
     # its value is one plain sum, whose tail estimate with a zero series is its rounding
-    # bound alone. N is 2 horizon at time t; the dispersions take it up to N = _N_WALK.
+    # bound alone. N is 2 horizon at time t; the dispersions take it up to N = _N_WALK, and
+    # the comparisons with the late-time expansion call it directly to about 4,000.
     a, z = 1.0, 0.3123
     t = 2.0 * ((n // 2 - 1.5) * a - z)
     assert horizon(a, z, t) == n // 2
@@ -76,15 +77,16 @@ def test_memory_is_bounded_by_one_block_not_by_t(kind):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
 def test_the_walks_freed_arrays_stay_on_the_heap():
     # A fresh interpreter, as pytest's own imports have moved glibc's thresholds already.
-    # Twelve arrays of the largest walk's size, 1.2 MB, freed, would otherwise leave more
-    # than the 128 KB trim threshold free at the top of the heap: 1,600 to 1,900 faults over
-    # ten rounds, here or after any import that raised the threshold a little.
+    # Twelve arrays of 12,289 doubles (96 KB each, the size of a 4,096-shell walk, below the
+    # 128 KB mmap threshold), 1.2 MB, freed, would otherwise leave more than the 128 KB trim
+    # threshold free at the top of the heap: 1,600 to 1,900 faults over ten rounds, here or
+    # after any import that raised the threshold a little.
     script = (
         "import resource\n"
         "import numpy as np\n"
         "import platevac\n"
         "def cycle():\n"
-        f"    arrays = [np.ones({3 * _N_WALK + 1}) for _ in range(12)]\n"
+        "    arrays = [np.ones(12289) for _ in range(12)]\n"
         "    del arrays\n"
         "cycle()\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"

@@ -2,10 +2,12 @@
 
 * Its table (A, B, c0, p, alpha, beta) is derived again from the closed kernels of
   ``platevac.kernels``, by mpmath series at the origin and at the light cone.
-* Past 4,096 shells ``dispersion_exact`` is compared with the image lattice summed at
-  exact offsets in 128-bit fixed point, its far tail as Hurwitz zeta values with the
-  30-digit series coefficients of ``tests/test_image_tails.py``.
-* Below 4,096 shells the expansion, called directly, is compared with the walk.
+* Past 64 shells (t = 62 a) ``dispersion_exact`` is compared with the image lattice summed
+  at exact offsets in 128-bit fixed point, its far tail as Hurwitz zeta values with the
+  30-digit series coefficients of ``tests/test_image_tails.py``, at the late points of the
+  acceptance criteria and of ``tests/test_paper_claims.py`` among others, which compare
+  ``approx_large_t`` with it.
+* From 64 shells to 4e3 a the expansion is compared with the walk, both called directly.
 """
 
 import math
@@ -21,10 +23,9 @@ from test_correlators import _sensitivity
 from test_image_tails import DPS, ORDER, _taylor
 
 from platevac import ALL_KINDS, EvalPoint, Geometry, dispersion_exact, singularity_report
-from platevac.correlators import _LATE, _LATE_ORDER, _N_WALK, _late_lattice
-from platevac.correlators import _zeta
-from platevac.dispersions import _lattice
-from platevac.kernels import _image_values, horizon
+from platevac import correlators
+from platevac.correlators import _LATE, _LATE_MAX, _N_WALK, _grouped_image_sum, _late_lattice
+from platevac.kernels import _SERIES, _image_values, horizon
 from platevac.quantities import DispersionKind
 
 EPS = 2.0**-52
@@ -110,24 +111,41 @@ def test_the_table_follows_from_the_closed_kernels(key):
         assert abs(pole[0]) < 1e-20 and float(pole[1]) == pytest.approx(p, abs=1e-20)
         for y in (0.8, 1.0, 1.3):  # to the rounding of the table's floats
             assert abs(Q(mpmath.mpf(y)) - (alpha + beta / y**3)) < 4 * EPS * (abs(alpha) + abs(beta) / y**3)
-        cone = _series(Q, 1, _LATE_ORDER + 1)
+        cone = _series(Q, 1, _LATE_MAX + 1)
         for j, c in enumerate(cone):
             expected = (alpha if j == 0 else 0.0) + beta * (-1) ** j * (j + 1) * (j + 2) / 2
             assert float(c) == pytest.approx(expected, rel=4 * EPS, abs=1e-20), j
 
 
-def test_the_expansion_order_is_the_lowest_whose_next_lies_below_rounding():
-    # At the switch, t = 4,094 a, the first omitted order's modulus bound over the four
-    # families lies below 1e-3 eps for every kernel at order _LATE_ORDER, and not below it
-    # at the order before.
-    step = 2.0 / 4094.0 / (2.0 * math.pi)  # delta/2 pi
+def test_the_expansion_order_is_the_lowest_whose_next_lies_below_rounding(monkeypatch):
+    # Per call, from the earliest t past the switch (60 a next to the far plate) on, the
+    # first omitted order's modulus bound j! |beta| (j+1)(j+2)/2 (delta/2 pi)**j zeta(j+1)
+    # over the four families lies below 1e-3 eps, and not below it at the order taken.
+    orders = []
+    late_terms = correlators._late_terms
+    monkeypatch.setattr(correlators, "_late_terms",
+                        lambda *args: orders.append(args[-1]) or late_terms(*args))
+    a = 1.0
+    for z, t in ((0.999, 60.1), (0.3123, 61.5), (0.3123, 100.37), (0.3123, 1000.37),
+                 (0.3123, 1e4 + 0.37), (0.3123, 1e5 + 0.37), (0.3123, 1e6 + 0.37)):
+        assert 2 * horizon(a, z, t) > _N_WALK
+        step = a / t / math.pi  # delta/2 pi
+        for key in KEYS:
 
-    def bound(key, j):
-        beta = _LATE[key][5]
-        return math.factorial(j) * abs(beta) * (j + 1) * (j + 2) / 2 * step**j * _zeta(j + 1) * 4
+            def bound(j):
+                beta = abs(_LATE[key][5])
+                return (math.factorial(j) * beta * (j + 1) * (j + 2) / 2 * step**j
+                        * float(mpmath.zeta(j + 1)) * 4)
 
-    assert max(bound(key, _LATE_ORDER + 1) for key in KEYS) < 1e-3 * EPS
-    assert max(bound(key, _LATE_ORDER) for key in KEYS) > 1e-3 * EPS
+            orders.clear()
+            got = dispersion_exact(DispersionKind(*key), EvalPoint(Geometry(a, z), t), window=1e-10)
+            assert got.n_used == 0
+            (order,) = orders
+            assert 1 <= order <= _LATE_MAX, (key, t)
+            assert bound(order + 1) < 1e-3 * EPS, (key, t)
+            assert order == 1 or bound(order) >= 1e-3 * EPS, (key, t)
+            if t < 62.0:  # the highest order the route takes, at its earliest t
+                assert order == _LATE_MAX == 13, (key, t)
 
 
 _BITS = 128
@@ -178,12 +196,12 @@ def _fixed_lattice(a, z, t):
 
 
 def _late_points(count, rng):
-    """(a, z, t) with t/a = 10**U(log10 4.1e3, log10 2e4) and z/a in U(0.01, 0.99); every
-    other point is moved to a relative distance 10**U(-9, -6) from its nearest cone."""
+    """(a, z, t) with t/a = 10**U(log10 62, log10 2e4) and z/a in U(0.01, 0.99); every other
+    point is moved to a relative distance 10**U(-9, -6) from its nearest cone."""
     points = []
     for i in range(count):
         a = rng.choice((0.5, 1.0, 2.0))
-        z, t = a * rng.uniform(0.01, 0.99), a * 10.0 ** rng.uniform(math.log10(4.1e3), 4.3)
+        z, t = a * rng.uniform(0.01, 0.99), a * 10.0 ** rng.uniform(math.log10(62.0), 4.3)
         if i % 2:
             cone = singularity_report(z, a, t, 0.0).nearest_time
             t = cone * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -6.0))
@@ -191,7 +209,13 @@ def _late_points(count, rng):
     return points
 
 
-@pytest.mark.parametrize("a, z, t", _late_points(4, random.Random(2701)))
+# Criterion 6 of tests/test_acceptance.py and the late points of tests/test_paper_claims.py
+# compare approx_large_t with dispersion_exact, which takes the same expansion there.
+_CLAIM_POINTS = [(1.0, 0.5, 100.5), (1.0, 0.5, 1000.5), (1.0, 0.1, 1000.37), (1.0, 0.3, 1000.37),
+                 (1.0, 0.5, 1000.37)]
+
+
+@pytest.mark.parametrize("a, z, t", _CLAIM_POINTS + _late_points(8, random.Random(2701)))
 def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t):
     # No allowance beyond the tail: past the walk every phase is exact and no offset is
     # rounded, so the tail bounds the whole error.
@@ -206,22 +230,24 @@ def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t
 @seed(20041203)
 @settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(ALL_KINDS), flipped=st.booleans(), a=st.sampled_from((0.5, 1.0, 2.0)),
-       t_over_a=st.floats(3.0, math.log10(4e3)).map(lambda p: 10.0**p),
+       t_over_a=st.floats(math.log10(62.0), math.log10(4e3)).map(lambda p: 10.0**p),
        z_over_a=st.floats(0.01, 0.99))
 def test_the_expansion_matches_the_walk_below_the_switch(kind, flipped, a, t_over_a, z_over_a):
     # The oracle's flipped normal sum takes the shifted families with sign -1 as well. The
     # walk rounds each offset n a + z, which moves its value by up to eps S (S the sum of
     # |f| + |x f'(x)| over its images) beyond its tail: 1.5e-12 of dv2-parallel at
     # (a, z, t) = (0.5, 0.25, 1581.1), where the expansion is within 1.7e-16 of the
-    # exact-offset lattice.
+    # exact-offset lattice. Past the switch dispersion_exact takes the expansion, so the walk
+    # is called directly.
     sign = -1.0 if kind.axis == "parallel" or flipped else 1.0
     z, t = a * z_over_a, a * t_over_a
     report = singularity_report(z, a, t, 0.0)
     assume(report.distance >= 1e-6)
-    geom = Geometry(a, z)
-    walk, walk_tail, n_used = _lattice(kind, geom, t, sign, report.phases)
-    assert 0 < n_used <= _N_WALK
     key = (kind.axis, kind.observable)
+    horizon_n = horizon(a, z, t)
+    walk, walk_tail, n_used = _grouped_image_sum(lambda x: _image_values(key, x, t), sign, a, z,
+                                                 (*_SERIES[key], 0.5 * t), horizon_n)
+    assert n_used == 2 * horizon_n > _N_WALK
     value, tail = _late_lattice(key, sign, a, z, t, report.phases)
     sensitivity = _sensitivity(lambda x: _image_values(key, x, t), sign, a, z, n_used, 0.5 * t)
     assert abs(value - walk) <= tail + walk_tail + 4.0 * EPS * sensitivity

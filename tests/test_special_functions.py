@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from platevac.correlators import _CLAUSEN, _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN, _clausen_type
+from platevac.correlators import _CLAUSEN, _LATE_MAX, _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN
+from platevac.correlators import _clausen_type
 from platevac.correlators import _image_tail, _zeta
 from platevac.kernels import _SERIES, singularity_report
 
@@ -67,10 +68,13 @@ def test_clausen_matches_mpmath_over_a_period():
             assert abs(-_clausen_type(1, x) - mpmath.clsin(2, mpmath.mpf(x))) <= 4.0 * EPS, x
 
 
-@pytest.mark.parametrize("j", range(len(_CLAUSEN)))
+@pytest.mark.parametrize("j", range(_LATE_MAX + 1))
 def test_clausen_type_functions_match_mpmath_polylog(j):
+    # Every order the late-time expansion can take, up to 13 at its switch.
     # C_j(y) = Re[i**j Li_{j+1}(exp(i y))] over |y| <= pi: absolute error where |C_j| <= 1, as
-    # the series cancels (up to 12 eps at j = 4 next to pi), relative above.
+    # the series cancels (up to 12 eps at j = 4 next to pi, 5.3 eps from j = 6 on), relative
+    # above.
+    assert len(_CLAUSEN) == _LATE_MAX + 1 and _LATE_MAX == 13
     ys = [*np.linspace(-math.pi, math.pi, 201), 1e-300, *_NEAR_ZERO, *_NEAR_PI]
     with mpmath.workdps(40):
         for y in ys:
