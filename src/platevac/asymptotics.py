@@ -18,10 +18,10 @@ Every function returns the same reduced normalization as
 formula's regime raises :class:`platevac.errors.RegimeError`.
 """
 
-from .correlators import _LATE, _ZETA_2K, _closed_lattice, _eps_terms, _late_terms, _zeta
+from .correlators import _ZETA_2K, _closed_lattice, _eps_terms, _late_terms, _zeta
 from .dispersions import single_plate_reference
 from .errors import GeometryError, RegimeError, in_float_range
-from .kernels import _SERIES, SINGULAR_WINDOW, _phase, checked_report
+from .kernels import _LATE, _SERIES, SINGULAR_WINDOW, _phase, checked_report
 from .kernels import singularity_report
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
@@ -53,7 +53,7 @@ def _wide_gap(kind, geom, t, k):
     (q + n) a, n >= 0, each is at most rho = (t/2qa)**2 times the one before,
     so all after the leading law are at most its modulus times rho/(1 - rho).
     """
-    c, m = _SERIES[(kind.axis, kind.observable)][:2]
+    c, m = _SERIES[(kind.axis, kind.observable)]
     theta = geom.z / geom.a
     zetas = (_ZETA_2K[1], _zeta(4, 1.0 + theta), _zeta(4, k - theta))
     lattice = 2.0 * zetas[0] + kind.image_sign * (zetas[1] + zetas[2])

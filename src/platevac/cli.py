@@ -20,7 +20,6 @@ import numpy as np
 from .asymptotics import approx_large_a, approx_large_t, recommend_regime
 from .dispersions import dispersion_exact
 from .errors import (
-    ConvergenceError,
     GeometryError,
     PlatevacError,
     RegimeError,
@@ -104,7 +103,6 @@ def _adjudication_block(path):
 # exits with the code of the first status among its rows.
 _ROW_STATUS = {
     SingularWindowError: "singular",
-    ConvergenceError: "convergence",
     GeometryError: "domain",  # the value is beyond the float range
 }
 _EXIT_CODES = {"ok": 0, **{status: error.exit_code for error, status in _ROW_STATUS.items()}}

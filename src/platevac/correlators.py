@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GeometryError, SingularWindowError, in_float_range
 from .kernels import _K, SINGULAR_WINDOW, _fold, _image_report, _nearest_cone, _phase, _phase_sum
-from .kernels import checked_report, singularity_report
+from .kernels import _LATE, checked_report, singularity_report
 from .quantities import Geometry, ReducedValue
 
 # Metric signature (+,-,-,-); the plate-reflected tensor flips the zz entry.
@@ -51,13 +51,6 @@ _PHOTON_CONE_WINDOW = 1e-10
 # walk rounds its offsets. _N_WALK = 64 stays below 95 shells, so that t = 100 a and later
 # take the expansion.
 _N_WALK = 64
-# glibc hands the top of its heap back to the system whenever more than its trim
-# threshold (128 KB at start) lies free there, so in a mixed run of calls a few hundred
-# KB of freed numpy temporaries fault back in on the next call that takes them: 60 to 75
-# page faults a call, whose cost follows the host's memory load. Freeing one mmapped block
-# raises the mmap and trim thresholds to its size and twice it (mallopt(3)); this
-# 1 MB block does so once; under other allocators it is one idle allocation.
-np.empty(1 << 17)
 
 
 # The raw kernels take x2 = (2x)**2, so a caller can square its offsets once.
@@ -109,23 +102,22 @@ _Q_POWERS = np.r_[1.0, 0.0, -1.0:-18.0:-2.0][:, None]
 def _image_tail(series, step, q, weights):
     """The images x = (q[f] + n) step, n >= 0, of each family f summed: (sum, bound).
 
-    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+s0) with (c, m, s0, p, h) = ``series``,
-    and each power of 1/x sums over n by _EM_TABLE. Term k is formed scale-free from r =
-    (h/(q step))**2 and the power s0 - m of step, the value's dimension, so it stays in
-    range at any a. The bound adds the _EM_TABLE remainders, the series' truncation (with
-    every x above 2h and |c_{k+1}/c_k| <= ((k+2)/(k+1))**p, what follows term k is at most
-    its modulus times rho/(1 - rho), rho = ((k+2)/(k+1))**p r) and the terms' rounding,
-    _ROUNDING eps times their moduli.
+    Each is weights[f] sum_k c_k h**(2k+m) x**-(2k+4) with (c, m) a _SERIES entry and
+    (c, m, h) = ``series``, and each power of 1/x sums over n by _EM_TABLE. Term k is
+    formed scale-free from r = (h/(q step))**2 and the power 4 - m of step, the value's
+    dimension, so it stays in range at any a. The bound adds the _EM_TABLE remainders, the
+    series' truncation (with every x above 2h and |c_{k+1}/c_k| <= 1, what follows term k
+    is at most its modulus times r/(1 - r)) and the terms' rounding, _ROUNDING eps times
+    their moduli.
     """
-    c, m, s0, p, h = series
-    table, powers = _EM_TABLE[s0 - 2 :: 2][: _K.size], q**_Q_POWERS
+    c, m, h = series
+    table, powers = _EM_TABLE[2::2][: _K.size], q**_Q_POWERS
     r = (h / step / q) ** 2
-    scale = np.float64(h / step) ** m / np.float64(step) ** (s0 - m)
-    lead = c[:, None] * r ** _K[:, None] * (weights * scale * q**-s0)
+    scale = np.float64(h / step) ** m / np.float64(step) ** (4 - m)
+    lead = c[:, None] * r ** _K[:, None] * (weights * scale * q**-4)
     terms = lead * (table[:, :-1] @ powers[:-1])
-    rho = ((_K[-1] + 2.0) / (_K[-1] + 1.0)) ** p * r
     bound = (np.abs(table[:, -1]) @ np.abs(lead) @ powers[-1]  # the _EM_TABLE remainders
-             + np.abs(terms[-1]) @ (rho / (1.0 - rho)) + _ROUNDING * _EPS * np.sum(np.abs(terms)))
+             + np.abs(terms[-1]) @ (r / (1.0 - r)) + _ROUNDING * _EPS * np.sum(np.abs(terms)))
     return float(np.sum(terms)), float(bound)
 
 
@@ -133,8 +125,8 @@ def _grouped_image_sum(fvec, sign, a, z, series, horizon_n):
     """Sum sign f(z) + sum_{n>=1} [2 f(n a) + sign (f(n a + z) + f(n a - z))].
 
     ``fvec`` maps an array of positive offsets, of any shape, elementwise to
-    image values and ``series`` is its large-offset series (see
-    :func:`_image_tail`), whose last entry h = t/2 places the light cone.
+    image values and ``series`` = (c, m, h) is its _SERIES entry (c, m) and
+    h = t/2, which places the light cone (see :func:`_image_tail`).
     With 0 < z < a, horizon_n is the one of :func:`platevac.kernels.horizon`
     for h and z. Shells 1..N, N = max(_N_MIN, 2 horizon_n), are summed
     directly, in one fvec call with the n = 0 image, so every later offset
@@ -224,14 +216,8 @@ def _sine(phase, a):
 #         + sum_x w_x [-(pi p/delta) cot(x) - sum_j j! c_j (delta/2 pi)**j C_j(2x)]
 #
 # over the scan's phases x = pi tau (w = 2) and pi (tau -/+ theta) (w = sign), where
-# C_j(y) = Re[i**j Li_{j+1}(exp(i y))]: C_0(2x) = -ln|2 sin x| and C_1 = -Cl_2. _LATE holds
-# (A, B, c0, p, alpha, beta) per kernel, from the closed forms of platevac.kernels.
-_LATE = {
-    ("parallel", "velocity"): (0.0, 0.0, 1 / 12, -1 / 16, 0.0, 1 / 16),
-    ("normal", "velocity"): (0.25, 0.0, 1 / 12, 0.0, 0.0, -1 / 8),
-    ("parallel", "position"): (0.0, -1 / 3, -1 / 18, 0.0, 1 / 6, 1 / 12),
-    ("normal", "position"): (0.5, -1 / 3, 1 / 9, 0.0, 1 / 6, -1 / 6),
-}
+# C_j(y) = Re[i**j Li_{j+1}(exp(i y))]: C_0(2x) = -ln|2 sin x| and C_1 = -Cl_2. The rows
+# (A, B, c0, p, alpha, beta) are platevac.kernels._LATE, next to the kernels' closed forms.
 # The exact route takes the cone terms j = 1, 2, ... to the lowest order whose next order's
 # modulus bound, j! |c_j| (delta/2 pi)**j zeta(j+1) (|C_j| <= zeta(j+1)) over the four
 # families, in units of u, lies below _LATE_CUT = 1e-3 eps: order 13 at the switch, t = 60 a

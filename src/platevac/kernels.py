@@ -23,9 +23,11 @@ with |t - 2|x|| < window * t, or on the cone, as image lattices do.
 The kernels are reduced: the universal charge/mass prefactor is applied
 once, downstream, by :func:`platevac.physics.physicalize`.
 
-This module also owns the image lattice every two-plate sum runs over:
-the offset families n a and n a +/- z, the horizon past which a sum may
-stop, the light-cone window rule and the nearest cone with its exact phases.
+This module also tables each kernel's expansions, its large-offset series
+(_SERIES) and its origin and light-cone terms (_LATE), and owns the image
+lattice every two-plate sum runs over: the offset families n a and
+n a +/- z, the horizon past which a sum may stop, the light-cone window
+rule and the nearest cone with its exact phases.
 """
 
 import math
@@ -54,16 +56,28 @@ _K_INV = np.arange(_INV_SERIES_TERMS, 0, -1.0)
 _VEL_PAR_INV = _K_INV / (4.0 * (2.0 * _K_INV + 1.0))
 _POS_PAR_INV = 1.0 / (2.0 * _K_INV + 3.0) + 1.0 / _K_INV
 
-# Large-offset series (c_k, m, s0, p) of each scaled kernel, keyed like _SCALED:
-# at u = t/2x < 1 an image is sum_k c_k (t/2)**(2k+m) x**-(2k+s0), s0 = 4, with
-# |c_{k+1}/c_k| < ((k+2)/(k+1))**p = 1. The position kernels' small-u branches sum
-# it as G(u) = sum_k c_k u**(2k+4). 40 terms reach below double precision at u = 1/2.
+# Large-offset series (c_k, m) of each scaled kernel, keyed like _SCALED: at u = t/2x < 1
+# an image is sum_k c_k (t/2)**(2k+m) x**-(2k+4), with |c_{k+1}/c_k| < 1. The position
+# kernels' small-u branches sum it as G(u) = sum_k c_k u**(2k+4). 40 terms reach below
+# double precision at u = 1/2.
 _K = np.arange(40.0)
 _SERIES = {
-    ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2, 4, 0),
-    ("normal", "velocity"): (1.0 / (4.0 * (2.0 * _K + 1.0)), 2, 4, 0),
-    ("parallel", "position"): (-(_K + 1.0) / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4, 4, 0),
-    ("normal", "position"): (1.0 / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4, 4, 0),
+    ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2),
+    ("normal", "velocity"): (1.0 / (4.0 * (2.0 * _K + 1.0)), 2),
+    ("parallel", "position"): (-(_K + 1.0) / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
+    ("normal", "position"): (1.0 / (2.0 * (2.0 * _K + 1.0) * (_K + 2.0)), 4),
+}
+
+# Origin and cone terms (A, B, c0, p, alpha, beta) of each scaled kernel, keyed like _SCALED.
+# With y = 2x/t = 1/u an image is (2/t)**2 g(y) for a velocity and g(y) for a position.
+# At y = 0, g = A/y**2 + B ln y + c0 + even powers of y; at the cone, e = y - 1,
+# g = p/e + (alpha + beta/y**3) ln|e| + a function analytic in e. An image past u = _U_FAR
+# is its origin terms; the late-time expansion of platevac.correlators takes the whole row.
+_LATE = {
+    ("parallel", "velocity"): (0.0, 0.0, 1 / 12, -1 / 16, 0.0, 1 / 16),
+    ("normal", "velocity"): (0.25, 0.0, 1 / 12, 0.0, 0.0, -1 / 8),
+    ("parallel", "position"): (0.0, -1 / 3, -1 / 18, 0.0, 1 / 6, 1 / 12),
+    ("normal", "position"): (0.5, -1 / 3, 1 / 9, 0.0, 1 / 6, -1 / 6),
 }
 
 
@@ -195,38 +209,31 @@ _SCALED = {
 }
 
 
-# From u = t/2x = _U_FAR on, w = (2x/t)**2 <= 1e-200 is nil against 1 and each kernel
-# is the first term of its inverse series in w, formed from x and t without u**2 or
-# u**3, which leave the float range (or take w below it) long before the value does:
-# F_par/x**2 = w/12/x**2 = 1/(3 t**2), F_norm/x**2 = 1/(4 x**2), G_par = (ln u - 1/6)/3
-# and G_norm = u**2/2 + ln(u)/3 + 1/9, with ln u = ln t - ln 2x.
+# From u = t/2x = _U_FAR on, where u**2 and u**3 leave the float range long before the
+# value does, y**2 = u**-2 <= 1e-200 is nil against 1: an image is its origin terms.
 _U_FAR = 1e100
-
-
-def _ln_u(x, t):
-    return math.log(t) - math.log(2.0 * x)
-
-
-_FAR = {
-    ("parallel", "velocity"): lambda x, t: 1.0 / 3.0 / t / t,
-    ("normal", "velocity"): lambda x, t: 0.25 / x / x,
-    ("parallel", "position"): lambda x, t: (_ln_u(x, t) - 1.0 / 6.0) / 3.0,
-    ("normal", "position"): lambda x, t: t / x * (t / x) / 8.0 + _ln_u(x, t) / 3.0 + 1.0 / 9.0,
-}
 
 
 def _image_values(key, x, t):
     """The kernel _SCALED[key] at the offsets x > 0 (an ndarray) and the time t, one for
-    all offsets or one per offset, inf beyond the float range. Past u = _U_FAR, where the
-    scaled forms overflow, each image takes _FAR's form at its own time."""
+    all offsets or one per offset, inf beyond the float range. Past u = _U_FAR the images
+    take their _LATE row's origin terms in one pass, formed from x and t: A/x**2 + 4 c0/t**2
+    for a velocity, A r**2/4 + B ln(2x/t) + c0, r = t/x, for a position, the A term left
+    out where A = 0, as r may be inf."""
     scaled, per_x2 = _SCALED[key]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = t / x * 0.5
         v = scaled(u) / x / x if per_x2 else scaled(u)
-    far = u >= _U_FAR
-    if far.any():
-        t_far = np.broadcast_to(t, x.shape)[far]
-        v[far] = [_FAR[key](float(xi), float(ti)) for xi, ti in zip(x[far], t_far)]
+        far = u >= _U_FAR
+        if far.any():
+            A, B, c0 = _LATE[key][:3]
+            x, t = x[far], np.broadcast_to(t, u.shape)[far]
+            if per_x2:  # B = 0
+                v[far] = A / x / x + 4.0 * c0 / t / t
+            else:
+                r = t / x
+                origin = r * (A / 4.0 * r) if A else 0.0
+                v[far] = origin + B * (np.log(2.0 * x) - np.log(t)) + c0
     return v
 
 

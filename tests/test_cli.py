@@ -14,7 +14,6 @@ import pytest
 import scipy.integrate
 
 from platevac import (
-    ConvergenceError,
     SingularWindowError,
     length_to_natural,
     single_plate_reference,
@@ -178,21 +177,6 @@ def test_eval_singular_window_exit_3(capsys):
     row = parse_csv(out)[0]
     assert row["status"] == "singular"
     assert float(row["sing_dist"]) == 0.0
-
-
-def test_eval_convergence_exit_4(capsys, monkeypatch):
-    import platevac.cli as cli_mod
-
-    def boom(*args, **kwargs):
-        raise ConvergenceError("forced")
-
-    monkeypatch.setattr(cli_mod, "dispersion_exact", boom)
-    rc, out = run_cli(
-        capsys, "eval", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
-        "--format", "csv",
-    )
-    assert rc == 4
-    assert parse_csv(out)[0]["status"] == "convergence"
 
 
 def test_sweep_z_symmetric(capsys):
@@ -615,19 +599,17 @@ def test_sweep_json_carries_the_csv_rows(capsys):
 
 
 def test_sweep_exit_code_precedence(capsys, monkeypatch):
-    # with no ok row: singular before convergence before domain
+    # with no ok row: singular before domain
     import platevac.cli as cli_mod
 
     def failing(kind, point, **kwargs):
-        raise (SingularWindowError if point.geometry.z < 0.45 else ConvergenceError)("forced")
+        raise SingularWindowError("forced")
 
     monkeypatch.setattr(cli_mod, "dispersion_exact", failing)
     argv = ["sweep", "--quantity", "dv2-normal", "--var", "z", "--a", "1", "--t", "0.3",
             "--steps", "2"]
-    rc, out = run_cli(capsys, *argv, "--start", "0.5", "--stop", "1.5")
-    assert (rc, [r["status"] for r in parse_csv(out)]) == (4, ["convergence", "domain"])
-    rc, out = run_cli(capsys, *argv, "--start", "0.4", "--stop", "0.5")
-    assert (rc, [r["status"] for r in parse_csv(out)]) == (3, ["singular", "convergence"])
+    rc, out = run_cli(capsys, *argv, "--start", "0.4", "--stop", "1.5")
+    assert (rc, [r["status"] for r in parse_csv(out)]) == (3, ["singular", "domain"])
 
 
 def test_compare_csv(capsys):

@@ -289,6 +289,8 @@ def _mp_single_image(func, x, t):
         (pv.position_kernel_normal, 1e-110, 1.0),  # u**3 beyond it
         (pv.position_kernel_parallel, 1e-100, 2.0),  # u = 1e100, where the far forms begin
         (pv.position_kernel_normal, 1e-100, 2.0),
+        (pv.position_kernel_normal, 1e-300, 2.6e-146),  # value in range, (t/x)**2 beyond it
+        (pv.position_kernel_normal, 1.0, 3.5e154),
     ],
 )
 def test_single_images_where_u_leaves_the_float_range(func, x, t):
@@ -310,6 +312,7 @@ _KERNEL_OF = {
     # t << a, where z**2 is below the normal floats: (2z)**2 has a few bits or none
     pytest.param(1.6176922489491105e-162, 6.7312787295871e-67, id="1.6e-162-t6.7e-67"),
     pytest.param(1e-160, 1e-100, id="1e-160-t1e-100"),
+    pytest.param(1e-160, 2.6e-6, id="1e-160-t2.6e-6"),  # dx2-normal 8.45e307, (t/z)**2 beyond range
 ])
 @pytest.mark.parametrize("kind", sorted(_KERNEL_OF))
 def test_dispersions_next_to_a_plate(kind, z_over_a, t):

@@ -3,10 +3,6 @@ memory and cost, 2-D kernels, its call shape."""
 
 import inspect
 import math
-import os
-import platform
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +16,7 @@ from platevac.quantities import DispersionKind
 
 _EPS = np.finfo(float).eps
 # A series with every coefficient 0, so that the returned value is the explicit sum alone.
-_NO_TAIL = (np.zeros_like(_K), 0, 4, 0, 0.5)
+_NO_TAIL = (np.zeros_like(_K), 0, 0.5)
 
 
 def offset_kernel(kind, t):
@@ -40,7 +36,7 @@ def _plain_sum(fvec, sign, a, z, N):
 
 @pytest.mark.parametrize("n", [_N_WALK - 2, _N_WALK, _N_WALK + 2, 4094, 4096, 4098])
 @pytest.mark.parametrize("kind", ["dx2-parallel", "dv2-normal", "photon"])
-def test_the_walk_is_one_plain_sum_up_to_the_rule(kind, n):
+def test_the_walk_is_one_plain_sum_with_its_rounding_bound(kind, n):
     # The engine makes one fvec call on the n = 0 image and the (families x N) array, and
     # its value is one plain sum, whose tail estimate with a zero series is its rounding
     # bound alone. N is 2 horizon at time t; the dispersions take it up to N = _N_WALK, and
@@ -72,33 +68,6 @@ def test_memory_is_bounded_by_one_block_not_by_t(kind):
         tracemalloc.stop()
     assert result.n_used == 0
     assert peak < 4e6
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
-def test_the_walks_freed_arrays_stay_on_the_heap():
-    # A fresh interpreter, as pytest's own imports have moved glibc's thresholds already.
-    # Twelve arrays of 12,289 doubles (96 KB each, the size of a 4,096-shell walk, below the
-    # 128 KB mmap threshold), 1.2 MB, freed, would otherwise leave more than the 128 KB trim
-    # threshold free at the top of the heap: 1,600 to 1,900 faults over ten rounds, here or
-    # after any import that raised the threshold a little.
-    script = (
-        "import resource\n"
-        "import numpy as np\n"
-        "import platevac\n"
-        "def cycle():\n"
-        "    arrays = [np.ones(12289) for _ in range(12)]\n"
-        "    del arrays\n"
-        "cycle()\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "for _ in range(10):\n"
-        "    cycle()\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert int(out.stdout) < 20
 
 
 @pytest.mark.parametrize("key", list(_SCALED))
@@ -142,7 +111,7 @@ def _lattice(name, t):
 
 @pytest.mark.parametrize("t", [5000.37, 1e6 + 0.37])
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_a_late_lattice_costs_a_few_thousand_kernel_points(monkeypatch, kind, t):
+def test_a_late_lattice_evaluates_no_kernel_point(monkeypatch, kind, t):
     # At t = 1e6 a the walk passed 3,000,012 offsets to fvec, one per image, and at
     # t = 5,000 a the quadrature rule passed 4,000 to 5,000 in one call. Past _N_WALK the
     # late-time expansion evaluates no kernel point.

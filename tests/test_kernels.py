@@ -306,7 +306,7 @@ def test_inverse_series_match_their_horner_loops():
 
 @pytest.mark.parametrize("key", list(kernels._SCALED))
 def test_image_values_take_one_time_per_offset(key):
-    # every branch (series, closed, inverse, _FAR past u = 1e100) in one array, each
+    # every branch (series, closed, inverse, origin terms past u = 1e100) in one array, each
     # offset at its own time, equals one call per offset bit for bit (G_norm ~ u**2/2
     # leaves the float range at u = 1e160 and 1e300: inf both ways)
     u = np.array([0.01, 0.2, 1e300, 0.34, 0.36, 0.7, 1e100, 0.99, 1.01, 3.9, 4.0, 1e99, 50.0,

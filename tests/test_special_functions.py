@@ -37,17 +37,17 @@ def test_hurwitz_zeta_of_order_four_matches_mpmath():
 
 @pytest.mark.parametrize("key", list(_SERIES))
 def test_series_tail_matches_hurwitz_zeta_sums_within_its_bound(key):
-    # The images (q + n) a, n >= 0, of a family sum to sum_k c_k (h/a)**(2k+m) zeta(2k+s0, q)
-    # / a**(s0-m); q = N + 1 - z/a from N = 8 on, and h is given here in units of a.
-    c, m, s0, p = _SERIES[key]
+    # The images (q + n) a, n >= 0, of a family sum to sum_k c_k (h/a)**(2k+m) zeta(2k+4, q)
+    # / a**(4-m); q = N + 1 - z/a from N = 8 on, and h is given here in units of a.
+    c, m = _SERIES[key]
     for a, h, first in ((1.0, 0.15, 9), (1e-3, 4.0, 12), (2.0, 22.0, 46), (1.0, 2000.0, 4003)):
         for sign in (1.0, -1.0):
             q, weights = first + np.array([0.0, 0.677, -0.677]), np.array([2.0, sign, sign])
-            value, tail = _image_tail((c, m, s0, p, h * a), a, q, weights)
+            value, tail = _image_tail((c, m, h * a), a, q, weights)
             with mpmath.workdps(30):
-                ref = sum(w * c[k] * mpmath.mpf(h) ** (2 * k + m) * mpmath.zeta(2 * k + s0, qf)
+                ref = sum(w * c[k] * mpmath.mpf(h) ** (2 * k + m) * mpmath.zeta(2 * k + 4, qf)
                           for w, qf in zip(weights, map(mpmath.mpf, q)) for k in range(c.size))
-                ref /= mpmath.mpf(a) ** (s0 - m)
+                ref /= mpmath.mpf(a) ** (4 - m)
             assert abs(value - ref) <= tail, (a, h, sign)
 
 
