@@ -38,11 +38,9 @@ _ETA_DIAG = (1.0, -1.0, -1.0, -1.0)
 _REFLECTED_DIAG = (1.0, -1.0, -1.0, 1.0)
 
 
-# Every image sum takes at least _N_MIN pairs explicitly. _TAIL_TARGET is the largest
-# tail_estimate / |value| an image sum is held to. The photon function's relative light-cone
-# window is _PHOTON_CONE_WINDOW.
+# Every image sum takes at least _N_MIN pairs explicitly. The photon function's relative
+# light-cone window is _PHOTON_CONE_WINDOW.
 _N_MIN = 8
-_TAIL_TARGET = 1e-10
 _PHOTON_CONE_WINDOW = 1e-10
 
 # Up to _N_WALK shells the dispersions' lattice is a walk: one fvec call on a (families x N)

@@ -16,7 +16,10 @@ with Lam(u) = artanh(min(u, 1/u)) = (1/2) ln|(1+u)/(1-u)| and
     G_norm(u) = (1/6) (u**2 + 2 u**3 Lam(u) + ln|1 - u**2|)
 
 All logarithms take the modulus of their argument, so every kernel is real
-and finite on both sides of the light cone u = 1. The cone itself is a
+and finite on both sides of the light cone u = 1. Lam is evaluated from the
+gap |1 - u|, exact next to the cone, as (1/2) log1p(2 min(u, 1) / |1 - u|), and
+ln|1 - u**2| as 2 log1p(u) - 2 Lam(u), so no kernel cancels two logarithms of
+the gap: at a float u next to the cone each is within a few eps. The cone is a
 genuine logarithmic/power singularity: public entry points reject points
 with |t - 2|x|| < window * t, or on the cone, as image lattices do.
 
@@ -82,16 +85,10 @@ _LATE = {
 
 
 def _lam(u):
-    """artanh(min(u, 1/u)) elementwise; u is a nonnegative ndarray."""
-    safe = np.maximum(u, np.finfo(float).tiny)
-    arg = np.minimum(u, 1.0 / safe)
-    with np.errstate(divide="ignore"):
-        return np.arctanh(arg)
-
-
-def _log_abs_one_minus_u2(u):
-    # (1-u)(1+u) keeps precision near the cone, where 1-u**2 would not.
-    return np.log(np.abs((1.0 - u) * (1.0 + u)))
+    """artanh(min(u, 1/u)) = (1/2) log1p(2 min(u, 1) / |1 - u|) elementwise, u a nonnegative
+    ndarray: the gap |1 - u| is exact next to the cone (Sterbenz), so Lam keeps its digits
+    there, and it is inf on the cone."""
+    return 0.5 * np.log1p(2.0 * np.minimum(u, 1.0) / np.abs(1.0 - u))
 
 
 def _small_u_series(coef, u):
@@ -115,9 +112,7 @@ def _piecewise(u, *pieces):
 
 
 def _vel_parallel_closed(u):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rational = u * u / (8.0 * (u * u - 1.0))
-    return rational - u * _lam(u) / 8.0
+    return u * u / (8.0 * (u - 1.0) * (u + 1.0)) - u * _lam(u) / 8.0
 
 
 def _vel_parallel_inverse(u):
@@ -141,7 +136,8 @@ def _vel_normal_scaled(u):
 
 
 def _pos_parallel_closed(u):
-    return (u * u - u * u * u * _lam(u) + _log_abs_one_minus_u2(u)) / 6.0
+    lam = _lam(u)  # log1p(u) - lam = ln|1 - u**2| / 2, a difference exact where it cancels
+    return (u * u + 2.0 * (np.log1p(u) - lam) - u * u * u * lam) / 6.0
 
 
 def _pos_parallel_inverse(u):
@@ -165,7 +161,7 @@ def _pos_parallel_scaled(u):
 
 
 def _pos_normal_closed(u):
-    return (u * u + 2.0 * u * u * u * _lam(u) + _log_abs_one_minus_u2(u)) / 6.0
+    return (u * u + 2.0 * ((u - 1.0) * (u * u + u + 1.0) * _lam(u) + np.log1p(u))) / 6.0
 
 
 def _pos_normal_scaled(u):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -69,6 +70,25 @@ def test_kernels_match_mpmath(u):
     assert velocity_kernel_normal(x, t) == pytest.approx(float(f_norm) / x**2, rel=1e-13)
     assert position_kernel_parallel(x, t) == pytest.approx(float(g_par), rel=1e-13)
     assert position_kernel_normal(x, t) == pytest.approx(float(g_norm), rel=1e-13)
+
+
+@pytest.mark.parametrize("index, key", enumerate(kernels._SCALED),
+                         ids=["-".join(key) for key in kernels._SCALED])
+def test_closed_kernels_keep_their_digits_at_the_cone(index, key):
+    # At a float u within 1e-2 of the cone, each closed kernel is within a few eps of its
+    # value at that same u: Lam takes the exact gap |1 - u|, and no two logarithms of the
+    # gap cancel.
+    rng = random.Random(1009)
+    u = np.array([1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -2.0)
+                  for _ in range(200)])
+    assert np.all(u != 1.0)
+    scaled, _ = kernels._SCALED[key]
+    with np.errstate(all="ignore"):
+        got = scaled(u)
+    with mpmath.workdps(50):
+        for ui, gi in zip(u, got):
+            ref = _mp_reference(ui)[index]
+            assert abs((gi - ref) / ref) <= 4.0 * np.finfo(float).eps, (key, ui)
 
 
 def test_small_time_leading_order():

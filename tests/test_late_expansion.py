@@ -195,14 +195,14 @@ def _fixed_lattice(a, z, t):
         return values
 
 
-def _late_points(count, rng):
-    """(a, z, t) with t/a = 10**U(log10 62, log10 2e4) and z/a in U(0.01, 0.99); every other
+def _sample_points(count, rng, decades=(math.log10(62.0), 4.3), every=2):
+    """(a, z, t) with t/a = 10**U(*decades) and z/a in U(0.01, 0.99); every ``every``-th
     point is moved to a relative distance 10**U(-9, -6) from its nearest cone."""
     points = []
     for i in range(count):
         a = rng.choice((0.5, 1.0, 2.0))
-        z, t = a * rng.uniform(0.01, 0.99), a * 10.0 ** rng.uniform(math.log10(62.0), 4.3)
-        if i % 2:
+        z, t = a * rng.uniform(0.01, 0.99), a * 10.0 ** rng.uniform(*decades)
+        if (i + 1) % every == 0:
             cone = singularity_report(z, a, t, 0.0).nearest_time
             t = cone * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -6.0))
         points.append((a, z, t))
@@ -215,7 +215,7 @@ _CLAIM_POINTS = [(1.0, 0.5, 100.5), (1.0, 0.5, 1000.5), (1.0, 0.1, 1000.37), (1.
                  (1.0, 0.5, 1000.37)]
 
 
-@pytest.mark.parametrize("a, z, t", _CLAIM_POINTS + _late_points(8, random.Random(2701)))
+@pytest.mark.parametrize("a, z, t", _CLAIM_POINTS + _sample_points(8, random.Random(2701)))
 def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t):
     # No allowance beyond the tail: past the walk every phase is exact and no offset is
     # rounded, so the tail bounds the whole error.
@@ -225,6 +225,36 @@ def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t
         got = dispersion_exact(DispersionKind(*key), point, window=1e-10)
         assert got.n_used == 0
         assert abs(got.value - ref) <= got.tail_estimate, key
+
+
+@pytest.mark.parametrize("a, z, t", _sample_points(40, random.Random(30), (0.0, math.log10(62.0))))
+def test_the_walk_next_to_a_cone_is_within_its_tail(a, z, t):
+    # The closed kernels take the exact gap |1 - u| at every image, so next to a cone the
+    # walk's dx2-normal, whose terms stay finite at a cone and whose slopes grow only like
+    # ln|1 - u|, is within its tail. The other kinds may be off by the rounding of the offsets
+    # n a +/- z themselves, which their terms amplify there by up to eps |x f'(x)| each
+    # (ROADMAP item 4): 4 eps S beyond the tail.
+    point = EvalPoint(Geometry(a, z), t)
+    for key, sign, ref in zip(KEYS, SIGN, _fixed_lattice(a, z, t)):
+        got = dispersion_exact(DispersionKind(*key), point, window=1e-10)
+        fvec = lambda x: _image_values(key, x, t)  # noqa: E731
+        slack = 0.0 if key == ("normal", "position") else 4.0 * EPS * _sensitivity(
+            fvec, sign, a, z, got.n_used, 0.5 * t)
+        assert abs(got.value - ref) <= got.tail_estimate + slack, key
+
+
+def _expansion_against_walk(kind, flipped, a, z, t):
+    """Check the late-time expansion against the walk at (a, z, t) past the switch."""
+    sign = -1.0 if kind.axis == "parallel" or flipped else 1.0
+    report = singularity_report(z, a, t, 0.0)
+    key = (kind.axis, kind.observable)
+    horizon_n = horizon(a, z, t)
+    walk, walk_tail, n_used = _grouped_image_sum(lambda x: _image_values(key, x, t), sign, a, z,
+                                                 (*_SERIES[key], 0.5 * t), horizon_n)
+    assert n_used == 2 * horizon_n > _N_WALK
+    value, tail = _late_lattice(key, sign, a, z, t, report.phases)
+    sensitivity = _sensitivity(lambda x: _image_values(key, x, t), sign, a, z, n_used, 0.5 * t)
+    assert abs(value - walk) <= tail + walk_tail + 4.0 * EPS * sensitivity, (kind, flipped)
 
 
 @seed(20041203)
@@ -238,16 +268,17 @@ def test_the_expansion_matches_the_walk_below_the_switch(kind, flipped, a, t_ove
     # |f| + |x f'(x)| over its images) beyond its tail: 1.5e-12 of dv2-parallel at
     # (a, z, t) = (0.5, 0.25, 1581.1), where the expansion is within 1.7e-16 of the
     # exact-offset lattice. Past the switch dispersion_exact takes the expansion, so the walk
-    # is called directly.
-    sign = -1.0 if kind.axis == "parallel" or flipped else 1.0
+    # is called directly. On a cone neither has a value.
     z, t = a * z_over_a, a * t_over_a
-    report = singularity_report(z, a, t, 0.0)
-    assume(report.distance >= 1e-6)
-    key = (kind.axis, kind.observable)
-    horizon_n = horizon(a, z, t)
-    walk, walk_tail, n_used = _grouped_image_sum(lambda x: _image_values(key, x, t), sign, a, z,
-                                                 (*_SERIES[key], 0.5 * t), horizon_n)
-    assert n_used == 2 * horizon_n > _N_WALK
-    value, tail = _late_lattice(key, sign, a, z, t, report.phases)
-    sensitivity = _sensitivity(lambda x: _image_values(key, x, t), sign, a, z, n_used, 0.5 * t)
-    assert abs(value - walk) <= tail + walk_tail + 4.0 * EPS * sensitivity
+    assume(singularity_report(z, a, t, 0.0).distance > 0.0)
+    _expansion_against_walk(kind, flipped, a, z, t)
+
+
+@pytest.mark.parametrize("a, z, t", _sample_points(30, random.Random(31),
+                                                   (math.log10(62.0), math.log10(4e3)), every=1))
+def test_the_expansion_matches_the_walk_next_to_a_cone(a, z, t):
+    # 1e-9 to 1e-6 (relative) on either side of a cone, every kind, both signs of the
+    # normal kinds' shifted families: the bound above holds there too.
+    for kind in ALL_KINDS:
+        for flipped in (False, True) if kind.axis == "normal" else (False,):
+            _expansion_against_walk(kind, flipped, a, z, t)
