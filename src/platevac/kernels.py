@@ -44,13 +44,12 @@ from .errors import GeometryError, SingularWindowError, in_float_range
 SINGULAR_WINDOW = 1e-6
 
 # Branch switch points. Below _G_SERIES_CUT the closed position forms lose
-# ~u**-2 digits to cancellation, so a power series takes over; above
-# _U_LARGE the parallel forms cancel from the other side and an inverse
-# power series, within 2 eps from u = 4, takes over.
-_G_SERIES_CUT = 0.35
+# ~u**-2 digits to cancellation (up to 35 eps at u = 0.35..0.5), so a power
+# series takes over; above _U_LARGE the parallel forms cancel from the other
+# side and an inverse power series, within 2 eps from u = 4, takes over.
+_G_SERIES_CUT = 0.6
 _U_LARGE = 4.0
 
-_G_SERIES_TERMS = 24
 _INV_SERIES_TERMS = 16
 
 # Inverse-series coefficients of the parallel kernels in w = u**-2, highest
@@ -62,7 +61,7 @@ _POS_PAR_INV = 1.0 / (2.0 * _K_INV + 3.0) + 1.0 / _K_INV
 # Large-offset series (c_k, m) of each scaled kernel, keyed like _SCALED: at u = t/2x < 1
 # an image is sum_k c_k (t/2)**(2k+m) x**-(2k+4), with |c_{k+1}/c_k| < 1. The position
 # kernels' small-u branches sum it as G(u) = sum_k c_k u**(2k+4). 40 terms reach below
-# double precision at u = 1/2.
+# double precision up to u = _G_SERIES_CUT.
 _K = np.arange(40.0)
 _SERIES = {
     ("parallel", "velocity"): (-(_K + 1.0) / (4.0 * (2.0 * _K + 1.0)), 2),
@@ -92,9 +91,12 @@ def _lam(u):
 
 
 def _small_u_series(coef, u):
-    """sum_k coef[k] u**(2k+4) to k < _G_SERIES_TERMS, by Horner in u**2."""
+    """sum_k coef[k] u**(2k+4) over all of coef: Horner in u**8 over blocks of four terms, each
+    by Horner in u**2, elementwise (an array gives each element the bits it gets alone)."""
     w = u * u
-    return np.polyval(coef[_G_SERIES_TERMS - 1 :: -1], w) * w * w
+    c = coef.reshape(-1, 4, *(1,) * w.ndim)
+    blocks = ((c[:, 3] * w + c[:, 2]) * w + c[:, 1]) * w + c[:, 0]
+    return np.polyval(blocks[::-1], (w * w) ** 2) * w * w
 
 
 def _piecewise(u, *pieces):

@@ -11,8 +11,6 @@ import re
 
 import pytest
 
-import scipy.integrate
-
 from platevac import (
     SingularWindowError,
     length_to_natural,
@@ -645,20 +643,6 @@ def test_eval_malformed_window_exit_2(capsys, window):
     )
     assert rc == 2
     assert "status     domain" in out
-
-
-def test_compare_oracle_quadrature_off_tolerance_exit_4(capsys, monkeypatch):
-    quad = scipy.integrate.quad
-
-    def loose(*args, **kwargs):
-        val, _ = quad(*args, **kwargs)
-        return val, 1.0
-
-    monkeypatch.setattr(scipy.integrate, "quad", loose)
-    rc = main(["compare", "--quantity", "dv2-normal", "--a", "1", "--z", "0.5", "--t", "0.3",
-               "--oracle"])
-    assert rc == 4
-    assert "exceeds tolerance" in capsys.readouterr().err
 
 
 def test_eval_time_in_seconds(capsys, tmp_path):

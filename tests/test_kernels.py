@@ -72,6 +72,19 @@ def test_kernels_match_mpmath(u):
     assert position_kernel_normal(x, t) == pytest.approx(float(g_norm), rel=1e-13)
 
 
+def test_position_kernels_keep_their_digits_across_the_series_cut():
+    # u**2 + ln|1 - u**2| cancels to O(u**4): the closed position forms were 29 and 35 eps
+    # off at u in [0.35, 0.5], beyond the 16 eps each image term is allowed
+    u = np.linspace(0.2, 0.8, 601)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        refs = [_mp_reference(ui) for ui in u]
+    for index, key in ((2, ("parallel", "position")), (3, ("normal", "position"))):
+        got = kernels._SCALED[key][0](u)
+        for ui, gi, ref in zip(u, got, refs):
+            assert abs(gi - float(ref[index])) <= 16.0 * eps * abs(float(ref[index])), (key, ui)
+
+
 @pytest.mark.parametrize("index, key", enumerate(kernels._SCALED),
                          ids=["-".join(key) for key in kernels._SCALED])
 def test_closed_kernels_keep_their_digits_at_the_cone(index, key):
