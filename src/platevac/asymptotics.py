@@ -55,7 +55,7 @@ def _wide_gap(kind, geom, t, k):
     """
     c, m = _SERIES[(kind.axis, kind.observable)]
     theta = geom.z / geom.a
-    zetas = (_ZETA_2K[1], _zeta(4, 1.0 + theta), _zeta(4, k - theta))
+    zetas = (_ZETA_2K[1], *_zeta(4, [1.0 + theta, k - theta]).tolist())
     lattice = 2.0 * zetas[0] + kind.image_sign * (zetas[1] + zetas[2])
     near = sum(single_plate_reference(kind, x, t) for x in (geom.z, geom.zbar)[:k])
     # (t/2)**m / a**4 is the square of (t/2a)**(m/2) / a**(2 - m/2), where t/2a <= 1/5

@@ -163,15 +163,25 @@ _PLAIN_CUT = 1.0 / math.pi
 _PLAIN_TERMS = 24
 
 
+def _zeta_scaled(s, q):
+    """q**s zeta(s, q), Hurwitz (DLMF 25.11), for integer 2 <= s <= 101 and q > 0 broadcast:
+    1 + sum_{n=1..15} (q/(q+n))**s + (q/x)**s x**s zeta(s, x), the last by the _EM_TABLE row at
+    x = q + 16. Scale-free, so in range at any q; each ratio is exp(-s log1p(n/q)), which keeps
+    its digits at large q, and the 1 comes last, so zeta(s) at q = 1 rounds correctly."""
+    s, q = np.asarray(s, dtype=float), np.asarray(q, dtype=float)
+    n = np.arange(16.0, 0.0, -1.0).reshape((-1,) + (1,) * max(s.ndim, q.ndim))  # smallest first
+    ratios = np.exp(-s * np.log1p(n / q))
+    tail = (_EM_TABLE[s.astype(int) - 2, :-1] * (q[..., None] + 16.0) ** _Q_POWERS[:-1, 0]).sum(-1)
+    return (ratios[1:].sum(0) + ratios[0] * tail) + 1.0
+
+
 def _zeta(s, q=1.0):
-    """Hurwitz zeta(s, q), integer 2 <= s <= 100 and q near 1, within an ulp: 16 terms, then
-    _EM_TABLE."""
-    x = q + 16.0
-    ends = _EM_TABLE[s - 2, :-1] * x ** _Q_POWERS[:-1, 0] * x**-s
-    return math.fsum([(q + n) ** -s for n in range(16)] + list(ends))
+    """Hurwitz zeta(s, q) = q**-s _zeta_scaled(s, q), while q**-s is in range."""
+    return np.asarray(q, dtype=float) ** -np.asarray(s, dtype=float) * _zeta_scaled(s, q)
 
 
-_ZETA_2K = [_zeta(2 * k) for k in range(1, _PLAIN_TERMS + 2)]  # zeta(2), zeta(4), ...
+_ZETA_N = _zeta(np.arange(2, 2 * _PLAIN_TERMS + 3)).tolist()  # zeta(s) = _ZETA_N[s - 2], s <= 50
+_ZETA_2K = _ZETA_N[::2]  # zeta(2), zeta(4), ...
 # Keyed by the shifted family's sign, highest power first for _horner.
 _PLAIN_SERIES = {sign: [(k + 1.0) ** power * _ZETA_2K[k + 1] for k in range(_PLAIN_TERMS)][::-1]
                  for sign, power in ((1.0, 1), (-1.0, 2))}
@@ -239,7 +249,7 @@ def _late_order(beta, step, top):
 # _BOUNDS[j] = 4 j! (j+1)(j+2)/2 zeta(j+1), order j's modulus bound over the four families
 # per |beta| (delta/2 pi)**j, to j = 31, past any order the switch needs. _LATE_MAX is the
 # order the rule asks for at the switch's earliest t, (_N_WALK - 4) a, with the largest |beta|.
-_BOUNDS = [0.0] + [2.0 * math.factorial(j + 2) * _zeta(j + 1) for j in range(1, 32)]
+_BOUNDS = [0.0] + [2.0 * math.factorial(j + 2) * _ZETA_N[j - 1] for j in range(1, 32)]
 _LATE_MAX = _late_order(max(abs(row[5]) for row in _LATE.values()),
                         1.0 / (math.pi * (_N_WALK - 4)), len(_BOUNDS) - 2)[0]
 
@@ -252,7 +262,7 @@ def _clausen_table(j):
     the terms 2 zeta(2l) (2l-1)!/(j+2l)! (-1)**j y**j w**l, w = (y/2 pi)**2 <= 1/4, while
     they exceed eps/2 at w = 1/4 and |y| = pi."""
     two_pi = 2.0 * math.pi
-    q = [_zeta(j + 1 - k) * (-1) ** ((j + k) // 2) * two_pi ** (k - j % 2) / math.factorial(k)
+    q = [_ZETA_N[j - 1 - k] * (-1) ** ((j + k) // 2) * two_pi ** (k - j % 2) / math.factorial(k)
          for k in range(j % 2, j - 1, 2)] + [0.0]  # k = j is the log term
     for l, zeta_2l in enumerate(_ZETA_2K, start=1):
         e = 2.0 * zeta_2l * math.factorial(2 * l - 1) / math.factorial(j + 2 * l)

@@ -155,13 +155,14 @@ def test_image_integrals_integrate_only_images_at_or_beyond_t(monkeypatch, x):
             assert got == pytest.approx(closed(x, t), rel=1e-10)
 
 
-def test_only_the_black_box_integrals_load_scipy_integrate(tmp_path):
-    # compare --oracle before and past the cones, and adjudicate, integrate no image by
-    # quadrature; the oracle's zeta loads scipy.special alone. velocity_integral does load it.
+def test_only_the_black_box_integrals_load_scipy(tmp_path):
+    # compare --oracle before and past the cones and at t = 1e3 a (about 26 series terms), and
+    # adjudicate, integrate no image by quadrature and take their zeta values from platevac:
+    # neither scipy.integrate nor scipy.special loads. velocity_integral loads scipy.integrate.
     script = (
         "import io, sys, contextlib, platevac, platevac.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for t in ('0.3', '2.7'):\n"
+        "    for t in ('0.3', '2.7', '1000.37'):\n"
         "        assert platevac.cli.main(['compare', '--quantity', 'dx2-parallel', '--a', '1',\n"
         "                                  '--z', '0.3', '--t', t, '--oracle']) == 0\n"
         "    assert platevac.cli.main(['adjudicate', '--out', sys.argv[1]]) == 0\n"
@@ -175,7 +176,7 @@ def test_only_the_black_box_integrals_load_scipy_integrate(tmp_path):
         [sys.executable, "-c", script, str(tmp_path / "adjudication.json")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "True", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_library_calls_load_neither_mpmath_nor_sympy():
@@ -196,8 +197,8 @@ def test_library_calls_load_neither_mpmath_nor_sympy():
 
 
 def test_library_calls_load_no_scipy_special():
-    # The library computes its zeta values and Clausen-type functions itself; only the oracle
-    # loads scipy.
+    # The library computes its zeta values and Clausen-type functions itself; only the black-box
+    # integrals load scipy, and scipy.integrate alone.
     script = (
         "import sys, platevac, platevac.cli\n"
         "from platevac import *\n"
@@ -300,6 +301,48 @@ def test_quadrature_route_uses_no_closed_kernel_or_zeta_tail(monkeypatch):
             got = dispersion_via_quadrature(kind, EvalPoint(Geometry(1.0, 0.3), t))
             assert math.isfinite(got.value) and got.value != 0.0
             assert math.isfinite(got.tail_estimate)
+
+
+def test_a_shared_zeta_table_still_separates_the_two_routes(monkeypatch):
+    # The walk's series tail and the oracle's remainder both take correlators._EM_TABLE, the
+    # oracle only past its 50 summed shells. A defect in the table's leading column moves the
+    # walk by 1,005 to 192,230 of its tails and the oracle by at most 67 of its own, so the
+    # routes no longer agree within both tails.
+    from platevac import correlators
+
+    points = [EvalPoint(Geometry(1.0, z), t) for z, t in ((0.3, 3.5), (0.45, 9.5))]
+
+    def gaps():
+        for point in points:
+            for kind in ALL_KINDS:
+                exact, quad = dispersion_exact(kind, point), dispersion_via_quadrature(kind, point)
+                yield abs(exact.value - quad.value) / (exact.tail_estimate + quad.tail_estimate)
+
+    assert max(gaps()) <= 1.0
+    table = correlators._EM_TABLE.copy()
+    table[:, 0] *= 1.0 + 1e-6
+    monkeypatch.setattr(correlators, "_EM_TABLE", table)
+    assert min(gaps()) > 1.0
+
+
+def test_the_finite_parts_take_bounded_memory_at_late_times():
+    # t = 1e5 a puts 300,000 images before the cone. Summed as one (pole, k, j, image) array they
+    # peaked at 102 (dv2-normal) to 225 MiB (dx2-parallel) traced; in blocks the call stays
+    # below 64 MiB, and every value is the one-array value within the oracle's own tail.
+    import tracemalloc
+
+    one_array = {"dv2-parallel": 2.2163776276772326e-05, "dv2-normal": 4.592320459156386,
+                 "dx2-parallel": -4.153422593251045, "dx2-normal": 22961772206.586124}
+    point = EvalPoint(Geometry(1.0, 0.3), 1e5 + 0.37)
+    for kind in ALL_KINDS:
+        tracemalloc.start()
+        try:
+            got = dispersion_via_quadrature(kind, point, window=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, kind
+        assert abs(got.value - one_array[kind.token]) <= got.tail_estimate, kind
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e16, 1e18, 1e150])
