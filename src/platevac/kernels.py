@@ -26,11 +26,16 @@ with |t - 2|x|| < window * t, or on the cone, as image lattices do.
 The kernels are reduced: the universal charge/mass prefactor is applied
 once, downstream, by :func:`platevac.physics.physicalize`.
 
+Below u = 4 each kernel is its closed form, or its small-u series where the
+position forms cancel. From u = 4 on it is its series at the origin, where
+y = 1/u = 0, formed from x and t, so no intermediate leaves the float range
+before the value does.
+
 This module also tables each kernel's expansions, its large-offset series
-(_SERIES) and its origin and light-cone terms (_LATE), and owns the image
-lattice every two-plate sum runs over: the offset families n a and
-n a +/- z, the horizon past which a sum may stop, the light-cone window
-rule and the nearest cone with its exact phases.
+(_SERIES), its origin and light-cone terms (_LATE) and its origin series
+(_ORIGIN), and owns the image lattice every two-plate sum runs over: the
+offset families n a and n a +/- z, the horizon past which a sum may stop,
+the light-cone window rule and the nearest cone with its exact phases.
 """
 
 import math
@@ -45,18 +50,10 @@ SINGULAR_WINDOW = 1e-6
 
 # Branch switch points. Below _G_SERIES_CUT the closed position forms lose
 # ~u**-2 digits to cancellation (up to 35 eps at u = 0.35..0.5), so a power
-# series takes over; above _U_LARGE the parallel forms cancel from the other
-# side and an inverse power series, within 2 eps from u = 4, takes over.
+# series takes over; from _U_LARGE up the parallel forms cancel from the other
+# side, and every kernel takes its origin series (_ORIGIN), within 2 eps there.
 _G_SERIES_CUT = 0.6
 _U_LARGE = 4.0
-
-_INV_SERIES_TERMS = 16
-
-# Inverse-series coefficients of the parallel kernels in w = u**-2, highest
-# power first for np.polyval: k / (4 (2k+1)) and 1/(2k+3) + 1/k, k = 16..1.
-_K_INV = np.arange(_INV_SERIES_TERMS, 0, -1.0)
-_VEL_PAR_INV = _K_INV / (4.0 * (2.0 * _K_INV + 1.0))
-_POS_PAR_INV = 1.0 / (2.0 * _K_INV + 3.0) + 1.0 / _K_INV
 
 # Large-offset series (c_k, m) of each scaled kernel, keyed like _SCALED: at u = t/2x < 1
 # an image is sum_k c_k (t/2)**(2k+m) x**-(2k+4), with |c_{k+1}/c_k| < 1. The position
@@ -73,13 +70,27 @@ _SERIES = {
 # Origin and cone terms (A, B, c0, p, alpha, beta) of each scaled kernel, keyed like _SCALED.
 # With y = 2x/t = 1/u an image is (2/t)**2 g(y) for a velocity and g(y) for a position.
 # At y = 0, g = A/y**2 + B ln y + c0 + even powers of y; at the cone, e = y - 1,
-# g = p/e + (alpha + beta/y**3) ln|e| + a function analytic in e. An image past u = _U_FAR
-# is its origin terms; the late-time expansion of platevac.correlators takes the whole row.
+# g = p/e + (alpha + beta/y**3) ln|e| + a function analytic in e. The late-time expansion
+# of platevac.correlators takes the whole row; _ORIGIN continues its origin terms.
 _LATE = {
     ("parallel", "velocity"): (0.0, 0.0, 1 / 12, -1 / 16, 0.0, 1 / 16),
     ("normal", "velocity"): (0.25, 0.0, 1 / 12, 0.0, 0.0, -1 / 8),
     ("parallel", "position"): (0.0, -1 / 3, -1 / 18, 0.0, 1 / 6, 1 / 12),
     ("normal", "position"): (0.5, -1 / 3, 1 / 9, 0.0, 1 / 6, -1 / 6),
+}
+
+# Origin series of each scaled kernel, keyed like _SCALED: the coefficients d_j of y**(2j),
+# j = 0..15, in g(y) = A/y**2 + B ln y + sum_j d_j y**(2j), d_0 being _LATE's c0. From
+# u = _U_LARGE (y**2 = 1/16) on the omitted terms are below 1e-19 of the sum.
+_J = np.arange(16.0)
+_ORIGIN = {
+    key: np.concatenate(([_LATE[key][2]], d(_J[1:])))
+    for key, d in (
+        (("parallel", "velocity"), lambda j: (j + 1.0) / (4.0 * (2.0 * j + 3.0))),
+        (("normal", "velocity"), lambda j: 1.0 / (4.0 * (2.0 * j + 3.0))),
+        (("parallel", "position"), lambda j: -(1.0 / (2.0 * j + 3.0) + 1.0 / j) / 6.0),
+        (("normal", "position"), lambda j: (2.0 / (2.0 * j + 3.0) - 1.0 / j) / 6.0),
+    )
 }
 
 
@@ -106,29 +117,18 @@ def _piecewise(u, *pieces):
     """
     out = np.empty_like(u)
     for mask, f in pieces:
-        if mask.all():
+        count = np.count_nonzero(mask)
+        if count == u.size:
             return f(u)
-        if mask.any():
+        if count:
             out[mask] = f(u[mask])
     return out
 
 
-def _vel_parallel_closed(u):
-    return u * u / (8.0 * (u - 1.0) * (u + 1.0)) - u * _lam(u) / 8.0
-
-
-def _vel_parallel_inverse(u):
-    # Large u: the two pieces cancel to O(u**-2); sum the difference series
-    # F_par = sum_{k>=1} k / (4 (2k+1)) u**(-2k) instead.
-    w = 1.0 / (u * u)
-    return np.polyval(_VEL_PAR_INV, w) * w
-
-
 def _vel_parallel_scaled(u):
-    """F_par(u); ndarray in, ndarray out."""
+    """F_par(u) below _U_LARGE; ndarray in, ndarray out."""
     u = np.asarray(u, dtype=float)
-    big = u >= _U_LARGE
-    return _piecewise(u, (~big, _vel_parallel_closed), (big, _vel_parallel_inverse))
+    return u * u / (8.0 * (u - 1.0) * (u + 1.0)) - u * _lam(u) / 8.0
 
 
 def _vel_normal_scaled(u):
@@ -142,23 +142,14 @@ def _pos_parallel_closed(u):
     return (u * u + 2.0 * (np.log1p(u) - lam) - u * u * u * lam) / 6.0
 
 
-def _pos_parallel_inverse(u):
-    # Large u: u**2 - u**3 artanh(1/u) = -1/3 - sum_{k>=1} u**(-2k)/(2k+3)
-    # and ln(u**2-1) = 2 ln u - sum_{k>=1} u**(-2k)/k.
-    w = 1.0 / (u * u)
-    return (2.0 * np.log(u) - 1.0 / 3.0 - np.polyval(_POS_PAR_INV, w) * w) / 6.0
-
-
 def _pos_parallel_scaled(u):
-    """G_par(u); series below the cut, closed form between, inverse series above."""
+    """G_par(u) below _U_LARGE; series below the cut, closed form above it."""
     u = np.asarray(u, dtype=float)
     small = u < _G_SERIES_CUT
-    big = u >= _U_LARGE
     return _piecewise(
         u,
-        (~(small | big), _pos_parallel_closed),
+        (~small, _pos_parallel_closed),
         (small, lambda u: _small_u_series(_SERIES[("parallel", "position")][0], u)),
-        (big, _pos_parallel_inverse),
     )
 
 
@@ -197,8 +188,9 @@ def _image_report(x, t, window):
     return checked_report(report, t)
 
 
-# (scaled kernel of u, carries 1/x**2) per (axis, observable). Every closed kernel
-# is looked up here at call time, so replacing an entry reaches all of them.
+# (scaled kernel of u below _U_LARGE, carries 1/x**2) per (axis, observable);
+# _image_values gives every kernel at every u. Every closed kernel is looked up
+# here at call time, so replacing an entry reaches all of them.
 _SCALED = {
     ("parallel", "velocity"): (_vel_parallel_scaled, True),
     ("normal", "velocity"): (_vel_normal_scaled, True),
@@ -207,36 +199,44 @@ _SCALED = {
 }
 
 
-# From u = t/2x = _U_FAR on, where u**2 and u**3 leave the float range long before the
-# value does, y**2 = u**-2 <= 1e-200 is nil against 1: an image is its origin terms.
-_U_FAR = 1e100
-
-
 def _image_values(key, x, t):
-    """The kernel _SCALED[key] at the offsets x > 0 (an ndarray) and the time t, one for
-    all offsets or one per offset, inf beyond the float range. Past u = _U_FAR the images
-    take their _LATE row's origin terms in one pass, formed from x and t: A/x**2 + 4 c0/t**2
-    for a velocity, A r**2/4 + B ln(2x/t) + c0, r = t/x, for a position, the A term left
-    out where A = 0, as r may be inf."""
+    """The kernel ``key`` at the offsets x > 0 (an ndarray) and the time t, one for all
+    offsets or one per offset, inf beyond the float range: _SCALED[key] below u = _U_LARGE,
+    and from there on, in one pass formed from x and t with y = 2x/t, the origin series
+    A/x**2 + (2/t)**2 sum_j d_j y**(2j) of a velocity or A u**2 - B ln u + sum_j d_j y**(2j)
+    of a position, ln u = ln(t/2) - ln x where u is inf and the A term left out where A = 0."""
     scaled, per_x2 = _SCALED[key]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = t / x * 0.5
-        v = scaled(u) / x / x if per_x2 else scaled(u)
-        far = u >= _U_FAR
-        if far.any():
-            A, B, c0 = _LATE[key][:3]
-            x, t = x[far], np.broadcast_to(t, u.shape)[far]
-            if per_x2:  # B = 0
-                v[far] = A / x / x + 4.0 * c0 / t / t
-            else:
-                r = t / x
-                origin = r * (A / 4.0 * r) if A else 0.0
-                v[far] = origin + B * (np.log(2.0 * x) - np.log(t)) + c0
+        big = u >= _U_LARGE
+        n_big = np.count_nonzero(big)  # one count in place of any() and all(), each slower
+        if not n_big:
+            return scaled(u) / x / x if per_x2 else scaled(u)
+        v = np.empty_like(u)
+        if n_big < u.size:
+            near = ~big
+            x_near = x[near]
+            v[near] = scaled(u[near]) / x_near / x_near if per_x2 else scaled(u[near])
+        x, u = x[big], u[big]
+        if np.ndim(t):
+            t = t[big]
+        y = x / (0.5 * t)
+        series = ((y * y)[:, None] ** _J) @ _ORIGIN[key]
+        A, B = _LATE[key][:2]
+        if per_x2:  # B = 0
+            s = 2.0 / t
+            v[big] = (A / x / x if A else 0.0) + s * (s * series)
+        else:
+            ln_u = np.log(u)
+            inf = u == np.inf
+            if np.count_nonzero(inf):
+                ln_u = np.where(inf, np.log(0.5 * t) - np.log(x), ln_u)
+            v[big] = (u * (A * u) if A else 0.0) - B * ln_u + series
     return v
 
 
 def _kernel_at(key, x, t, window):
-    """The kernel _SCALED[key] at one image x and time t, under the window rule."""
+    """The kernel ``key`` at one image x and time t, under the window rule."""
     if _image_report(x, t, window) is None:
         return 0.0
     v = _image_values(key, np.array([abs(float(x))]), t)[0]

@@ -53,8 +53,11 @@ from .kernels import (
 )
 from .quantities import DispersionKind, EvalPoint, Geometry, ReducedValue
 
-# The oracle builds four arrays of its image count; above _MAX_IMAGES it raises before any.
+# Above _MAX_IMAGES shells the oracle raises before it sums any. It sums its shells in
+# blocks of _SHELLS, so the cap bounds its time (about 2 us a shell, a few seconds at the
+# cap), not its memory.
 _MAX_IMAGES = 2_000_000
+_SHELLS = 1365  # shells per _image_sum pass: 3 images each, 4,096 with the n = 0 image
 
 
 class QuadratureSpec:
@@ -127,9 +130,6 @@ def _weight(observable, t):
     return w, taylor
 
 
-_BLOCK = 4096  # images per pass of _finite_part_block, whose terms hold 24 doubles per image
-
-
 def _finite_part_image(axis, observable, x, t):
     """Closed-form integral_0^t w(tau) K(x, tau) dtau of each image at distance x < t.
 
@@ -139,23 +139,15 @@ def _finite_part_image(axis, observable, x, t):
     power integrates by its antiderivative, (tau -+ tau0)**(p + 1) / (p + 1)
     or log|tau -+ tau0|, differenced over [0, t]: with +tau0 inside (0, t)
     that is the Hadamard finite part, p = -1 being the principal value.
-    One numpy pass over (terms x images), t one time for all images or one
-    per image; the terms are added as they are, since combining the
-    coefficients of each power first loses digits to cancellation near a
-    plate (numpy adds one image's terms in another order than several
-    images', which moves a value by up to 0.2 eps of its terms' moduli).
-    The pass takes _BLOCK images at a time, so its memory stays bounded at
-    any image count. Returns (values, moduli), moduli being each image's sum
-    of the moduli of its terms, the scale of the value's rounding.
+    One numpy pass over (terms x images), 24 doubles per image, t one time
+    for all images or one per image; the terms are added as they are, since
+    combining the coefficients of each power first loses digits to
+    cancellation near a plate (numpy adds one image's terms in another order
+    than several images', which moves a value by up to 0.2 eps of its terms'
+    moduli). Returns (values, moduli), moduli being each image's sum of the
+    moduli of its terms, the scale of the value's rounding.
     """
     x = np.asarray(x, dtype=float)
-    blocks = [(x[i:i + _BLOCK], t if np.ndim(t) == 0 else t[i:i + _BLOCK])
-              for i in range(0, x.size, _BLOCK)]
-    parts = [_finite_part_block(axis, observable, *block) for block in blocks]
-    return tuple(np.concatenate(part) for part in zip(*parts))
-
-
-def _finite_part_block(axis, observable, x, t):
     tau0 = 2.0 * x
     _, taylor = _weight(observable, t)
     pole = np.stack((tau0, -tau0))
@@ -328,8 +320,9 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     the series ratio (t/2x)**2 is below 1/4. An explicit ``n_images``
     below the horizon raises GeometryError, and one so close to it that
     the series does not settle raises ConvergenceError; a count above
-    2,000,000, the oracle's memory cap, raises ConvergenceError before any
-    array is built.
+    2,000,000, the oracle's time cap, raises ConvergenceError before any
+    shell is summed. The shells are summed 1,365 at a time, so memory stays
+    bounded at any count.
     Lengths are taken in units of a, so the value scales as a**-2
     (velocity) or not at all (position) at any a. The returned tail
     estimate is the series' geometric bounds past their last terms taken
@@ -358,10 +351,14 @@ def dispersion_via_quadrature(kind, point, n_images=None, *, window=SINGULAR_WIN
     sign = kind.image_sign
     axis, obs = kind.axis, kind.observable
     za, ta = z / a, t / a
-    n = np.arange(1.0, n_images + 1)
-    offsets = np.concatenate(([za], n, n + za, n - za))
-    weights = np.concatenate(([sign], np.full(n.size, 2.0), np.full(2 * n.size, sign)))
-    total, tol = _image_sum(axis, obs, offsets, weights, ta)
+    total = tol = 0.0
+    for low in range(0, n_images, _SHELLS):
+        n = np.arange(low + 1.0, min(low + _SHELLS, n_images) + 1)
+        head = [] if low else [za]  # the n = 0 image opens the first block
+        offsets = np.concatenate((head, n, n + za, n - za))
+        weights = np.repeat([sign, 2.0, sign], [len(head), n.size, 2 * n.size])
+        value, bound = _image_sum(axis, obs, offsets, weights, ta)
+        total, tol = total + value, tol + bound
     shifts = np.array([0.0, za, -za])
     rest, bound = _remainder(axis, obs, ta, n_images + 1.0 + shifts, np.array([2.0, sign, sign]))
     value, tail = total + rest, bound + tol

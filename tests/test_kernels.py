@@ -304,49 +304,56 @@ def test_singularity_report_matches_full_scan_past_2_51(a, z_frac, t_over_a):
     _assert_matches_exact_scan(z, a, t)
 
 
-def test_parallel_kernels_past_the_inverse_series_switch():
-    # From u = 4 up the parallel closed forms cancel to O(u**-2) and lose
-    # up to hundreds of eps; the inverse series holds them to a few eps.
-    mpmath.mp.dps = 40
-    eps = np.finfo(float).eps
-    for u in np.linspace(4.0, 20.0, 321):
-        f_par, _, g_par, _ = _mp_reference(u)
-        f = velocity_kernel_parallel(1.0, 2.0 * u)
-        g = position_kernel_parallel(1.0, 2.0 * u)
-        assert abs(f - float(f_par)) <= 8.0 * eps * abs(float(f_par)), u
-        assert abs(g - float(g_par)) <= 8.0 * eps * abs(float(g_par)), u
+def _mp_image(index, x, t):
+    """Kernel ``index`` of _mp_reference at the image (x, t) as a float, over x**2 for a
+    velocity: u = t/2x taken exactly, with digits to spare past the parallel forms'
+    cancellation to O(u**-2)."""
+    x, t = mpmath.mpf(x), mpmath.mpf(t)
+    u = t / (2 * x)
+    with mpmath.workdps(30 + 2 * int(mpmath.log10(u))):
+        value = _mp_reference(u)[index]
+        return float(value / x**2 if index < 2 else value)
 
 
-def test_inverse_series_match_their_horner_loops():
-    # Both series sum by np.polyval on precomputed coefficients. The velocity
-    # series adds the same terms in the same order as a hand Horner loop; the
-    # position series now adds each step's two coefficients before the step.
-    rng = np.random.default_rng(3)
-    u = np.concatenate(
-        (4.0 + rng.exponential(10.0, 50_000), np.exp(rng.uniform(np.log(4.0), np.log(1e12), 50_000)))
-    )
-    w = 1.0 / (u * u)
-    vel = np.zeros_like(u)
-    pos = np.zeros_like(u)
-    for k in range(kernels._INV_SERIES_TERMS, 0, -1):
-        vel = vel * w + k / (4.0 * (2.0 * k + 1.0))
-        pos = pos * w + 1.0 / (2.0 * k + 3.0) + 1.0 / k
-    assert np.array_equal(kernels._vel_parallel_inverse(u), vel * w)
-    pos = (2.0 * np.log(u) - 1.0 / 3.0 - pos * w) / 6.0
+# Images whose u, or u**2, leaves the float range; at (1e-300, 1e10) u is inf and G_par
+# is finite, 237.647...
+_EXTREME_IMAGES = ((1e-200, 1e-40), (1e-300, 1e10), (1.0, 1e300), (1e-150, 1e150))
+
+
+def test_kernels_past_the_origin_series_switch():
+    # From u = 4 up every kernel takes its origin series; there the parallel closed forms
+    # cancel to O(u**-2) and lose up to hundreds of eps. The series holds all four to a few
+    # eps out to u = 1e12, and at the extreme images to the reference's rounding, or inf
+    # where the value is beyond the float range.
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(kernels._pos_parallel_inverse(u), pos, rtol=4.0 * eps, atol=0.0)
+    u = np.concatenate((np.linspace(4.0, 20.0, 321), np.geomspace(20.0, 1e12, 241)))
+    public = (velocity_kernel_parallel, velocity_kernel_normal, position_kernel_parallel,
+              position_kernel_normal)
+    for x, t in [(1.0, 2.0 * ui) for ui in u] + list(_EXTREME_IMAGES):
+        for index, (key, kernel) in enumerate(zip(kernels._SCALED, public)):
+            ref = _mp_image(index, x, t)
+            if math.isinf(ref):
+                assert kernels._image_values(key, np.array([x]), t)[0] == ref, (key, x, t)
+                with pytest.raises(GeometryError):
+                    kernel(x, t)
+            else:
+                assert abs(kernel(x, t) - ref) <= 8.0 * eps * abs(ref), (key, x, t)
+    with np.errstate(over="ignore"):  # u = t/2x is inf at (1e-300, 1e10), and G_par finite
+        assert np.isinf(np.float64(1e10) / 1e-300 * 0.5)
+    assert position_kernel_parallel(1e-300, 1e10) == pytest.approx(237.647188, rel=1e-8)
 
 
 @pytest.mark.parametrize("key", list(kernels._SCALED))
 def test_image_values_take_one_time_per_offset(key):
-    # every branch (series, closed, inverse, origin terms past u = 1e100) in one array, each
-    # offset at its own time, equals one call per offset bit for bit (G_norm ~ u**2/2
-    # leaves the float range at u = 1e160 and 1e300: inf both ways)
+    # every branch (series, closed, origin series from u = 4, u**2 past the float range) in
+    # one array, each offset at its own time, equals one call per offset bit for bit
+    # (G_norm ~ u**2/2 leaves the float range at u = 1e160 and 1e300: inf both ways)
     u = np.array([0.01, 0.2, 1e300, 0.34, 0.36, 0.7, 1e100, 0.99, 1.01, 3.9, 4.0, 1e99, 50.0,
                   1e5, 2e100, 1e160])
     x = np.geomspace(1e-150, 1e3, u.size)[::-1]
     t = 2.0 * x * u
-    assert np.all(np.isfinite(t)) and np.count_nonzero(t / x * 0.5 >= kernels._U_FAR) == 4
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(t)) and np.any(np.isinf((t / x * 0.5) ** 2))
     cuts = (kernels._G_SERIES_CUT, kernels._U_LARGE)
     assert all(np.any(u < c) and np.any(u >= c) for c in cuts)
     got = kernels._image_values(key, x, t)

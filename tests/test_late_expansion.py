@@ -25,7 +25,7 @@ from test_image_tails import DPS, ORDER, _taylor
 from platevac import ALL_KINDS, EvalPoint, Geometry, dispersion_exact, singularity_report
 from platevac import correlators
 from platevac.correlators import _LATE, _LATE_MAX, _N_WALK, _grouped_image_sum, _late_lattice
-from platevac.kernels import _SERIES, _image_values, horizon
+from platevac.kernels import _ORIGIN, _SERIES, _image_values, horizon
 from platevac.quantities import DispersionKind
 
 EPS = 2.0**-52
@@ -101,6 +101,8 @@ def test_the_table_follows_from_the_closed_kernels(key):
         laurent = _series(lambda y: y * y * P(y), 0, 8)
         assert [float(c) for c in laurent[:3]] == pytest.approx([A, 0.0, c0], abs=1e-20)
         assert all(abs(c) < 1e-20 for c in laurent[1::2])
+        # The origin series of the far images continues the same even powers: y**0 .. y**6.
+        assert [float(c) for c in laurent[2::2]] == pytest.approx(_ORIGIN[key][:4], rel=4 * EPS)
         logs = _series(Q, 0, 6)
         assert float(logs[0]) == pytest.approx(B, abs=1e-20)
         assert all(abs(c) < 1e-20 for c in logs[1:])

@@ -325,24 +325,35 @@ def test_a_shared_zeta_table_still_separates_the_two_routes(monkeypatch):
     assert min(gaps()) > 1.0
 
 
-def test_the_finite_parts_take_bounded_memory_at_late_times():
-    # t = 1e5 a puts 300,000 images before the cone. Summed as one (pole, k, j, image) array they
-    # peaked at 102 (dv2-normal) to 225 MiB (dx2-parallel) traced; in blocks the call stays
-    # below 64 MiB, and every value is the one-array value within the oracle's own tail.
+def _traced_quadrature(kind, point):
+    """(dispersion_via_quadrature's result, its traced peak memory in bytes)."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        got = dispersion_via_quadrature(kind, point, window=1e-9)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_finite_parts_take_bounded_memory_at_late_times():
+    # t = 1e5 a puts 300,000 images before the cone. Summed as one (pole, k, j, image) array they
+    # peaked at 102 (dv2-normal) to 225 MiB (dx2-parallel) traced, and with the offsets built
+    # whole at 17.1 MiB (1e5 a) and 68.4 MiB (4e5 a, dx2-parallel). Streamed in shell blocks the
+    # call stays below 16 MiB at any t, and every value is the one-array value within the
+    # oracle's own tail.
     one_array = {"dv2-parallel": 2.2163776276772326e-05, "dv2-normal": 4.592320459156386,
                  "dx2-parallel": -4.153422593251045, "dx2-normal": 22961772206.586124}
     point = EvalPoint(Geometry(1.0, 0.3), 1e5 + 0.37)
     for kind in ALL_KINDS:
-        tracemalloc.start()
-        try:
-            got = dispersion_via_quadrature(kind, point, window=1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced_quadrature(kind, point)
         assert peak < 64 * 2**20, kind
         assert abs(got.value - one_array[kind.token]) <= got.tail_estimate, kind
+        if kind.token == "dx2-parallel":
+            assert peak < 16 * 2**20
+    got, peak = _traced_quadrature("dx2-parallel", EvalPoint(Geometry(1.0, 0.3), 4e5 + 0.37))
+    assert peak < 16 * 2**20 and math.isfinite(got.value)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e16, 1e18, 1e150])

@@ -1,4 +1,4 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark's tracer still finds every name it wraps, and its counters still read.
 
 ``bench/tracing.py`` wraps platevac's functions from outside, by name, and
 its counters read fixed argument positions and results. A refactor that
@@ -9,6 +9,8 @@ test catches that in the library's own suite.
 import contextlib
 import importlib.util
 import io
+import math
+import time
 from pathlib import Path
 
 import platevac
@@ -26,8 +28,10 @@ def _load_tracing():
 
 
 def test_tracer_records_a_span_for_every_traced_name():
-    tracer = _load_tracing().Tracer()
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
     original = platevac.correlators._lattice_scalar
+    start = time.perf_counter_ns()
     tracer.install(platevac)
     try:
         point = EvalPoint(Geometry(1.0, 0.5), 0.3)
@@ -47,6 +51,7 @@ def test_tracer_records_a_span_for_every_traced_name():
             )
     finally:
         tracer.uninstall()
+    wall = time.perf_counter_ns() - start
     assert rc == 0
     assert platevac.correlators._lattice_scalar is original
     names = {span[0] for span in tracer.spans}
@@ -71,3 +76,7 @@ def test_tracer_records_a_span_for_every_traced_name():
         span[0] == "correlators.grouped_sum" and by_index[span[4]][0] == "correlators.lattice_scalar"
         for span in tracer.spans if span[4] >= 0
     )
+    # Every counter reads its arguments and results: a reshaped call fails here, not only
+    # in bench/run.py --trace 1.
+    metrics = tracing.layer_metrics(tracer, wall, wall)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
