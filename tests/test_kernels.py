@@ -343,6 +343,39 @@ def test_kernels_past_the_origin_series_switch():
     assert position_kernel_parallel(1e-300, 1e10) == pytest.approx(237.647188, rel=1e-8)
 
 
+def test_inverse_series_match_their_horner_loops():
+    # From u = 4 up every image sums its origin series in w = 1/u**2 by one power-and-dot
+    # over kernels._ORIGIN; a hand Horner loop over the coefficients written out here, plus
+    # the A and B terms, gives the same values within a few eps.
+    rng = np.random.default_rng(3)
+    u = np.concatenate(
+        (4.0 + rng.exponential(10.0, 50_000), np.exp(rng.uniform(np.log(4.0), np.log(1e12), 50_000)))
+    )
+    w = 1.0 / (u * u)
+    coefficients = {
+        ("parallel", "velocity"): lambda j: (j + 1.0) / (4.0 * (2.0 * j + 3.0)),
+        ("normal", "velocity"): lambda j: 1.0 / (4.0 * (2.0 * j + 3.0)),
+        ("parallel", "position"): lambda j: -1.0 / 18.0 if j == 0 else -(1.0 / (2.0 * j + 3.0) + 1.0 / j) / 6.0,
+        ("normal", "position"): lambda j: 1.0 / 9.0 if j == 0 else (2.0 / (2.0 * j + 3.0) - 1.0 / j) / 6.0,
+    }
+    horner = {}
+    for key, d in coefficients.items():
+        s = np.zeros_like(u)
+        for j in range(15, -1, -1):
+            s = s * w + d(j)
+        horner[key] = s
+    expected = {
+        ("parallel", "velocity"): horner["parallel", "velocity"] * w,
+        ("normal", "velocity"): 0.25 + horner["normal", "velocity"] * w,
+        ("parallel", "position"): np.log(u) / 3.0 + horner["parallel", "position"],
+        ("normal", "position"): 0.5 * u * u + np.log(u) / 3.0 + horner["normal", "position"],
+    }
+    eps = np.finfo(float).eps
+    for key, want in expected.items():
+        got = kernels._image_values(key, np.ones_like(u), 2.0 * u)
+        np.testing.assert_allclose(got, want, rtol=4.0 * eps, atol=0.0, err_msg=str(key))
+
+
 @pytest.mark.parametrize("key", list(kernels._SCALED))
 def test_image_values_take_one_time_per_offset(key):
     # every branch (series, closed, origin series from u = 4, u**2 past the float range) in
