@@ -75,7 +75,7 @@ def approx_large_a(kind, point):
     enforced as t <= min(2z, 2(a-z)) / REGIME_MARGIN.
     """
     kind = DispersionKind.coerce(kind)
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     if t > min(2.0 * geom.z, 2.0 * geom.zbar) / REGIME_MARGIN:
         raise RegimeError(
             f"large-separation form needs t <= min(2z, 2(a-z))/{REGIME_MARGIN}, got t={t}"
@@ -91,7 +91,7 @@ def approx_large_a_far(kind, point):
     as short at t <= 2a / REGIME_MARGIN.
     """
     kind = DispersionKind.coerce(kind)
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     if geom.a < 20.0 * REGIME_MARGIN * geom.z:
         raise RegimeError(f"far-plate form needs a >> z, got a/z={geom.a / geom.z}")
     if t > 2.0 * geom.a / REGIME_MARGIN:
@@ -167,7 +167,7 @@ def approx_large_t(kind, point, *, window=SINGULAR_WINDOW):
         If ``t`` is within ``window`` (relative) of any image cone.
     """
     kind = DispersionKind.coerce(kind)
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     a, tau = geom.a, point.gamma
     if tau < REGIME_MARGIN:
         raise RegimeError(f"late-time form needs t/(2a) >= {REGIME_MARGIN}, got {tau}")

@@ -59,9 +59,7 @@ def dispersion_exact(kind, point, *, window=SINGULAR_WINDOW):
         If ``t`` is within ``window`` (relative) of any image cone, or on one.
     """
     kind = DispersionKind.coerce(kind)
-    if not isinstance(point, EvalPoint):
-        raise GeometryError(f"expected EvalPoint, got {type(point).__name__}")
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     if t == 0.0:
         return ReducedValue(0.0)
     report = checked_report(singularity_report(geom.z, geom.a, t, threshold=window), t)

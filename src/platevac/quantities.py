@@ -69,6 +69,13 @@ class EvalPoint:
         if not (0.0 <= self.t < math.inf):
             raise GeometryError(f"elapsed time must be finite and nonnegative, got t={self.t}")
 
+    @classmethod
+    def checked(cls, point):
+        """``point`` itself if it is an EvalPoint, else GeometryError."""
+        if not isinstance(point, cls):
+            raise GeometryError(f"expected EvalPoint, got {type(point).__name__}")
+        return point
+
     @property
     def gamma(self):
         """Number of cavity crossings t / (2a)."""
@@ -116,7 +123,9 @@ class DispersionKind:
             return kind
         if isinstance(kind, str):
             return cls.from_token(kind)
-        return cls(*kind)
+        if isinstance(kind, (tuple, list)) and len(kind) == 2:
+            return cls(*kind)
+        raise GeometryError(f"expected a kind, token or (axis, observable) pair, got {kind!r}")
 
     @property
     def image_sign(self):

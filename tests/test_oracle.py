@@ -489,6 +489,20 @@ def test_finite_part_image_takes_one_time_per_image(key):
     assert np.array_equal(
         oracle._finite_part_image(*key, x, t[2])[0], oracle._finite_part_image(*key, x, same)[0]
     )
+    # The evaluator over seeded far images (u up to 1/2) and near ones before and past the cone,
+    # one time for all or one per image: each image takes the same bits alone as in the batch.
+    rng = np.random.default_rng(35)
+    u = np.concatenate((10.0 ** rng.uniform(-5.0, math.log10(0.5), 20), [0.5],
+                        rng.uniform(0.52, 0.98, 10), rng.uniform(1.02, 30.0, 20)))
+    for t in (rng.uniform(0.05, 5.0, u.size), 1.3):
+        x = 0.5 * t / u
+        values, bounds = oracle._raw_values(*key, x, t)
+        for i in range(x.size):
+            t_i = t[i] if np.ndim(t) else t
+            value, bound = oracle._raw_values(*key, x[i : i + 1], t_i)
+            assert (value[0], bound[0]) == (values[i], bounds[i]), u[i]
+    assert np.array_equal(oracle._raw_values(*key, x, 1.3),
+                          oracle._raw_values(*key, x, np.full(x.size, 1.3)))
 
 
 def test_certification_report_evaluates_its_grid_in_one_pass_per_kernel(monkeypatch):
@@ -606,10 +620,13 @@ def test_remainder_matches_the_explicit_images_past_n(kind, t):
             value = integral(kind.axis, shell * a + shift, t)
             explicit += weight * value
             quad_tol += abs(weight) * max(spec.abs_tol, spec.rel_tol * abs(value))
-    rest, bound = oracle._remainder(kind.axis, kind.observable, t, n + 1.0 + shifts, weights)
-    later, later_bound = oracle._remainder(
-        kind.axis, kind.observable, t, n + 201.0 + shifts, weights
-    )
+
+    def remainder(first):
+        values, bounds = oracle._series(kind.axis, kind.observable, t, first + shifts, family=True)
+        return weights @ values, np.abs(weights) @ bounds
+
+    rest, bound = remainder(n + 1.0)
+    later, later_bound = remainder(n + 201.0)
     assert rest != 0.0
     assert abs(rest - (explicit + later)) <= bound + later_bound + quad_tol
 
@@ -635,3 +652,10 @@ def test_dispersion_via_quadrature_point_and_zero_time():
         dispersion_via_quadrature("dv2-normal", (1.0, 0.5, 0.3))
     got = dispersion_via_quadrature("dv2-normal", EvalPoint(Geometry(1.0, 0.5), 0.0))
     assert got == ReducedValue(0.0)
+    # the image count is an integer: any integer type is taken as a Python int, others refused
+    point = EvalPoint(Geometry(1.0, 0.5), 0.3)
+    with pytest.raises(GeometryError, match="integer"):
+        dispersion_via_quadrature("dv2-normal", point, n_images=50.5)
+    got = dispersion_via_quadrature("dv2-normal", point, n_images=np.int64(60))
+    assert type(got.n_used) is int
+    assert got == dispersion_via_quadrature("dv2-normal", point, n_images=60)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from platevac import GeometryError
+from platevac import GeometryError, dispersion_exact
+from platevac import approx_large_a, approx_large_a_far, approx_large_t
 from platevac.quantities import (
     ALL_KINDS,
     DispersionKind,
@@ -35,6 +36,10 @@ def test_eval_point_gamma():
     assert pt.gamma == pytest.approx(1.5)
     with pytest.raises(GeometryError):
         EvalPoint(Geometry(2.0, 0.5), -1.0)
+    # every route refuses a bare tuple by its type, not by an AttributeError on .geometry
+    for route in (approx_large_a, approx_large_a_far, approx_large_t, dispersion_exact):
+        with pytest.raises(GeometryError, match="expected EvalPoint"):
+            route("dv2-normal", (1.0, 0.5, 0.3))
 
 
 def test_kind_tokens_round_trip():
@@ -55,6 +60,11 @@ def test_kind_coerce_accepts_all_spellings():
         DispersionKind.coerce("dv2-sideways")
     with pytest.raises(GeometryError):
         DispersionKind.coerce(("sideways", "velocity"))
+    for malformed in (5, ("parallel",), ("normal", "velocity", "x"), None):
+        with pytest.raises(GeometryError):
+            DispersionKind.coerce(malformed)
+    with pytest.raises(GeometryError):
+        dispersion_exact(5, EvalPoint(Geometry(2.0, 0.5), 0.3))
 
 
 def test_kind_image_sign():
