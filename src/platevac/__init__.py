@@ -45,8 +45,6 @@ from .oracle import (
     dispersion_via_quadrature,
     image_position_integral,
     image_velocity_integral,
-    position_integral,
-    velocity_integral,
     write_adjudication,
 )
 from .physics import (
@@ -112,7 +110,6 @@ __all__ = [
     "minkowski_two_point",
     "natural_to_meters",
     "physicalize",
-    "position_integral",
     "position_kernel_normal",
     "position_kernel_parallel",
     "recommend_regime",
@@ -122,7 +119,6 @@ __all__ = [
     "singularity_report",
     "time_to_natural",
     "validity_check",
-    "velocity_integral",
     "velocity_kernel_normal",
     "velocity_kernel_parallel",
 ]

@@ -33,16 +33,10 @@ class SingularWindowError(PlatevacError):
 
 
 class ConvergenceError(PlatevacError):
-    """The quadrature oracle needs over 2,000,000 image shells, the series past an explicit
-    ``n_images`` does not settle, or a quadrature missed its tolerance (``value`` and
-    ``error_estimate`` then carry its result)."""
+    """The quadrature oracle needs over 2,000,000 image shells, or the series past an explicit
+    ``n_images`` does not settle."""
 
     exit_code = 4
-
-    def __init__(self, message, value=None, error_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 class RegimeError(PlatevacError):

@@ -24,15 +24,14 @@ tau**2/4x**2 integrated term by term against the weight's moments, which a
 family's shells sum to platevac's own Hurwitz zeta values. Both use only K's
 Laurent and Taylor coefficients, never the kernels' F(u), G(u), branches or
 tables. The tail estimate bounds the series' remainders and every term's
-rounding. Only the black-box :func:`velocity_integral` and
-:func:`position_integral` take an adaptive quadrature, and load scipy.
+rounding. No integral takes a quadrature: every image's is in closed form
+or a bounded series.
 """
 
 import hashlib
 import json
 import math
 import operator
-import warnings
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .kernels import (
     SINGULAR_WINDOW,
     _K,
     _SCALED,
-    _check_t,
     _image_report,
     _image_values,
     checked_report,
@@ -62,19 +60,12 @@ _SHELLS = 1365  # shells per _raw_values pass: 3 images each, 4,096 with the n =
 
 
 class QuadratureSpec:
-    """The black-box integrals' fixed adaptive-quadrature tolerances.
-
-    Attributes
-    ----------
-    abs_tol, rel_tol : float
-        Tolerances handed to the adaptive integrator.
-    max_subdivisions : int
-        Subdivision cap per quadrature.
-    """
+    """Tolerances read only by the benchmark's oracle check (``bench/checks.py``), which
+    adds them to its allowance although no integral takes a quadrature; the class goes
+    when that check takes the oracle's own tail (ROADMAP item 1)."""
 
     abs_tol = 1e-13
     rel_tol = 1e-11
-    max_subdivisions = 200
 
 
 # Pinned image shells summed before the large-offset series takes the rest
@@ -245,48 +236,6 @@ def _image_integral(axis, observable, x, t, *, window=SINGULAR_WINDOW):
         return 0.0
     value = _raw_values(axis, observable, np.array([abs(float(x))]), float(t))[0][0]
     return in_float_range(float(value), "image integral")
-
-
-def _weighted_integral(observable, kernel, t):
-    _check_t(t)
-    import scipy.integrate  # deferred: only the black-box integrals integrate
-
-    spec, velocity = QuadratureSpec, observable == "velocity"
-    t64 = np.float64(t)  # numpy powers: inf past the float range, no OverflowError
-
-    def integrand(tau):
-        w = 2.0 * (t64 - tau) if velocity else (t64 - tau) ** 2 * (2.0 * t64 + tau) / 3.0
-        return w * kernel(tau)
-
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        val, err = scipy.integrate.quad(integrand, 0.0, t,
-                                        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                        limit=spec.max_subdivisions)
-    if err > 100.0 * (spec.abs_tol + spec.rel_tol * abs(val)):
-        raise ConvergenceError(f"quadrature error {err:.2e} on [0, {t}] exceeds tolerance",
-                               value=val, error_estimate=err)
-    return in_float_range(val, "weighted integral")
-
-
-def velocity_integral(kernel, t):
-    """2 * integral_0^t (t - tau) kernel(tau) dtau by adaptive quadrature.
-
-    For black-box integrands that are regular on [0, t]. Image integrands
-    with an interior light-cone pole go through
-    :func:`image_velocity_integral` instead. A negative or non-finite t
-    raises GeometryError.
-    """
-    return _weighted_integral("velocity", kernel, t)
-
-
-def position_integral(kernel, t):
-    """2 * integral_0^t (t**3/3 - tau t**2/2 + tau**3/6) kernel(tau) dtau.
-
-    Same contract as :func:`velocity_integral`. With kernel = 1 the
-    result is exactly t**4 / 4, a useful smoke test for the weight.
-    """
-    return _weighted_integral("position", kernel, t)
 
 
 def image_velocity_integral(axis, x, t, *, window=SINGULAR_WINDOW):

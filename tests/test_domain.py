@@ -65,7 +65,6 @@ _GATED = {
     "empty_space_efield", "minkowski_two_point", "Particle", "effective_temperature",
     "falling_time", "displacement_bound", "separation_threshold", "physicalize",
     "length_to_natural", "time_to_natural", "natural_to_meters", "validity_check",
-    "velocity_integral", "position_integral",
 }
 
 
@@ -196,13 +195,6 @@ def test_validity_check(a, z_over_a, t_over_a, drawn, safety):
         return
     for check in report["checks"]:
         assert math.isfinite(check["value"]) and math.isfinite(check["limit"]), report
-
-
-@_GATE
-@given(t=_LENGTHS)
-def test_weighted_integrals(t):
-    _finite_or_typed(pv.velocity_integral, lambda tau: 1.0 / (1.0 + tau * tau), t)
-    _finite_or_typed(pv.position_integral, lambda tau: 1.0, t)
 
 
 _KERNELS = (

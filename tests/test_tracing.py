@@ -41,7 +41,6 @@ def test_tracer_records_a_span_for_every_traced_name():
         platevac.renormalized_photon_two_point(2, 2, 3.7, 0.1, 0.2, 0.3, 0.4, 1.0)
         platevac.approx_large_t("dv2-normal", EvalPoint(Geometry(1.0, 0.5), 1000.5))
         platevac.dispersion_via_quadrature("dv2-normal", point)
-        platevac.velocity_integral(lambda tau: 1.0, 0.3)  # the one path that integrates
         before = len(tracer.spans)
         platevac.velocity_kernel_parallel(0.3, 0.2)
         single_image = [span[0] for span in tracer.spans[before:]]
@@ -66,7 +65,6 @@ def test_tracer_records_a_span_for_every_traced_name():
         "correlators.lattice_scalar",
         "asymptotics.approx_large_t",
         "oracle.dispersion_via_quadrature",
-        "oracle.quad",
     }
     # A single image shares the lattices' evaluator, which reads _SCALED at call time.
     assert "kernels.scaled" in single_image
