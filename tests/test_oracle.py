@@ -47,6 +47,23 @@ CLOSED = {
 _EPS = np.finfo(float).eps
 
 
+def test_weight_polynomials_on_simple_kernels():
+    # each weight rebuilt from its Taylor coefficients at a pole before, on, past and mirrored
+    # about the cone: velocity 2 (t - tau) gives t**2 on 1 and t**3/3 on tau, position
+    # (t - tau)**2 (2t + tau)/3 gives t**4/4 and t**5/15
+    t = 1.7
+    moments = {"velocity": (t**2, t**3 / 3.0), "position": (t**4 / 4.0, t**5 / 15.0)}
+    for observable, (on_one, on_tau) in moments.items():
+        for pole in (0.3, -0.3, t, 2.9, -2.9):
+            shift = np.polynomial.Polynomial([-pole, 1.0])
+            coefs = oracle._taylor(observable, t, pole)
+            w = sum(float(c) * shift**j for j, c in enumerate(coefs))
+            for kernel, expect in ((w, on_one), (w * np.polynomial.Polynomial([0.0, 1.0]), on_tau)):
+                antiderivative = kernel.integ()
+                got = antiderivative(t) - antiderivative(0.0)
+                assert got == pytest.approx(expect, rel=1e-12), (observable, pole)
+
+
 def test_image_integrals_before_the_cone():
     x, t = 0.7, 0.8
     assert image_velocity_integral("parallel", x, t) == pytest.approx(
@@ -158,11 +175,21 @@ def test_library_calls_load_neither_mpmath_nor_sympy():
     assert out.stdout.split() == ["False", "False"]
 
 
-def test_nothing_the_library_does_loads_scipy(tmp_path):
+def _scipy_modules_after(script, *args):
+    """The scipy modules loaded once ``script`` has run in a fresh interpreter."""
+    script += "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
+def test_library_calls_load_no_scipy_special():
     # The library computes its zeta values and Clausen-type functions itself and integrates
-    # every image in closed form or by its series: no route and no command loads any scipy module.
+    # every image in closed form or by its series: no route loads scipy.special, nor any scipy.
     script = (
-        "import io, sys, contextlib, platevac, platevac.cli\n"
+        "import sys\n"
         "from platevac import *\n"
         "g = Geometry(1.0, 0.3)\n"
         "for kind in ALL_KINDS:\n"
@@ -178,6 +205,13 @@ def test_nothing_the_library_does_loads_scipy(tmp_path):
         "efield_correlator_parallel(0.3, 1.0, 100.37)\n"
         "efield_correlator_normal(0.3, 1.0, 0.21)\n"
         "renormalized_photon_two_point(0, 0, 2.3, 0.1, 0.2, 0.3, 0.6, 1.0)\n"
+    )
+    assert _scipy_modules_after(script) == ["[]"]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    script = (
+        "import io, sys, contextlib, platevac.cli\n"
         "point = ['--quantity', 'dx2-parallel', '--a', '1', '--z', '0.3']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert platevac.cli.main(['eval', *point, '--t', '2.7']) == 0\n"
@@ -185,14 +219,8 @@ def test_nothing_the_library_does_loads_scipy(tmp_path):
         "    for t in ('0.3', '2.7', '1000.37'):  # before and past the cones, about 26 terms\n"
         "        assert platevac.cli.main(['compare', *point, '--t', t, '--oracle']) == 0\n"
         "    assert platevac.cli.main(['adjudicate', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "adjudication.json")],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["[]"]
+    assert _scipy_modules_after(script, str(tmp_path / "adjudication.json")) == ["[]"]
 
 
 def test_numpy_is_the_only_runtime_dependency():
@@ -209,6 +237,20 @@ def test_image_integral_guards():
     with pytest.raises(SingularWindowError):
         image_velocity_integral("parallel", 1.0, 2.0)
     assert image_velocity_integral("parallel", 1.0, 0.0) == 0.0
+
+
+def test_image_integrals_reject_a_bad_time_and_vanish_at_zero_time():
+    for integral in (image_velocity_integral, image_position_integral):
+        for axis in ("parallel", "normal"):
+            for t in (math.nan, math.inf, -1.0):
+                with pytest.raises(GeometryError):
+                    integral(axis, 0.7, t)
+            for x in (1e-300, 0.7, 1e300):
+                assert integral(axis, x, 0.0) == 0.0
+    # the series returns its zeros before forming u = t/2x, which an offset of 0 would make 0/0
+    for axis, obs in CLOSED:
+        values, bounds = oracle._series(axis, obs, 0.0, np.array([0.0, 5e-324, 1.0]), family=True)
+        assert not values.any() and not bounds.any()
 
 
 def test_dispersion_via_quadrature_matches_exact():
@@ -389,6 +431,18 @@ def test_dispersion_via_quadrature_horizon_guard():
         dispersion_via_quadrature(
             DispersionKind("parallel", "velocity"), EvalPoint(Geometry(1.0, 0.5), 2.0)
         )
+
+
+def test_dispersion_via_quadrature_raises_where_its_series_does_not_settle():
+    # at the horizon of t = 1000.5 the first offset past it, 502.5, leaves the series ratio
+    # (t/2x)**2 at 0.99, which its 40 terms cannot bound; twice the horizon settles
+    point = EvalPoint(Geometry(1.0, 0.5), 1000.5)
+    n = horizon(1.0, 0.5, 1000.5)
+    for kind in ALL_KINDS:
+        with pytest.raises(ConvergenceError, match="settle"):
+            dispersion_via_quadrature(kind, point, n_images=n)
+        got = dispersion_via_quadrature(kind, point, n_images=2 * n)
+        assert math.isfinite(got.value) and math.isfinite(got.tail_estimate)
 
 
 def test_dispersion_via_quadrature_default_reaches_twice_the_horizon():
