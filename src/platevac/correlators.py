@@ -226,6 +226,10 @@ def _sine(phase, a):
 # over the scan's phases x = pi tau (w = 2) and pi (tau -/+ theta) (w = sign), where
 # C_j(y) = Re[i**j Li_{j+1}(exp(i y))]: C_0(2x) = -ln|2 sin x| and C_1 = -Cl_2. The rows
 # (A, B, c0, p, alpha, beta) are platevac.kernels._LATE, next to the kernels' closed forms.
+# With step = delta/2 pi the cone terms j >= 1 at a phase are beta sum_j _CONE[j] step**j
+# C_j(2x), one series: each C_j is even(w) + y odd(w) - logs(y) ln|y| with w = (y/2 pi)**2
+# (_clausen_table), so one product per call sums the orders' rows (_cone_rows), and each
+# phase takes one log, two Horner loops in w and one short one in y at any order.
 # The exact route takes the cone terms j = 1, 2, ... to the lowest order whose next order's
 # modulus bound, j! |c_j| (delta/2 pi)**j zeta(j+1) (|C_j| <= zeta(j+1)) over the four
 # families, in units of u, lies below _LATE_CUT = 1e-3 eps: order 13 at the switch, t = 60 a
@@ -255,37 +259,61 @@ _LATE_MAX = _late_order(max(abs(row[5]) for row in _LATE.values()),
 
 
 def _clausen_table(j):
-    """((-1)**j/j!, H_j, Q_j highest power first) with C_j(y) = (-1)**j y**j (H_j - ln|y|)/j!
-    + y**(j mod 2) Q_j((y/2 pi)**2) for |y| <= pi (DLMF 25.12.12 at s = j + 1, H_j harmonic).
-
-    Q_j holds the terms zeta(j+1-k) i**(j+k) y**k/k!, k = j-2, j-4, ... >= 0, none at k = j,
-    the terms 2 zeta(2l) (2l-1)!/(j+2l)! (-1)**j y**j w**l, w = (y/2 pi)**2 <= 1/4, while
-    they exceed eps/2 at w = 1/4 and |y| = pi."""
+    """(even, odd, logs), each highest power first, of C_j(y) = Re[i**j Li_{j+1}(exp(i y))]
+    = even(w) + y odd(w) - logs(y) ln|y| for |y| <= pi, w = (y/2 pi)**2 (DLMF 25.12.12 at
+    s = j + 1): logs = (-1)**j y**j/j!, and the row of j's parity holds the terms
+    zeta(j+1-k) i**(j+k) y**k/k!, k = j-2, j-4, ... >= 0, the term (-1)**j H_j y**j/j!
+    (H_j harmonic) and the terms 2 zeta(2l) (2l-1)!/(j+2l)! (-1)**j y**j w**l, l >= 1, while
+    they exceed eps/2 at w = 1/4 and |y| = pi. The other row is empty."""
     two_pi = 2.0 * math.pi
+    lead = (-1) ** j / math.factorial(j)
     q = [_ZETA_N[j - 1 - k] * (-1) ** ((j + k) // 2) * two_pi ** (k - j % 2) / math.factorial(k)
-         for k in range(j % 2, j - 1, 2)] + [0.0]  # k = j is the log term
+         for k in range(j % 2, j - 1, 2)]
+    q.append(lead * sum(1.0 / i for i in range(1, j + 1)) * two_pi ** (j - j % 2))
     for l, zeta_2l in enumerate(_ZETA_2K, start=1):
         e = 2.0 * zeta_2l * math.factorial(2 * l - 1) / math.factorial(j + 2 * l)
         if e * 0.25**l * math.pi**j < _EPS / 2.0:
             break
         q.append((-1) ** j * two_pi ** (j - j % 2) * e)
-    return (-1) ** j / math.factorial(j), sum(1.0 / i for i in range(1, j + 1)), q[::-1]
+    logs = [lead] + [0.0] * j
+    return ([], q[::-1], logs) if j % 2 else (q[::-1], [], logs)
 
 
 _CLAUSEN = [_clausen_table(j) for j in range(_LATE_MAX + 1)]
+# The rows of the orders j >= 1 side by side, each zero-padded at its highest power, so
+# that one product sums any orders' rows: row j - 1 holds order j's.
+_CONE_WIDTHS = tuple(max(len(rows[i]) for rows in _CLAUSEN[1:]) for i in range(3))
+_CONE_TABLE = np.array([[x for row, width in zip(rows, _CONE_WIDTHS)
+                         for x in [0.0] * (width - len(row)) + row] for rows in _CLAUSEN[1:]])
 # -j! c_j / beta for j >= 1, the cone coefficients of C_j(2x) (delta/2 pi)**j.
 _CONE = [-math.factorial(j) * (-1) ** j * (j + 1) * (j + 2) / 2.0 for j in range(_LATE_MAX + 1)]
+
+
+def _clausen_sum(rows, y):
+    """sum_j c_j C_j(y) for |y| <= pi from the ``rows`` (even, odd, logs) of _clausen_table
+    summed with the weights c_j, y != 0 when c_0 != 0."""
+    even, odd, logs = rows
+    w = y / (2.0 * math.pi)
+    w *= w
+    value = _horner(even, w) + y * _horner(odd, w)
+    return value - _horner(logs, y) * math.log(abs(y)) if y else value
 
 
 def _clausen_type(j, y):
     """C_j(y) = Re[i**j Li_{j+1}(exp(i y))] for |y| <= pi, y != 0 when j = 0; C_0(y) =
     -ln|2 sin(y/2)|, C_1 = -Cl_2, and |C_j| <= zeta(j+1) for j >= 1."""
-    lead, h_j, q = _CLAUSEN[j]
-    w = y / (2.0 * math.pi)
-    series = _horner(q, w * w)
-    if j % 2:
-        series *= y
-    return lead * y**j * (h_j - math.log(abs(y))) + series if y else series
+    return _clausen_sum(_CLAUSEN[j], y)
+
+
+def _cone_rows(step, order):
+    """The rows of sum_j _CONE[j] step**j C_j / (_CONE[1] step) over 1 <= j <= ``order``,
+    for :func:`_clausen_sum`, in one product; order 1's are C_1's own, which need none."""
+    if order == 1:
+        return _CLAUSEN[1]
+    weights = [_CONE[j] / _CONE[1] * step ** (j - 1) for j in range(1, order + 1)]
+    rows = np.dot(weights, _CONE_TABLE[:order]).tolist()
+    even, odd, _ = _CONE_WIDTHS
+    return rows[:even], rows[even:even + odd], rows[len(rows) - order - 1:]
 
 
 def _late_terms(key, sign, a, z, t, phases, order):
@@ -298,7 +326,8 @@ def _late_terms(key, sign, a, z, t, phases, order):
 
     The cot and log sums over the phases are sign times their contrasts with the plain
     phase, in product form, plus (2 + 2 sign) times its own term, so that next to a plate
-    they keep their digits.
+    they keep their digits. The cone orders j >= 1 are one term per phase, the series of
+    :func:`_cone_rows` at that phase, so their Horner loops in w do not grow with ``order``.
     """
     A, B, c0, p, alpha, beta = _LATE[key]
     velocity = key[1] == "velocity"
@@ -337,11 +366,11 @@ def _late_terms(key, sign, a, z, t, phases, order):
         terms.append(B * unit * math.log(arg))
     if order > 0:
         step = a / (math.pi * t)  # delta/2 pi
+        rows = _cone_rows(step, order)
         y_x, y_m, y_p = (2.0 * math.pi * (phase[1] / a) for phase in phases)
-        for j in range(1, order + 1):
-            coef = beta * _CONE[j] * step**j * unit
-            terms += [2.0 * coef * _clausen_type(j, y_x), sign * coef * _clausen_type(j, y_m),
-                      sign * coef * _clausen_type(j, y_p)]
+        coef = beta * _CONE[1] * step * unit
+        terms += [2.0 * coef * _clausen_sum(rows, y_x), sign * coef * _clausen_sum(rows, y_m),
+                  sign * coef * _clausen_sum(rows, y_p)]
     return terms
 
 

@@ -432,10 +432,13 @@ def _nearest_cone(families, a, t, threshold):
     q = in_float_range((half - y_h) / a, "image index")
     n_h = round(q if abs(q) < 2**49 else (Fraction(half) - Fraction(y_h)) / Fraction(a))
 
-    def gap(shift, n):  # |t/2 - shift - n a| as (rounded, rounding error), and its terms
-        terms = [y_h, -shift, *[math.copysign(a, n_h - n)] * abs(n - n_h)]
-        y = math.fsum(terms)
-        return (abs(y), math.fsum([*terms, -y]) * (1.0 if y > 0.0 else -1.0)), terms
+    def terms(shift, n):  # t/2 - shift - n a as a sum of a few floats
+        return [y_h, -shift, *[math.copysign(a, n_h - n)] * abs(n - n_h)]
+
+    def gap(shift, n):  # |t/2 - shift - n a| as (rounded, rounding error)
+        parts = terms(shift, n)
+        y = math.fsum(parts)
+        return abs(y), math.fsum([*parts, -y]) * (1.0 if y > 0.0 else -1.0)
 
     phases, best = [], None
     for family, shift, n_low in families:
@@ -446,14 +449,14 @@ def _nearest_cone(families, a, t, threshold):
             n, y = n_low, y - (n_low - n) * a
         elif abs(y) == 0.5 * a:  # as rounded: the next cone may be as near, or nearer
             pair = sorted({n, max(n + (1 if y > 0.0 else -1), n_low)})
-            n = min(pair, key=lambda m: gap(shift, m)[0])
-            y = gap(shift, n)[0][0]
+            n = min(pair, key=lambda m: gap(shift, m))
+            y = gap(shift, n)[0]
         dist = abs(y) / t * 2.0 if t else math.inf
         if best is None or dist < best[0] or dist == best[0] < math.inf and (
-                gap(shift, n)[0] < gap(*best[2:])[0]):
+                gap(shift, n) < gap(*best[2:])):
             best = (dist, family, shift, n)
     dist, family, shift, n = best
-    offset = -math.fsum([-half, *gap(shift, n)[1]])  # t/2 less the gap's terms, rounded once
+    offset = -math.fsum([-half, *terms(shift, n)])  # t/2 less the gap's terms, rounded once
     return SingularityReport(dist, offset, 2.0 * offset, family, n, threshold, tuple(phases))
 
 

@@ -150,6 +150,23 @@ def test_the_expansion_order_is_the_lowest_whose_next_lies_below_rounding(monkey
                 assert order == _LATE_MAX == 13, (key, t)
 
 
+def test_a_late_call_takes_the_same_horner_loops_at_any_order(monkeypatch):
+    # The cone orders are summed into one series per call, so each of the three phases
+    # takes two Horner loops in w and one in y, at order 1 as at order 13.
+    calls = []
+    horner = correlators._horner
+    monkeypatch.setattr(correlators, "_horner", lambda coef, w: calls.append(w) or horner(coef, w))
+    a, z, t = 1.0, 0.3123, 61.37
+    phases = singularity_report(z, a, t).phases
+    for key, sign in zip(KEYS, SIGN):
+        counts = []
+        for order in (1, _LATE_MAX):
+            calls.clear()
+            correlators._late_terms(key, sign, a, z, t, phases, order)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 9, (key, counts)
+
+
 _BITS = 128
 
 
@@ -217,7 +234,16 @@ _CLAIM_POINTS = [(1.0, 0.5, 100.5), (1.0, 0.5, 1000.5), (1.0, 0.1, 1000.37), (1.
                  (1.0, 0.5, 1000.37)]
 
 
-@pytest.mark.parametrize("a, z, t", _CLAIM_POINTS + _sample_points(8, random.Random(2701)))
+# Two points in each of t/a = 62 to 68, 68 to 85, 85 to 120 and 120 to 300, one of them next
+# to a cone: orders 13, 12, 11 or 10, and 10 down to 8, where the most cone orders are summed.
+_HIGH_ORDER_POINTS = [point for i, (low, high) in enumerate(zip((62.0, 68.0, 85.0, 120.0),
+                                                                (68.0, 85.0, 120.0, 300.0)))
+                      for point in _sample_points(2, random.Random(37 + i),
+                                                  (math.log10(low), math.log10(high)))]
+
+
+@pytest.mark.parametrize("a, z, t", _CLAIM_POINTS + _sample_points(8, random.Random(2701))
+                         + _HIGH_ORDER_POINTS)
 def test_the_late_route_matches_the_exact_offset_lattice_within_its_tail(a, z, t):
     # No allowance beyond the tail: past the walk every phase is exact and no offset is
     # rounded, so the tail bounds the whole error.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from platevac.correlators import _CLAUSEN, _LATE_MAX, _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN
-from platevac.correlators import _clausen_type
+from platevac.correlators import _CONE, _clausen_sum, _clausen_type, _cone_rows
 from platevac.correlators import _image_tail, _zeta, _zeta_scaled
 from platevac.kernels import _SERIES, singularity_report
 
@@ -114,6 +114,28 @@ def test_clausen_type_functions_match_mpmath_polylog(j):
     if j:  # C_j(0) = Re[i**j zeta(j+1)]
         assert _clausen_type(j, 0.0) == pytest.approx(
             float(mpmath.re(mpmath.j**j) * mpmath.zeta(j + 1)), rel=4.0 * EPS, abs=4.0 * EPS)
+
+
+@pytest.mark.parametrize("t", [60.0, 100.0, 1e3, 1e5])
+def test_summed_cone_orders_match_mpmath_polylog(t):
+    # The late-time expansion sums its cone orders into one series per phase,
+    # sum_{j <= order} _CONE[j] step**j C_j(y), step = a/(pi t); every order it can take, at the
+    # step of t/a. Within 16 eps times sum_j |_CONE[j] step**j| max(1, |C_j|), the rounding
+    # allowance of the orders' terms when each entered the tail on its own.
+    step = 1.0 / (math.pi * t)
+    ys = [*np.linspace(-math.pi, math.pi, 201), *_NEAR_ZERO, *_NEAR_PI]
+    rows = {order: _cone_rows(step, order) for order in range(1, _LATE_MAX + 1)}
+    with mpmath.workdps(40):
+        for y in ys:
+            phase = mpmath.expjpi(mpmath.mpf(y) / mpmath.pi)
+            ref, moduli = mpmath.mpf(0), 0.0
+            for order in range(1, _LATE_MAX + 1):
+                c_j = mpmath.re(mpmath.j**order * mpmath.polylog(order + 1, phase))
+                weight = _CONE[order] * mpmath.mpf(step) ** order
+                ref += weight * c_j
+                moduli += float(abs(weight)) * max(1.0, abs(float(c_j)))
+                got = _CONE[1] * step * _clausen_sum(rows[order], y)
+                assert abs(got - ref) <= 16.0 * EPS * moduli, (order, y)
 
 
 @pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9])
