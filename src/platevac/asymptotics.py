@@ -213,7 +213,7 @@ def midpoint_extremal(kind, a, t):
 
 def recommend_regime(point):
     """Name the asymptotic regime for a point: large_a, intermediate, large_t."""
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     if t <= min(2.0 * geom.z, 2.0 * geom.zbar) / REGIME_MARGIN:
         return "large_a"
     if point.gamma >= REGIME_MARGIN:

@@ -226,6 +226,8 @@ def _sine(phase, a):
 # over the scan's phases x = pi tau (w = 2) and pi (tau -/+ theta) (w = sign), where
 # C_j(y) = Re[i**j Li_{j+1}(exp(i y))]: C_0(2x) = -ln|2 sin x| and C_1 = -Cl_2. The rows
 # (A, B, c0, p, alpha, beta) are platevac.kernels._LATE, next to the kernels' closed forms.
+# Only dv2-parallel has a pole, p != 0, and every caller gives it sign -1, so its cot terms
+# are one contrast; the late laws' negative orders, which stop before them, have p = 0.
 # With step = delta/2 pi the cone terms j >= 1 at a phase are beta sum_j _CONE[j] step**j
 # C_j(2x), one series: each C_j is even(w) + y odd(w) - logs(y) ln|y| with w = (y/2 pi)**2
 # (_clausen_table), so one product per call sums the orders' rows (_cone_rows), and each
@@ -264,7 +266,8 @@ def _clausen_table(j):
     s = j + 1): logs = (-1)**j y**j/j!, and the row of j's parity holds the terms
     zeta(j+1-k) i**(j+k) y**k/k!, k = j-2, j-4, ... >= 0, the term (-1)**j H_j y**j/j!
     (H_j harmonic) and the terms 2 zeta(2l) (2l-1)!/(j+2l)! (-1)**j y**j w**l, l >= 1, while
-    they exceed eps/2 at w = 1/4 and |y| = pi. The other row is empty."""
+    they exceed eps/2 at w = 1/4 and |y| = pi. The other row is empty. _clausen_sum of
+    _CLAUSEN[j] is C_j: -ln|2 sin(y/2)| at j = 0, -Cl_2 at 1, at most zeta(j+1) from 1 on."""
     two_pi = 2.0 * math.pi
     lead = (-1) ** j / math.factorial(j)
     q = [_ZETA_N[j - 1 - k] * (-1) ** ((j + k) // 2) * two_pi ** (k - j % 2) / math.factorial(k)
@@ -299,12 +302,6 @@ def _clausen_sum(rows, y):
     return value - _horner(logs, y) * math.log(abs(y)) if y else value
 
 
-def _clausen_type(j, y):
-    """C_j(y) = Re[i**j Li_{j+1}(exp(i y))] for |y| <= pi, y != 0 when j = 0; C_0(y) =
-    -ln|2 sin(y/2)|, C_1 = -Cl_2, and |C_j| <= zeta(j+1) for j >= 1."""
-    return _clausen_sum(_CLAUSEN[j], y)
-
-
 def _cone_rows(step, order):
     """The rows of sum_j _CONE[j] step**j C_j / (_CONE[1] step) over 1 <= j <= ``order``,
     for :func:`_clausen_sum`, in one product; order 1's are C_1's own, which need none."""
@@ -319,15 +316,16 @@ def _cone_rows(step, order):
 def _late_terms(key, sign, a, z, t, phases, order):
     """The terms of u S for the dispersion lattice of the kernel ``key``, its shifted families
     entering with ``sign``, from the expansion above: those of order delta**-2 (A),
-    delta**-1 (p), delta**0 (B, c0, j = 0) and delta**j for 1 <= j <= ``order``, -1 or more.
-    ``phases`` are those of the cone scan at t, which keep every phase exact. It holds
+    delta**-1 (p), delta**0 (B, c0, j = 0) and delta**j for 1 <= j <= ``order``, -1 or more
+    (-1 only where p = 0). ``phases`` are the cone scan's exact ones at t. It holds
     where the families' finite-part integrals cancel: for sign -1, and for the normal
     kernels, whose integral vanishes.
 
     The cot and log sums over the phases are sign times their contrasts with the plain
-    phase, in product form, plus (2 + 2 sign) times its own term, so that next to a plate
-    they keep their digits. The cone orders j >= 1 are one term per phase, the series of
-    :func:`_cone_rows` at that phase, so their Horner loops in w do not grow with ``order``.
+    phase, in product form, the log sum plus (2 + 2 sign) times its own term (p != 0 only
+    with sign -1), so that next to a plate they keep their digits. The cone orders j >= 1
+    are one term per phase, the series of :func:`_cone_rows`, in Horner loops that do not
+    grow with ``order``.
     """
     A, B, c0, p, alpha, beta = _LATE[key]
     velocity = key[1] == "velocity"
@@ -338,7 +336,7 @@ def _late_terms(key, sign, a, z, t, phases, order):
         terms = [A * q_plain * q_plain / 3.0, sign * A * q_shifted * q_shifted]
     else:
         terms = []
-    if order < 0 and not p:
+    if order < 0:
         return terms
     root = 2.0 / t if velocity else 1.0  # sqrt(u)
     unit = root * root
@@ -351,10 +349,6 @@ def _late_terms(key, sign, a, z, t, phases, order):
         contrast = 2.0 * cot * (length / s_m) * (length / s_p)
         coef = -math.pi * p * half * root / a
         terms.append(coef * sign * contrast)
-        if both:
-            terms.append(coef * both * cot)
-    if order < 0:
-        return terms
     # sum_x w_x ln|2 sin x| = -sign (ln|sin x/sin(x - theta)| + ln|sin x/sin(x + theta)|)
     # + (2 + 2 sign) ln|2 sin x|, and -C_0(2x) = ln|2 sin x|
     coef = -sign * (alpha + beta) * unit

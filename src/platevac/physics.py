@@ -140,7 +140,7 @@ def amplification_ratio(point):
     ratio is undefined and GeometryError is raised.
     """
     kind = DispersionKind("normal", "velocity")
-    geom, e = point.geometry, -math.frexp(point.geometry.a)[1]
+    geom, e = EvalPoint.checked(point).geometry, -math.frexp(point.geometry.a)[1]
     checked_report(singularity_report(geom.z, geom.a, point.t), point.t)  # errors name this t
     z, t = math.ldexp(geom.z, e), math.ldexp(point.t, e)
     plates = dispersion_exact(kind, EvalPoint(Geometry(math.ldexp(geom.a, e), z), t)).value
@@ -162,7 +162,7 @@ def validity_check(point, particle=ELECTRON, safety=10.0):
     """
     if not (0.0 < safety < math.inf):
         raise GeometryError(f"safety factor must be positive and finite, got {safety}")
-    geom, t = point.geometry, point.t
+    geom, t = EvalPoint.checked(point).geometry, point.t
     z_near = min(geom.z, geom.zbar)
     # (name, description, value, limit, whether the value must stay below the limit)
     table = (

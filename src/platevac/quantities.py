@@ -53,10 +53,6 @@ class Geometry:
         """Distance from the upper plate."""
         return self.a - self.z
 
-    def reflected(self):
-        """Geometry with the particle mirrored through the midplane."""
-        return Geometry(self.a, self.a - self.z)
-
 
 @dataclass(frozen=True)
 class EvalPoint:
@@ -66,6 +62,8 @@ class EvalPoint:
     t: float
 
     def __post_init__(self):
+        if not isinstance(self.geometry, Geometry):
+            raise GeometryError(f"expected Geometry, got {type(self.geometry).__name__}")
         if not (0.0 <= self.t < math.inf):
             raise GeometryError(f"elapsed time must be finite and nonnegative, got t={self.t}")
 
@@ -153,14 +151,17 @@ class ReducedValue:
         to 64 shells, the bound on the series tail past the explicit
         shells plus their rounding; past 64 shells, twice the modulus
         bound of the late-time expansion's first omitted order plus the
-        rounding of its terms. For the closed-form E-field correlators and
-        photon function, the bound on their own rounding; for the wide-gap
-        routes, the bound on the series terms they leave out; zero for the
-        other closed forms.
+        rounding of its terms. For the oracle, the bounds on its series'
+        remainders plus the rounding of its terms. For the closed-form
+        E-field correlators and photon function, the bound on their own
+        rounding; for the wide-gap routes, the bound on the series terms
+        they leave out; zero for the other closed forms.
     n_used : int
-        Number of image shells summed one by one before the series tail,
-        at most 64. Zero past them, where the late-time expansion
-        takes the lattice, and for closed-form results.
+        Number of image shells summed one by one before the series tail:
+        at most 64 for the exact dispersions, zero past them, where the
+        late-time expansion takes the lattice, and for closed-form
+        results. For the oracle, its ``n_images``: by default 50 or
+        twice the horizon, whichever is larger, and at most 2,000,000.
     singularity : object or None
         The :class:`platevac.kernels.SingularityReport` for the point,
         when one was computed.

@@ -24,6 +24,7 @@ from test_image_tails import DPS, ORDER, _taylor
 
 from platevac import ALL_KINDS, EvalPoint, Geometry, dispersion_exact, singularity_report
 from platevac import correlators
+from platevac.asymptotics import _LAW_ORDER
 from platevac.correlators import _LATE, _LATE_MAX, _N_WALK, _grouped_image_sum, _late_lattice
 from platevac.kernels import _ORIGIN, _SERIES, _image_values, horizon
 from platevac.quantities import DispersionKind
@@ -117,6 +118,17 @@ def test_the_table_follows_from_the_closed_kernels(key):
         for j, c in enumerate(cone):
             expected = (alpha if j == 0 else 0.0) + beta * (-1) ** j * (j + 1) * (j + 2) / 2
             assert float(c) == pytest.approx(expected, rel=4 * EPS, abs=1e-20), j
+
+
+def test_only_dv2_parallel_has_a_cone_pole_and_no_law_with_one_stops_before_it():
+    # _late_terms takes the pole's cot terms as sign times their contrast alone, which holds
+    # for sign -1 only, and stops a negative order before them. Every caller gives the
+    # parallel kernels sign -1; a row that breaks either fact must fail here.
+    poles = {key for key, (_, _, _, p, _, _) in _LATE.items() if p}
+    assert poles <= {("parallel", "velocity")}
+    assert DispersionKind("parallel", "velocity").image_sign == -1.0
+    for key, order in _LAW_ORDER.items():
+        assert order >= 0 or key not in poles, key
 
 
 def test_the_expansion_order_is_the_lowest_whose_next_lies_below_rounding(monkeypatch):

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from platevac import GeometryError, dispersion_exact
+from platevac import GeometryError, amplification_ratio, dispersion_exact
+from platevac import dispersion_via_quadrature, recommend_regime, validity_check
 from platevac import approx_large_a, approx_large_a_far, approx_large_t
 from platevac.quantities import (
     ALL_KINDS,
@@ -18,8 +19,6 @@ def test_geometry_basic():
     assert g.a == 2.0
     assert g.z == 0.5
     assert g.zbar == 1.5
-    r = g.reflected()
-    assert (r.a, r.z) == (2.0, 1.5)
 
 
 @pytest.mark.parametrize(
@@ -37,9 +36,17 @@ def test_eval_point_gamma():
     with pytest.raises(GeometryError):
         EvalPoint(Geometry(2.0, 0.5), -1.0)
     # every route refuses a bare tuple by its type, not by an AttributeError on .geometry
-    for route in (approx_large_a, approx_large_a_far, approx_large_t, dispersion_exact):
+    for route in (approx_large_a, approx_large_a_far, approx_large_t, dispersion_exact,
+                  dispersion_via_quadrature):
         with pytest.raises(GeometryError, match="expected EvalPoint"):
             route("dv2-normal", (1.0, 0.5, 0.3))
+    for route in (amplification_ratio, validity_check, recommend_regime):
+        with pytest.raises(GeometryError, match="expected EvalPoint"):
+            route((1.0, 0.5, 0.3))
+    # and a point refuses a geometry that is not one, not by an AttributeError on .z or .a
+    for geometry in (None, (1.0, 0.5)):
+        with pytest.raises(GeometryError, match="expected Geometry"):
+            EvalPoint(geometry, 1.0)
 
 
 def test_kind_tokens_round_trip():

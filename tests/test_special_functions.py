@@ -1,6 +1,7 @@
 """platevac's own zeta values, image-sum tail, Clausen-type functions and light-cone
 contrast against mpmath."""
 
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from platevac.correlators import _CLAUSEN, _LATE_MAX, _PLAIN_SERIES, _ZETA_2K, _ZETA_EVEN
-from platevac.correlators import _CONE, _clausen_sum, _clausen_type, _cone_rows
+from platevac.correlators import _CONE, _clausen_sum, _cone_rows
 from platevac.correlators import _image_tail, _zeta, _zeta_scaled
 from platevac.kernels import _SERIES, singularity_report
 
@@ -87,11 +88,21 @@ _NEAR_ZERO = [s * d for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12)]
 _NEAR_PI = [s * (math.pi - d) for s in (1.0, -1.0) for d in (1e-8, 3e-9, 1e-12, 0.0)]
 
 
+@functools.lru_cache(maxsize=None)
+def _clausen_reference(j, y):
+    """C_j(y) = Re[i**j Li_{j+1}(exp(i y))] from 40-digit mpmath.polylog, once per (j, y):
+    the tests of the orders and of their sums share the same grid."""
+    with mpmath.workdps(40):
+        phase = mpmath.expjpi(mpmath.mpf(y) / mpmath.pi)
+        return mpmath.re(mpmath.j**j * mpmath.polylog(j + 1, phase))
+
+
 def test_clausen_matches_mpmath_over_a_period():
     # Absolute error: Cl_2 = -C_1 vanishes at 0 and pi, where its series cancels.
     with mpmath.workdps(40):
         for x in [*np.linspace(-math.pi, math.pi, 401), 1e-300, 0.0, -0.0, *_NEAR_ZERO, *_NEAR_PI]:
-            assert abs(-_clausen_type(1, x) - mpmath.clsin(2, mpmath.mpf(x))) <= 4.0 * EPS, x
+            got = -_clausen_sum(_CLAUSEN[1], x)
+            assert abs(got - mpmath.clsin(2, mpmath.mpf(x))) <= 4.0 * EPS, x
 
 
 @pytest.mark.parametrize("j", range(_LATE_MAX + 1))
@@ -106,13 +117,12 @@ def test_clausen_type_functions_match_mpmath_polylog(j):
         for y in ys:
             if not y:
                 continue
-            phase = mpmath.expjpi(mpmath.mpf(y) / mpmath.pi)
-            ref = mpmath.re(mpmath.j**j * mpmath.polylog(j + 1, phase))
-            assert abs(_clausen_type(j, y) - ref) <= 16.0 * EPS * max(1.0, abs(ref)), y
+            ref = _clausen_reference(j, y)
+            assert abs(_clausen_sum(_CLAUSEN[j], y) - ref) <= 16.0 * EPS * max(1.0, abs(ref)), y
             if j:
-                assert abs(_clausen_type(j, y)) <= mpmath.zeta(j + 1) * (1.0 + 4.0 * EPS)
+                assert abs(_clausen_sum(_CLAUSEN[j], y)) <= mpmath.zeta(j + 1) * (1.0 + 4.0 * EPS)
     if j:  # C_j(0) = Re[i**j zeta(j+1)]
-        assert _clausen_type(j, 0.0) == pytest.approx(
+        assert _clausen_sum(_CLAUSEN[j], 0.0) == pytest.approx(
             float(mpmath.re(mpmath.j**j) * mpmath.zeta(j + 1)), rel=4.0 * EPS, abs=4.0 * EPS)
 
 
@@ -127,10 +137,9 @@ def test_summed_cone_orders_match_mpmath_polylog(t):
     rows = {order: _cone_rows(step, order) for order in range(1, _LATE_MAX + 1)}
     with mpmath.workdps(40):
         for y in ys:
-            phase = mpmath.expjpi(mpmath.mpf(y) / mpmath.pi)
             ref, moduli = mpmath.mpf(0), 0.0
             for order in range(1, _LATE_MAX + 1):
-                c_j = mpmath.re(mpmath.j**order * mpmath.polylog(order + 1, phase))
+                c_j = _clausen_reference(order, y)
                 weight = _CONE[order] * mpmath.mpf(step) ** order
                 ref += weight * c_j
                 moduli += float(abs(weight)) * max(1.0, abs(float(c_j)))
@@ -145,7 +154,7 @@ def test_cone_contrast_matches_an_mpmath_second_difference(z, t):
     # cancels as theta -> 0 or pi, so what counts is the absolute error.
     # The late-time expansion takes Cl_2 = -C_1 at 2x = 2 pi y/a for each scan phase y.
     a = 1.0
-    plain, minus, plus = (-_clausen_type(1, 2.0 * math.pi * (y / a))
+    plain, minus, plus = (-_clausen_sum(_CLAUSEN[1], 2.0 * math.pi * (y / a))
                           for _, y in singularity_report(z, a, t).phases)
     got = 2.0 * plain - minus - plus
     with mpmath.workdps(40):
